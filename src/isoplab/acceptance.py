@@ -63,6 +63,15 @@ class CriterionResult:
         status = "PASS" if self.passed else "FAIL"
         return f"criterion {self.index} [{self.name}]: {status} ({self.detail})"
 
+    def to_json_dict(self) -> dict:
+        return {
+            "criterion": self.index,
+            "name": self.name,
+            "passed": self.passed,
+            "detail": self.detail,
+            "findings": list(self.findings),
+        }
+
 
 @dataclass
 class AcceptanceOutcome:
@@ -389,19 +398,7 @@ def serialize_run(results, reports) -> bytes:
     criterion and by the CLI."""
     lines = [rep.to_json_line() for rep in reports]
     for res in results:
-        lines.append(
-            json.dumps(
-                {
-                    "criterion": res.index,
-                    "name": res.name,
-                    "passed": res.passed,
-                    "detail": res.detail,
-                    "findings": list(res.findings),
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
+        lines.append(json.dumps(res.to_json_dict(), sort_keys=True, separators=(",", ":")))
     return ("\n".join(lines) + "\n").encode()
 
 

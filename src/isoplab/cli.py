@@ -12,6 +12,7 @@ import argparse
 import csv as _csv
 import io
 import json
+import os
 import re
 import sys
 from dataclasses import asdict, dataclass
@@ -25,17 +26,7 @@ from .errors import (
     PreconditionViolated,
     Unattainable,
 )
-from .groups import (
-    CyclicGroup,
-    DihedralGroup,
-    Element,
-    FreeGroup,
-    Group,
-    HeisenbergGroup,
-    SymmetricGroup,
-    ZGroup,
-    parse_group,
-)
+from .groups import Element, Group, parse_group
 from .isoperimetry import (
     boundary_comparison,
     displacement_bound_check,
@@ -102,70 +93,33 @@ class RunConfig:
 
 
 def parse_generator_word(group: Group, text: str) -> Element:
-    """A word in per-family generator tokens, multiplied left to right.
+    """A word in the group's generator tokens, multiplied left to right.
 
-    Tokens: +i/-i for the lattice families and cyclic groups, letters for
-    free groups (identity "e"), r/R/s for dihedral, x/X/y/Y for the
-    unitriangular family, t1..t(n-1) for symmetric groups.
+    Each family's `generator_tokens()` table gives its grammar: +i/-i for the
+    lattice families and cyclic groups, letters for free groups (identity
+    "e"), r/R/s for dihedral, x/X/y/Y for the unitriangular family,
+    t1..t(n-1) for symmetric groups.  The longest token matches first.
     """
     t = text.strip()
     if not t:
         raise ParseError("empty generator word")
-    if isinstance(group, FreeGroup):
-        return group.parse(t)
+    tokens = group.generator_tokens()
+    token_re = re.compile("|".join(sorted(map(re.escape, tokens), key=len, reverse=True)))
     acc = group.identity()
-    if isinstance(group, (ZGroup, CyclicGroup)):
-        pos = 0
-        for m in re.finditer(r"([+-])([0-9]+)", t):
-            if m.start() != pos:
-                raise ParseError(f"bad generator word {text!r}")
-            pos = m.end()
-            index = int(m.group(2))
-            rank = group.rank if isinstance(group, ZGroup) else 1
-            if not 1 <= index <= rank:
-                raise ParseError(f"generator index {index} out of range 1..{rank}")
-            if isinstance(group, ZGroup):
-                step = [0] * group.rank
-                step[index - 1] = 1 if m.group(1) == "+" else -1
-                acc = group.mul(acc, tuple(step))
-            else:
-                acc = group.mul(acc, 1 if m.group(1) == "+" else group.n - 1)
-        if pos != len(t):
-            raise ParseError(f"bad generator word {text!r}")
-        return acc
-    if isinstance(group, DihedralGroup):
-        table = {"r": (1, 0), "R": (group.n - 1, 0), "s": (0, 1)}
-        for ch in t:
-            if ch not in table:
-                raise ParseError(f"bad dihedral token {ch!r} (expected r, R, or s)")
-            acc = group.mul(acc, table[ch])
-        return acc
-    if isinstance(group, HeisenbergGroup):
-        x = group.parse("(1,0,0)")
-        y = group.parse("(0,1,0)")
-        table = {"x": x, "X": group.inv(x), "y": y, "Y": group.inv(y)}
-        for ch in t:
-            if ch not in table:
-                raise ParseError(f"bad token {ch!r} (expected x, X, y, or Y)")
-            acc = group.mul(acc, table[ch])
-        return acc
-    if isinstance(group, SymmetricGroup):
-        pos = 0
-        for m in re.finditer(r"t([0-9]+)", t):
-            if m.start() != pos:
-                raise ParseError(f"bad generator word {text!r}")
-            pos = m.end()
-            i = int(m.group(1))
-            if not 1 <= i <= group.n - 1:
-                raise ParseError(f"transposition index {i} out of range 1..{group.n - 1}")
-            acc = group.mul(acc, group.generating_set.elements[i - 1])
-        if pos != len(t):
-            raise ParseError(f"bad generator word {text!r}")
-        return acc
-    raise ParseError(f"no generator word grammar for {group.name}")
+    pos = 0
+    while pos < len(t):
+        m = token_re.match(t, pos)
+        if m is None:
+            raise ParseError(
+                f"bad generator word {text!r} for {group.name} at {t[pos:]!r} "
+                f"(tokens: {' '.join(tokens)})"
+            )
+        acc = group.mul(acc, tokens[m.group()])
+        pos = m.end()
+    return acc
 
 
-def _csv_lines(header: list[str], rows: list[list]) -> list[str]:
+def _csv_lines(header: list[str], rows) -> list[str]:
     buf = io.StringIO()
     writer = _csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -173,55 +127,66 @@ def _csv_lines(header: list[str], rows: list[list]) -> list[str]:
     return buf.getvalue().splitlines()
 
 
-def _emit(lines: list[str], out_path: Optional[str]) -> None:
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _emit(config: RunConfig, records, header: list[str], rows, human) -> None:
+    """Render one command's output in config.format and write it.
+
+    records, rows and human are callables returning the JSON records, the
+    CSV rows under header, and the human lines; only the one the format
+    asks for is called.  Every JSON record carries the run configuration;
+    the CSV and human outputs open with it.
+    """
+    if config.format == "jsonl":
+        run_config = config.to_dict()
+        lines = [
+            json.dumps({**rec, "run_config": run_config}, sort_keys=True, separators=(",", ":"))
+            for rec in records()
+        ]
+    elif config.format == "csv":
+        lines = [f"# config: {config.json()}", *_csv_lines(header, rows())]
     else:
+        lines = [f"config: {config.json()}", *human()]
+    text = "\n".join(lines) + ("\n" if lines else "")
+    if not config.out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(config.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write --out {config.out}: {exc}") from None
 
 
-def _report_lines(reports, config: RunConfig) -> list[str]:
-    fmt = config.format
-    if fmt == "jsonl":
-        return [
-            json.dumps(
-                {**r.to_json_dict(), "run_config": config.to_dict()},
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-            for r in reports
-        ]
-    if fmt == "csv":
-        header = [
-            "kind", "group", "set_descriptor", "d", "gamma0",
-            "lhs_num", "lhs_den", "rhs_num", "rhs_den",
-            "verdict", "sharpness_num", "sharpness_den",
-        ]
-        rows = []
-        for r in reports:
-            sharp = r.sharpness
-            rows.append([
-                r.kind, r.group, r.set_descriptor,
-                "" if r.d is None else r.d, r.gamma0 or "",
-                r.lhs.numerator, r.lhs.denominator,
-                r.rhs.numerator, r.rhs.denominator,
-                "holds" if r.verdict else "fails",
-                "" if sharp is None else sharp.numerator,
-                "" if sharp is None else sharp.denominator,
-            ])
-        return [f"# config: {config.json()}"] + _csv_lines(header, rows)
-    lines = [f"config: {config.json()}"]
+_REPORT_HEADER = [
+    "kind", "group", "set_descriptor", "d", "gamma0",
+    "lhs_num", "lhs_den", "rhs_num", "rhs_den",
+    "verdict", "sharpness_num", "sharpness_den",
+]
+
+
+def _report_row(r) -> list:
+    sharp = r.sharpness
+    return [
+        r.kind, r.group, r.set_descriptor,
+        "" if r.d is None else r.d, r.gamma0 or "",
+        r.lhs.numerator, r.lhs.denominator,
+        r.rhs.numerator, r.rhs.denominator,
+        "holds" if r.verdict else "fails",
+        "" if sharp is None else sharp.numerator,
+        "" if sharp is None else sharp.denominator,
+    ]
+
+
+def _report_lines(reports) -> list[str]:
+    """Human lines for verification reports."""
+    lines = []
     for r in reports:
-        rel = _RELATION.get(r.kind, "?")
         parts = [f"{r.kind} group={r.group} set={r.set_descriptor}"]
         if r.d is not None:
             parts.append(f"d={r.d}")
         if r.gamma0 is not None:
             parts.append(f"gamma0={r.gamma0}")
         verdict = "holds" if r.verdict else "FAILS"
-        line = " ".join(parts) + f": {r.lhs} {rel} {r.rhs} -> {verdict}"
+        line = " ".join(parts) + f": {r.lhs} {_RELATION.get(r.kind, '?')} {r.rhs} -> {verdict}"
         if r.sharpness is not None and r.kind in ("theorem", "half_mass", "csc"):
             line += f" (sharpness {r.sharpness})"
         lines.append(line)
@@ -233,72 +198,70 @@ def _cmd_growth(config: RunConfig) -> int:
         raise ParseError("growth needs --group")
     group = parse_group(config.group)
     if config.phi is not None:
-        value = phi(group, config.phi, ball_cap=config.ball_cap)
-        if config.format == "jsonl":
-            lines = [json.dumps(
-                {"v": config.phi, "phi": value, "run_config": config.to_dict()},
-                sort_keys=True, separators=(",", ":"),
-            )]
-        elif config.format == "csv":
-            lines = [f"# config: {config.json()}"] + _csv_lines(["v", "phi"], [[config.phi, value]])
-        else:
-            lines = [f"config: {config.json()}", f"phi({config.phi}) = {value}"]
-        _emit(lines, config.out)
+        v = config.phi
+        value = phi(group, v, ball_cap=config.ball_cap)
+        _emit(
+            config,
+            lambda: [{"v": v, "phi": value}],
+            ["v", "phi"],
+            lambda: [[v, value]],
+            lambda: [f"phi({v}) = {value}"],
+        )
         return EXIT_OK
     if config.max_radius is None:
         raise ParseError("growth needs --max-radius or --phi")
-    table = growth(group, config.max_radius, ball_cap=config.ball_cap)
-    if config.format == "jsonl":
-        lines = [
-            json.dumps(
-                {"r": r, "gamma": v, "run_config": config.to_dict()},
-                sort_keys=True, separators=(",", ":"),
-            )
-            for r, v in table.csv_rows()
-        ]
-    elif config.format == "csv":
-        lines = [f"# config: {config.json()}"] + _csv_lines(
-            ["r", "gamma"], [[r, v] for r, v in table.csv_rows()]
-        )
-    else:
-        lines = [f"config: {config.json()}"]
-        lines += [f"gamma({r}) = {v}" for r, v in table.csv_rows()]
-    _emit(lines, config.out)
+    rows = growth(group, config.max_radius, ball_cap=config.ball_cap).csv_rows()
+    _emit(
+        config,
+        lambda: ({"r": r, "gamma": v} for r, v in rows),
+        ["r", "gamma"],
+        lambda: rows,
+        lambda: (f"gamma({r}) = {v}" for r, v in rows),
+    )
     return EXIT_OK
 
 
 def _cmd_verify(config: RunConfig, check: str) -> int:
     if config.group is None or config.set is None:
         raise ParseError("verify needs --group and --set")
+    if check == "lemma31" and config.d is None:
+        raise ParseError("verify lemma31 needs --d")
+    if check == "transport" and config.gamma0 is None:
+        raise ParseError("verify transport needs --gamma0")
     group = parse_group(config.group)
     desc = parse_set_descriptor(config.set)
+    cap = config.ball_cap
+    d = config.d
+    if check == "transport":
+        gamma0 = parse_generator_word(group, config.gamma0)
+        if d is None:
+            d = word_length(group, gamma0, ball_cap=cap)
+    verifiers = {
+        "lemma31": lambda s: [lemma31_check(group, s, d, ball_cap=cap)],
+        "halfmass": lambda s: [half_mass_witness(group, s, ball_cap=cap)[1]],
+        "transport": lambda s: [
+            preimage_bound_check(transport_map(group, gamma0, s, ball_cap=cap), d),
+            displacement_bound_check(group, gamma0, s, d, ball_cap=cap),
+        ],
+        "theorem": lambda s: [verify_theorem(group, s, ball_cap=cap)],
+        "csc": lambda s: [verify_csc(group, s, ball_cap=cap)],
+        "boundary-cmp": lambda s: [boundary_comparison(group, s)],
+    }
+    if check not in verifiers:
+        raise ParseError(f"unknown verify check {check!r}")
     trials = config.trials if config.trials is not None else 1
-    reports = []
-    for subset in expand_trials(group, desc, trials, ball_cap=config.ball_cap):
-        if check == "lemma31":
-            if config.d is None:
-                raise ParseError("verify lemma31 needs --d")
-            reports.append(lemma31_check(group, subset, config.d, ball_cap=config.ball_cap))
-        elif check == "halfmass":
-            _, rep = half_mass_witness(group, subset, ball_cap=config.ball_cap)
-            reports.append(rep)
-        elif check == "transport":
-            if config.gamma0 is None:
-                raise ParseError("verify transport needs --gamma0")
-            gamma0 = parse_generator_word(group, config.gamma0)
-            d = config.d if config.d is not None else word_length(group, gamma0, ball_cap=config.ball_cap)
-            record = transport_map(group, gamma0, subset, ball_cap=config.ball_cap)
-            reports.append(preimage_bound_check(record, d))
-            reports.append(displacement_bound_check(group, gamma0, subset, d, ball_cap=config.ball_cap))
-        elif check == "theorem":
-            reports.append(verify_theorem(group, subset, ball_cap=config.ball_cap))
-        elif check == "csc":
-            reports.append(verify_csc(group, subset, ball_cap=config.ball_cap))
-        elif check == "boundary-cmp":
-            reports.append(boundary_comparison(group, subset))
-        else:
-            raise ParseError(f"unknown verify check {check!r}")
-    _emit(_report_lines(reports, config), config.out)
+    reports = [
+        rep
+        for subset in expand_trials(group, desc, trials, ball_cap=cap)
+        for rep in verifiers[check](subset)
+    ]
+    _emit(
+        config,
+        lambda: (r.to_json_dict() for r in reports),
+        _REPORT_HEADER,
+        lambda: map(_report_row, reports),
+        lambda: _report_lines(reports),
+    )
     return EXIT_OK if all(r.verdict for r in reports) else EXIT_FAILED_VERDICT
 
 
@@ -308,30 +271,19 @@ def _cmd_profile(config: RunConfig) -> int:
     group = parse_group(config.group)
     lo, hi = parse_size_range(config.sizes)
     rows = exhaustive_profile(group, range(lo, hi + 1), ball_cap=config.ball_cap)
-    if config.format == "jsonl":
-        lines = [
-            json.dumps(
-                {**row.to_json_dict(), "run_config": config.to_dict()},
-                sort_keys=True, separators=(",", ":"),
-            )
-            for row in rows
-        ]
-    elif config.format == "csv":
-        header = ["n", "min_boundary", "bound_num", "bound_den", "witness"]
-        body = []
-        for row in rows:
-            d = row.to_json_dict()
-            body.append([d["n"], d["min_boundary"], d["bound_num"], d["bound_den"], d["witness"]])
-        lines = [f"# config: {config.json()}"] + _csv_lines(header, body)
-    else:
-        lines = [f"config: {config.json()}"]
-        for row in rows:
-            d = row.to_json_dict()
-            lines.append(
-                f"n={d['n']}: min boundary {d['min_boundary']} "
-                f"(strict bound {row.bound}, gap {row.gap}) witness {d['witness']}"
-            )
-    _emit(lines, config.out)
+    dicts = [row.to_json_dict() for row in rows]
+    header = ["n", "min_boundary", "bound_num", "bound_den", "witness"]
+    _emit(
+        config,
+        lambda: dicts,
+        header,
+        lambda: ([d[k] for k in header] for d in dicts),
+        lambda: (
+            f"n={d['n']}: min boundary {d['min_boundary']} "
+            f"(strict bound {row.bound}, gap {row.gap}) witness {d['witness']}"
+            for row, d in zip(rows, dicts)
+        ),
+    )
     return EXIT_OK
 
 
@@ -343,29 +295,24 @@ def _cmd_sharpness(config: RunConfig) -> int:
         if config.family != "intervals":
             raise ParseError(f"unknown sharpness family {config.family!r}")
         subsets = interval_subsets(group, config.max_n if config.max_n is not None else 50)
-        summary = sharpness_of_subsets(group, subsets, ball_cap=config.ball_cap)
     elif config.set is not None:
         desc = parse_set_descriptor(config.set)
         trials = config.trials if config.trials is not None else 1
         subsets = list(expand_trials(group, desc, trials, ball_cap=config.ball_cap))
-        summary = sharpness_of_subsets(group, subsets, ball_cap=config.ball_cap)
     else:
         raise ParseError("sharpness needs --family intervals or --set")
-    if config.format == "jsonl":
-        lines = [json.dumps(
-            {**summary.to_json_dict(), "run_config": config.to_dict()},
-            sort_keys=True, separators=(",", ":"),
-        )]
-    elif config.format == "csv":
-        header = ["set", "factor_num", "factor_den"]
-        rows = [[name, f.numerator, f.denominator] for name, f in summary.entries]
-        lines = [f"# config: {config.json()}"] + _csv_lines(header, rows)
-    else:
-        lines = [f"config: {config.json()}"]
-        for name, f in summary.entries:
-            lines.append(f"{name}: factor {f}")
-        lines.append(f"min factor {summary.min_factor}, median factor {summary.median_factor}")
-    _emit(lines, config.out)
+    summary = sharpness_of_subsets(group, subsets, ball_cap=config.ball_cap)
+    entries = summary.entries
+    _emit(
+        config,
+        lambda: [summary.to_json_dict()],
+        ["set", "factor_num", "factor_den"],
+        lambda: ([name, f.numerator, f.denominator] for name, f in entries),
+        lambda: [
+            *(f"{name}: factor {f}" for name, f in entries),
+            f"min factor {summary.min_factor}, median factor {summary.median_factor}",
+        ],
+    )
     return EXIT_OK if all(r.verdict for r in summary.reports) else EXIT_FAILED_VERDICT
 
 
@@ -374,49 +321,34 @@ def _cmd_accept(config: RunConfig) -> int:
     outcome = run_acceptance(
         seed, bool(config.quick), check_determinism=True, ball_cap=config.ball_cap
     )
-    if config.format == "jsonl":
-        lines = [
-            json.dumps(
-                {**r.to_json_dict(), "run_config": config.to_dict()},
-                sort_keys=True, separators=(",", ":"),
-            )
-            for r in outcome.reports
-        ]
-        for res in outcome.results:
-            lines.append(json.dumps(
-                {
-                    "criterion": res.index,
-                    "name": res.name,
-                    "passed": res.passed,
-                    "detail": res.detail,
-                    "findings": list(res.findings),
-                    "run_config": config.to_dict(),
-                },
-                sort_keys=True, separators=(",", ":"),
-            ))
-        lines.append(json.dumps(
-            {"all_passed": outcome.all_passed, "run_config": config.to_dict()},
-            sort_keys=True, separators=(",", ":"),
-        ))
-    elif config.format == "csv":
-        header = ["criterion", "name", "passed", "detail"]
-        rows = [[r.index, r.name, "pass" if r.passed else "fail", r.detail] for r in outcome.results]
-        lines = [f"# config: {config.json()}"] + _csv_lines(header, rows)
-    else:
-        lines = [f"config: {config.json()}"]
-        for res in outcome.results:
-            lines.append(res.line())
-            for finding in res.findings:
-                lines.append(f"  finding: {finding}")
-        passed = sum(1 for r in outcome.results if r.passed)
+    results = outcome.results
+
+    def records():
+        yield from (r.to_json_dict() for r in outcome.reports)
+        yield from (res.to_json_dict() for res in results)
+        yield {"all_passed": outcome.all_passed}
+
+    def human():
+        for res in results:
+            yield res.line()
+            yield from (f"  finding: {finding}" for finding in res.findings)
+        passed = sum(1 for r in results if r.passed)
         status = "ALL PASS" if outcome.all_passed else "FAILED"
-        lines.append(f"acceptance: {status} ({passed}/{len(outcome.results)} criteria)")
-    _emit(lines, config.out)
+        yield f"acceptance: {status} ({passed}/{len(results)} criteria)"
+
+    _emit(
+        config,
+        records,
+        ["criterion", "name", "passed", "detail"],
+        lambda: ([r.index, r.name, "pass" if r.passed else "fail", r.detail] for r in results),
+        human,
+    )
     return EXIT_OK if outcome.all_passed else EXIT_FAILED_VERDICT
 
 
 _CONFIG_INT_KEYS = {"d", "trials", "seed", "max_radius", "phi", "max_n", "ball_cap"}
 _CONFIG_BOOL_KEYS = {"quick"}
+_CONFIG_MINIMUM = {"d": 0, "trials": 1, "max_radius": 0, "phi": 0}
 
 
 def _load_config_file(path: str) -> dict:
@@ -458,7 +390,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     fmt = pick("format", "human")
     if fmt not in ("jsonl", "csv", "human"):
         raise ParseError(f"unknown format {fmt!r}")
-    return RunConfig(
+    config = RunConfig(
         command=args.command,
         group=pick("group"),
         set=pick("set"),
@@ -476,6 +408,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         ball_cap=pick("ball_cap", DEFAULT_BALL_CAP),
         quick=pick("quick"),
     )
+    for key, least in _CONFIG_MINIMUM.items():
+        value = getattr(config, key)
+        if value is not None and value < least:
+            raise ParseError(f"{key.replace('_', '-')} must be >= {least}, got {value}")
+    if config.out and not os.path.isdir(os.path.dirname(os.path.abspath(config.out))):
+        raise ParseError(f"cannot write --out {config.out}: no such directory")
+    return config
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:

@@ -32,6 +32,9 @@ Element = Union[int, tuple]
 
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
+# Free-group letters in rank order; "e" is reserved for the identity.
+FREE_LETTERS = "abcdfghijklmnopqrstuvwxyz"
+
 
 def _parse_int_list(text: str, open_ch: str, close_ch: str, what: str) -> list[int]:
     text = text.strip()
@@ -119,12 +122,21 @@ class Group:
     def format(self, e: Element) -> str:
         raise NotImplementedError
 
-    def _generator_candidates(self) -> list[Element]:
+    def generator_tokens(self) -> dict[str, Element]:
+        """Token -> element table of the generator-word grammar.
+
+        Every generator and its inverse has a token; the order of the table
+        fixes the order of the generating set.  A token may also name the
+        identity (the free family's "e"); it is not a generator.
+        """
         raise NotImplementedError
 
     @cached_property
     def generating_set(self) -> GeneratingSet:
-        return GeneratingSet.from_candidates(self, self._generator_candidates())
+        identity = self.identity()
+        return GeneratingSet.from_candidates(
+            self, [g for g in self.generator_tokens().values() if g != identity]
+        )
 
     @property
     def generators(self) -> tuple[Element, ...]:
@@ -177,13 +189,12 @@ class ZGroup(Group):
         ):
             raise ParseError(f"{self.name}: need an integer {self.rank}-tuple, got {e!r}")
 
-    def _generator_candidates(self):
-        basis = []
-        for i in range(self.rank):
-            v = [0] * self.rank
-            v[i] = 1
-            basis.append(tuple(v))
-        return basis + [self.inv(v) for v in basis]
+    def generator_tokens(self):
+        basis = [tuple(int(i == j) for j in range(self.rank)) for i in range(self.rank)]
+        return {
+            **{f"+{i + 1}": v for i, v in enumerate(basis)},
+            **{f"-{i + 1}": self.inv(v) for i, v in enumerate(basis)},
+        }
 
     def parse(self, text):
         text = text.strip()
@@ -232,8 +243,8 @@ class CyclicGroup(Group):
     def encoding(self, e):
         return (e,)
 
-    def _generator_candidates(self):
-        return [1 % self.n, (self.n - 1) % self.n]
+    def generator_tokens(self):
+        return {"+1": 1, "-1": self.n - 1}
 
     def parse(self, text):
         text = text.strip()
@@ -294,8 +305,8 @@ class DihedralGroup(Group):
         ):
             raise ParseError(f"{self.name}: need (i, j) with 0 <= i < {self.n}, j in {{0,1}}; got {e!r}")
 
-    def _generator_candidates(self):
-        return [(1, 0), (self.n - 1, 0), (0, 1)]
+    def generator_tokens(self):
+        return {"r": (1, 0), "R": (self.n - 1, 0), "s": (0, 1)}
 
     def parse(self, text):
         coords = _parse_int_list(text, "(", ")", self.name)
@@ -313,16 +324,19 @@ class FreeGroup(Group):
     """Free group of given rank; elements are reduced words.
 
     A word is a tuple of nonzero ints: letter i in 1..rank, negative for
-    its inverse, with no adjacent x, -x pair.  Letters print as a..z with
-    uppercase for inverses; the identity prints as "e".  The letter
-    grammar bounds the rank at 26.
+    its inverse, with no adjacent x, -x pair.  Letter i prints as the i-th
+    character of FREE_LETTERS (a..z without e), uppercase for its inverse;
+    "e" is reserved for the identity.  The letter grammar bounds the rank
+    at 25.
     """
 
     def __init__(self, rank: int):
         if rank < 1:
             raise ParseError(f"free rank must be >= 1, got {rank}")
-        if rank > 26:
-            raise ParseError("free rank above 26 is not supported by the letter grammar")
+        if rank > len(FREE_LETTERS):
+            raise ParseError(
+                f"free rank above {len(FREE_LETTERS)} is not supported by the letter grammar"
+            )
         self.rank = rank
         self.name = f"free:{rank}"
 
@@ -357,34 +371,32 @@ class FreeGroup(Group):
             if x == -y:
                 raise ParseError(f"{self.name}: word {e!r} is not reduced")
 
-    def _generator_candidates(self):
-        letters = [(i,) for i in range(1, self.rank + 1)]
-        return letters + [(-i,) for i in range(1, self.rank + 1)]
+    def generator_tokens(self):
+        letters = FREE_LETTERS[: self.rank]
+        return {
+            "e": (),
+            **{ch: (i,) for i, ch in enumerate(letters, 1)},
+            **{ch.upper(): (-i,) for i, ch in enumerate(letters, 1)},
+        }
 
     def parse(self, text):
         text = text.strip()
-        if text == "e":
-            return ()
+        tokens = self.generator_tokens()
         word: tuple = ()
         for ch in text:
-            if "a" <= ch <= "z":
-                letter = ord(ch) - ord("a") + 1
-            elif "A" <= ch <= "Z":
-                letter = -(ord(ch) - ord("A") + 1)
-            else:
+            if ch not in tokens:
+                if ch.lower() in FREE_LETTERS:
+                    raise ParseError(f"{self.name}: letter {ch!r} exceeds rank {self.rank}")
                 raise ParseError(f"{self.name}: bad character {ch!r} in word {text!r}")
-            if abs(letter) > self.rank:
-                raise ParseError(f"{self.name}: letter {ch!r} exceeds rank {self.rank}")
-            word = self.mul(word, (letter,))  # reduce as we go
+            word = self.mul(word, tokens[ch])  # reduce as we go
         return word
 
     def format(self, e):
         if not e:
             return "e"
-        out = []
-        for x in e:
-            out.append(chr(ord("a") + x - 1) if x > 0 else chr(ord("A") - x - 1))
-        return "".join(out)
+        return "".join(
+            FREE_LETTERS[x - 1] if x > 0 else FREE_LETTERS[-x - 1].upper() for x in e
+        )
 
 
 class HeisenbergGroup(Group):
@@ -432,10 +444,10 @@ class HeisenbergGroup(Group):
         if self.modulus is not None and not all(0 <= x < self.modulus for x in e):
             raise ParseError(f"{self.name}: coordinates must lie in 0..{self.modulus - 1}, got {e!r}")
 
-    def _generator_candidates(self):
+    def generator_tokens(self):
         x = self._reduce(1, 0, 0)
         y = self._reduce(0, 1, 0)
-        return [x, self.inv(x), y, self.inv(y)]
+        return {"x": x, "X": self.inv(x), "y": y, "Y": self.inv(y)}
 
     def parse(self, text):
         coords = _parse_int_list(text, "(", ")", self.name)
@@ -487,13 +499,13 @@ class SymmetricGroup(Group):
         if sorted(e) != list(range(1, self.n + 1)):
             raise ParseError(f"{self.name}: {e!r} is not a permutation of 1..{self.n}")
 
-    def _generator_candidates(self):
-        gens = []
+    def generator_tokens(self):
+        tokens = {}
         for i in range(self.n - 1):
             images = list(range(1, self.n + 1))
             images[i], images[i + 1] = images[i + 1], images[i]
-            gens.append(tuple(images))
-        return gens
+            tokens[f"t{i + 1}"] = tuple(images)
+        return tokens
 
     def parse(self, text):
         coords = _parse_int_list(text, "[", "]", self.name)

@@ -31,17 +31,6 @@ from .errors import InternalContradiction, PreconditionViolated
 from .groups import Element, Group
 from .metric import DEFAULT_BALL_CAP, BallTable, ball, geodesic_word, minimal_d, phi, word_length
 
-REPORT_KINDS = (
-    "lemma31",
-    "half_mass",
-    "preimage_bound",
-    "displacement_bound",
-    "theorem",
-    "csc",
-    "boundary_cmp",
-)
-
-
 @dataclass(frozen=True, eq=False)
 class FiniteSubset:
     """A finite set D of canonical elements, sorted and duplicate-free."""

@@ -135,12 +135,8 @@ def default_uniform_radius(group: Group, size: int, ball_cap: int) -> int:
     layers, _, depth, ok, saturated = _grow(
         group, until_count=2 * size - 1, ball_cap=ball_cap
     )
-    if not ok and saturated:
-        if len(depth) < size:
-            raise PreconditionViolated(
-                f"random size {size} exceeds group size {len(depth)}"
-            )
-        return len(layers) - 1
+    if not ok and saturated and len(depth) < size:
+        raise PreconditionViolated(f"random size {size} exceeds group size {len(depth)}")
     return len(layers) - 1
 
 

@@ -154,6 +154,45 @@ def test_usage_error_returns_2(capsys):
     assert main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("growth", "--group", "z", "--max-radius", "2", "--out", "/nonexistent-dir/x"),
+    ("verify", "lemma31", "--group", "z", "--set", "explicit:0,1", "--d", "-1"),
+    ("growth", "--group", "z", "--max-radius", "-2"),
+    ("growth", "--group", "z", "--phi", "-1"),
+    ("verify", "theorem", "--group", "z", "--set", "ball:2", "--trials", "0"),
+    ("verify", "theorem", "--group", "z", "--set", "ball:2", "--trials", "-3"),
+    ("verify", "transport", "--group", "z", "--set", "ball:2", "--gamma0", "+01"),
+    ("growth", "--group", "free:26", "--max-radius", "1"),
+])
+def test_bad_values_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("isoplab: error:")
+
+
+def test_out_to_directory_exits_2(tmp_path, capsys):
+    code, _, err = run(capsys, "growth", "--group", "z", "--max-radius", "2", "--out", str(tmp_path))
+    assert code == 2 and "cannot write" in err
+
+
+def test_bad_values_from_config_file_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("group=z\nset=ball:2\ntrials=0\n")
+    code, _, err = run(capsys, "verify", "theorem", "--config", str(cfg))
+    assert code == 2 and "trials" in err
+
+
+def test_word_flags_checked_before_sets_are_generated(capsys):
+    # random:50 cannot be drawn from cyclic:4 (exit 4); the word errors win
+    base = ("--group", "cyclic:4", "--set", "random:50:1")
+    code, _, err = run(capsys, "verify", "lemma31", *base)
+    assert code == 2 and "--d" in err
+    code, _, err = run(capsys, "verify", "transport", *base)
+    assert code == 2 and "--gamma0" in err
+    code, _, err = run(capsys, "verify", "transport", *base, "--gamma0", "q")
+    assert code == 2 and "generator word" in err
+
+
 # ---------------------------------------------------------------- config file
 
 def test_config_file_with_flag_precedence(tmp_path, capsys):
@@ -199,9 +238,19 @@ def test_generator_word_parsing():
 def test_generator_word_errors():
     from isoplab import ParseError
     z = parse_group("z")
-    for bad in ("", "+2", "q", "+1x"):
+    for bad in ("", "+2", "q", "+1x", "+01", "+1 +1"):
         with pytest.raises(ParseError):
             parse_generator_word(z, bad)
+
+
+def test_generator_word_longest_token_first():
+    z12 = parse_group("zd:12")
+    assert parse_generator_word(z12, "+12+1-10") == (1,) + (0,) * 8 + (-1, 0, 1)
+    s12 = parse_group("symmetric:12")
+    assert parse_generator_word(s12, "t11") == s12.generator_tokens()["t11"]
+    f5 = parse_group("free:5")
+    assert parse_generator_word(f5, "e") == ()
+    assert parse_generator_word(f5, "fF") == ()
 
 
 # --------------------------------------------------------------------- accept

@@ -1,0 +1,82 @@
+"""Byte-level pins of the CLI report stream.
+
+Every command is run in every output format on a small input, and the
+first 16 hex digits of the sha256 of stdout are compared with digests
+recorded before the output code was consolidated.  A change here means the
+report bytes changed; that must be deliberate and recorded in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+import isoplab.cli
+from isoplab.acceptance import run_acceptance
+from isoplab.cli import main
+
+COMMANDS = {
+    "growth": ("growth", "--group", "zd:2", "--max-radius", "3"),
+    "growth-phi": ("growth", "--group", "heisenberg", "--phi", "20"),
+    "theorem": ("verify", "theorem", "--group", "heisenberg", "--set", "random:12:7", "--trials", "3"),
+    "transport": (
+        "verify", "transport", "--group", "zd:2", "--set", "random:10:3",
+        "--gamma0", "+1+2", "--trials", "2",
+    ),
+    "lemma31": ("verify", "lemma31", "--group", "free:2", "--set", "random:8:5", "--d", "2", "--trials", "2"),
+    "halfmass": ("verify", "halfmass", "--group", "dihedral:5", "--set", "explicit:(0,0),(1,0),(0,1)"),
+    "profile": ("profile", "--group", "dihedral:4", "--sizes", "1..3"),
+    "sharpness-intervals": ("sharpness", "--group", "z", "--family", "intervals", "--max-n", "12"),
+    "sharpness-set": ("sharpness", "--group", "free:2", "--set", "random:6:1", "--trials", "3"),
+    "accept": ("accept", "--quick", "--seed", "7"),
+}
+
+DIGESTS = {
+    ("growth", "jsonl"): "12cd3a39388b1191",
+    ("growth", "csv"): "1f86e36c8aaa178b",
+    ("growth", "human"): "94c86c445e25287d",
+    ("growth-phi", "jsonl"): "e2fc8902c32aabfa",
+    ("growth-phi", "csv"): "d5ceb57f95e19837",
+    ("growth-phi", "human"): "904a8ef17adeb081",
+    ("theorem", "jsonl"): "7ed1180ebc7f52ea",
+    ("theorem", "csv"): "ae2b4c49807664b9",
+    ("theorem", "human"): "9825c0c7bb28f0a5",
+    ("transport", "jsonl"): "7d9e7cc7ed25d75a",
+    ("transport", "csv"): "9b64ceb5d5249b07",
+    ("transport", "human"): "b190406aa63ebbaa",
+    ("lemma31", "jsonl"): "4effa0411f8515d3",
+    ("lemma31", "csv"): "56f4a9fefb244848",
+    ("lemma31", "human"): "2ba41dfe008580fc",
+    ("halfmass", "jsonl"): "319d2efe19876866",
+    ("halfmass", "csv"): "3da802b579f45c82",
+    ("halfmass", "human"): "71ca3def52a12e3a",
+    ("profile", "jsonl"): "a62f37d9135b7704",
+    ("profile", "csv"): "a75064c4e75b15cd",
+    ("profile", "human"): "4f4a0b520260ebb4",
+    ("sharpness-intervals", "jsonl"): "4790918e35dbc64e",
+    ("sharpness-intervals", "csv"): "0d79183799c275d7",
+    ("sharpness-intervals", "human"): "1eac60cb3c4dc4c7",
+    ("sharpness-set", "jsonl"): "75a66295f5020f9e",
+    ("sharpness-set", "csv"): "6b5465ac0dac73e2",
+    ("sharpness-set", "human"): "f3718067fe29a964",
+    ("accept", "jsonl"): "60872b3ab45f746d",
+    ("accept", "csv"): "22a75c3fe41d35bf",
+    ("accept", "human"): "6fa04d9b567786ce",
+}
+
+
+@pytest.fixture(scope="module")
+def quick_outcome():
+    """One real quick acceptance run, shared by the three accept formats."""
+    return run_acceptance(7, quick=True, check_determinism=False)
+
+
+@pytest.mark.parametrize("name,fmt", sorted(DIGESTS))
+def test_stdout_digest(name, fmt, capsys, monkeypatch, request):
+    if name == "accept":
+        outcome = request.getfixturevalue("quick_outcome")
+        monkeypatch.setattr(isoplab.cli, "run_acceptance", lambda *args, **kwargs: outcome)
+    code = main([*COMMANDS[name], "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest()[:16] == DIGESTS[name, fmt]

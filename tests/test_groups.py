@@ -193,3 +193,45 @@ def test_modular_heisenberg_wraps():
     for e in [(0, 0, 0), (2, 2, 2), (1, 2, 0)]:
         h3.validate(e)
         assert h3.mul(e, h3.inv(e)) == (0, 0, 0)
+
+
+# ------------------------------------------------------ generator-token tables
+
+@pytest.mark.parametrize("spec", ALL_SPECS + ["zd:12", "symmetric:12", "free:25"])
+def test_generator_tokens_name_the_generating_set(spec):
+    group = parse_group(spec)
+    tokens = group.generator_tokens()
+    identity = group.identity()
+    for e in tokens.values():
+        group.validate(e)
+    # the generating set is the table's non-identity values, in table order
+    expected = list(dict.fromkeys(e for e in tokens.values() if e != identity))
+    assert list(group.generating_set.elements) == expected
+
+
+@pytest.mark.parametrize("rank", [2, 5, 25])
+def test_free_format_round_trips_and_is_injective(rank):
+    from isoplab import ball
+
+    group = FreeGroup(rank)
+    words = list(ball(group, 2).elements())
+    assert len(words) == 1 + 2 * rank + 2 * rank * (2 * rank - 1)
+    texts = [group.format(w) for w in words]
+    assert len(set(texts)) == len(words)
+    assert all(group.parse(t) == w for t, w in zip(texts, words))
+
+
+def test_free_letter_e_is_reserved_for_the_identity():
+    from isoplab import FiniteSubset
+
+    f5 = FreeGroup(5)
+    assert f5.format(()) == "e"
+    assert f5.format((5,)) == "f" and f5.format((-5,)) == "F"
+    assert f5.parse("f") == (5,)
+    assert FiniteSubset.from_iterable(f5, [(), (5,)]).provenance == "explicit:e,f"
+    # ranks 1-4 print as before
+    assert FreeGroup(4).format((1, -2, 3, -4)) == "aBcD"
+    with pytest.raises(ParseError):
+        FreeGroup(26)
+    with pytest.raises(ParseError):
+        f5.parse("g")  # letter above rank

@@ -1,0 +1,34 @@
+"""The benchmark's instrumentation wraps library functions by name.
+
+`perfbench/layers.py` looks up every name in `LAYER_FUNCTIONS` and
+`METRIC_QUERIES` (plus `metric._grow`, `search._sample_connected`,
+`search.gray_subset_steps` and `search.exhaustive_profile`) with `getattr`,
+so renaming or deleting one of them breaks the traced and counting runs.
+This test installs both recorders in a fresh interpreter and runs one small
+CLI job under each.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import sys
+sys.path[:0] = [{src!r}, {perfbench!r}]
+import isoplab.cli
+import layers
+layers.{recorder}.install()
+sys.exit(isoplab.cli.main(["growth", "--group", "z", "--max-radius", "2"]))
+"""
+
+
+@pytest.mark.parametrize("recorder", ["Tracer(0)", "Counter()"])
+def test_layers_install_and_run(recorder):
+    script = SCRIPT.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"), recorder=recorder)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "gamma(2) = 5"
