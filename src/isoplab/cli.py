@@ -348,7 +348,7 @@ def _cmd_accept(config: RunConfig) -> int:
 
 _CONFIG_INT_KEYS = {"d", "trials", "seed", "max_radius", "phi", "max_n", "ball_cap"}
 _CONFIG_BOOL_KEYS = {"quick"}
-_CONFIG_MINIMUM = {"d": 0, "trials": 1, "max_radius": 0, "phi": 0}
+_CONFIG_MINIMUM = {"d": 0, "trials": 1, "max_radius": 0, "phi": 0, "ball_cap": 1, "max_n": 1}
 
 
 def _load_config_file(path: str) -> dict:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Callable, Iterator
 
 from .errors import BudgetExceeded, InternalContradiction, Unattainable
 from .groups import Element, Group
@@ -22,24 +22,15 @@ from .groups import Element, Group
 DEFAULT_BALL_CAP = 5_000_000
 
 
-def _grow(
-    group: Group,
-    *,
-    until_radius: Optional[int] = None,
-    until_count: Optional[int] = None,
-    until_element: Optional[Element] = None,
-    ball_cap: int = DEFAULT_BALL_CAP,
-):
+def _grow(group: Group, done: Callable[[list, dict], bool], *, ball_cap: int):
     """Layered BFS from the identity.
 
-    Stops after the first completed layer at which any requested condition
-    holds: radius reached, cumulative size strictly above until_count, or
-    until_element discovered.  Returns (layers, parent, depth, satisfied,
-    saturated); parent maps each non-identity element to (generator index,
-    predecessor) with element = s * predecessor.
+    Adds completed layers until done(layers, depth) holds or the group is
+    exhausted, and returns (layers, parent, depth); parent maps each
+    non-identity element to (generator index, predecessor) with
+    element = s * predecessor.  Raises BudgetExceeded as soon as the ball
+    holds ball_cap + 1 elements, before the rest of that layer is built.
     """
-    if until_radius is None and until_count is None and until_element is None:
-        raise ValueError("no stopping condition given")
     gens = group.generating_set.elements
     mul = group.mul
     sort_key = group.sort_key
@@ -47,17 +38,7 @@ def _grow(
     depth: dict = {e: 0}
     parent: dict = {}
     layers: list[tuple] = [(e,)]
-
-    def satisfied() -> bool:
-        if until_radius is not None and len(layers) - 1 >= until_radius:
-            return True
-        if until_count is not None and len(depth) > until_count:
-            return True
-        if until_element is not None and until_element in depth:
-            return True
-        return False
-
-    while not satisfied():
+    while not done(layers, depth):
         frontier = []
         level = len(layers)
         for g in layers[-1]:
@@ -67,17 +48,17 @@ def _grow(
                     depth[h] = level
                     parent[h] = (i, g)
                     frontier.append(h)
+                    if len(depth) > ball_cap:
+                        raise BudgetExceeded(
+                            f"{group.name}: ball outgrew cap {ball_cap} at radius {level}",
+                            size=len(depth),
+                            cap=ball_cap,
+                        )
         if not frontier:
-            return layers, parent, depth, satisfied(), True
-        if len(depth) > ball_cap:
-            raise BudgetExceeded(
-                f"{group.name}: ball outgrew cap {ball_cap} at radius {level}",
-                size=len(depth),
-                cap=ball_cap,
-            )
+            break
         frontier.sort(key=sort_key)
         layers.append(tuple(frontier))
-    return layers, parent, depth, True, False
+    return layers, parent, depth
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,10 +106,10 @@ def ball(group: Group, radius: int, *, ball_cap: int = DEFAULT_BALL_CAP) -> Ball
     """Exact ball of the given radius (layers beyond saturation are empty)."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    layers, parent, depth, _, _ = _grow(group, until_radius=radius, ball_cap=ball_cap)
-    layers = list(layers)
-    while len(layers) <= radius:
-        layers.append(())
+    layers, parent, depth = _grow(
+        group, lambda layers, depth: len(layers) > radius, ball_cap=ball_cap
+    )
+    layers += [()] * (radius + 1 - len(layers))
     return BallTable(group=group, radius=radius, layers=tuple(layers), parent=parent, depth=depth)
 
 
@@ -156,12 +137,7 @@ def growth(group: Group, r_max: int, *, ball_cap: int = DEFAULT_BALL_CAP) -> Gro
 
 def phi(group: Group, v: int, *, ball_cap: int = DEFAULT_BALL_CAP) -> int:
     """Inverse growth: least r with gamma(r) > v (strict)."""
-    if v < 0:
-        raise ValueError("v must be non-negative")
-    layers, _, depth, ok, _ = _grow(group, until_count=v, ball_cap=ball_cap)
-    if not ok:
-        raise Unattainable(v, available=len(depth))
-    return len(layers) - 1
+    return minimal_d(group, v, ball_cap=ball_cap)[0]
 
 
 def minimal_d(
@@ -170,8 +146,10 @@ def minimal_d(
     """Least d with gamma(d) > target, together with the ball it certifies."""
     if target < 0:
         raise ValueError("target must be non-negative")
-    layers, parent, depth, ok, _ = _grow(group, until_count=target, ball_cap=ball_cap)
-    if not ok:
+    layers, parent, depth = _grow(
+        group, lambda layers, depth: len(depth) > target, ball_cap=ball_cap
+    )
+    if len(depth) <= target:
         raise Unattainable(target, available=len(depth))
     d = len(layers) - 1
     return d, BallTable(group=group, radius=d, layers=tuple(layers), parent=parent, depth=depth)
@@ -179,13 +157,7 @@ def minimal_d(
 
 def word_length(group: Group, g: Element, *, ball_cap: int = DEFAULT_BALL_CAP) -> int:
     """BFS depth at which g first appears; 0 iff g is the identity."""
-    group.validate(g)
-    if g == group.identity():
-        return 0
-    _, _, depth, ok, _ = _grow(group, until_element=g, ball_cap=ball_cap)
-    if not ok:
-        raise InternalContradiction(f"{group.name}: generators failed to reach {group.format(g)}")
-    return depth[g]
+    return len(geodesic_word(group, g, ball_cap=ball_cap))
 
 
 def geodesic_word(group: Group, g: Element, *, ball_cap: int = DEFAULT_BALL_CAP) -> tuple[int, ...]:
@@ -197,8 +169,8 @@ def geodesic_word(group: Group, g: Element, *, ball_cap: int = DEFAULT_BALL_CAP)
     group.validate(g)
     if g == group.identity():
         return ()
-    _, parent, depth, ok, _ = _grow(group, until_element=g, ball_cap=ball_cap)
-    if not ok:
+    _, parent, depth = _grow(group, lambda layers, depth: g in depth, ball_cap=ball_cap)
+    if g not in depth:
         raise InternalContradiction(f"{group.name}: generators failed to reach {group.format(g)}")
     indices = []
     cur = g
@@ -223,8 +195,8 @@ def enumerate_group(group: Group, *, ball_cap: int = DEFAULT_BALL_CAP) -> list[E
     order = group.order()
     if order is None:
         raise ValueError(f"{group.name} is infinite; cannot enumerate")
-    layers, _, depth, ok, _ = _grow(group, until_count=order - 1, ball_cap=ball_cap)
-    if not ok or len(depth) != order:
+    _, _, depth = _grow(group, lambda layers, depth: len(depth) >= order, ball_cap=ball_cap)
+    if len(depth) != order:
         raise InternalContradiction(
             f"{group.name}: enumeration found {len(depth)} of {order} elements"
         )

@@ -107,14 +107,7 @@ def parse_set_descriptor(text: str) -> SetDescriptor:
             raise ParseError(f"empty explicit descriptor {text!r}")
         return SetDescriptor(text=t, kind="explicit", element_texts=tuple(parts))
     if t.startswith("exhaustive:"):
-        body = t[len("exhaustive:"):]
-        m = _RANGE_RE.fullmatch(body)
-        if m is None:
-            raise ParseError(f"bad exhaustive descriptor {text!r}")
-        lo = int(m.group(1))
-        hi = int(m.group(2)) if m.group(2) is not None else lo
-        if lo < 1 or hi < lo:
-            raise ParseError(f"bad size range in {text!r}")
+        lo, hi = parse_size_range(t[len("exhaustive:"):])
         return SetDescriptor(text=t, kind="exhaustive", size_lo=lo, size_hi=hi)
     raise ParseError(f"unrecognized set descriptor {text!r}")
 
@@ -132,10 +125,10 @@ def parse_size_range(text: str) -> tuple[int, int]:
 
 def default_uniform_radius(group: Group, size: int, ball_cap: int) -> int:
     """Smallest R with gamma(R) >= 2*size (the whole group once saturated)."""
-    layers, _, depth, ok, saturated = _grow(
-        group, until_count=2 * size - 1, ball_cap=ball_cap
+    layers, _, depth = _grow(
+        group, lambda layers, depth: len(depth) >= 2 * size, ball_cap=ball_cap
     )
-    if not ok and saturated and len(depth) < size:
+    if len(depth) < size:
         raise PreconditionViolated(f"random size {size} exceeds group size {len(depth)}")
     return len(layers) - 1
 
@@ -214,7 +207,7 @@ def generate_sets(
         ground = _ground_set(group, subset_cap=subset_cap, ball_cap=ball_cap)
         for mask, size, _ in gray_subset_steps(group, ground=ground, ball_cap=ball_cap):
             if desc.size_lo <= size <= desc.size_hi:
-                elems = [ground[i] for i in range(len(ground)) if mask >> i & 1]
+                elems = [ground[i] for i in _mask_positions(mask)]
                 yield FiniteSubset.from_iterable(
                     group, elems, provenance=f"{desc.text}:mask={mask}"
                 )

@@ -163,6 +163,9 @@ def test_usage_error_returns_2(capsys):
     ("verify", "theorem", "--group", "z", "--set", "ball:2", "--trials", "-3"),
     ("verify", "transport", "--group", "z", "--set", "ball:2", "--gamma0", "+01"),
     ("growth", "--group", "free:26", "--max-radius", "1"),
+    ("growth", "--group", "z", "--max-radius", "2", "--ball-cap", "-5"),
+    ("growth", "--group", "z", "--max-radius", "0", "--ball-cap", "0"),
+    ("sharpness", "--group", "z", "--family", "intervals", "--max-n", "0"),
 ])
 def test_bad_values_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -180,6 +183,9 @@ def test_bad_values_from_config_file_exit_2(tmp_path, capsys):
     cfg.write_text("group=z\nset=ball:2\ntrials=0\n")
     code, _, err = run(capsys, "verify", "theorem", "--config", str(cfg))
     assert code == 2 and "trials" in err
+    cfg.write_text("group=z\nfamily=intervals\nmax_n=-1\n")
+    code, _, err = run(capsys, "sharpness", "--config", str(cfg))
+    assert code == 2 and "max-n" in err
 
 
 def test_word_flags_checked_before_sets_are_generated(capsys):

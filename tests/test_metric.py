@@ -201,6 +201,16 @@ def test_ball_cap_is_a_hard_error():
         word_length(parse_group("zd:2"), (500, 500), ball_cap=1000)
 
 
+@pytest.mark.parametrize("spec,cap", [("free:3", 1000), ("free:2", 1000), ("zd:2", 39), ("z", 1)])
+def test_ball_cap_trips_at_the_first_element_past_it(spec, cap):
+    # the whole radius-5 layer of free:3 would hold 3750 elements
+    with pytest.raises(BudgetExceeded) as info:
+        ball(parse_group(spec), 12, ball_cap=cap)
+    assert (info.value.size, info.value.cap) == (cap + 1, cap)
+    if spec == "free:3":
+        assert str(info.value) == "free:3: ball outgrew cap 1000 at radius 5"
+
+
 def test_growth_strictly_increases_until_saturation():
     for spec in ("z", "free:2", "cyclic:12", "dihedral:6", "symmetric:4"):
         group = parse_group(spec)

@@ -5,9 +5,12 @@
 `search.gray_subset_steps` and `search.exhaustive_profile`) with `getattr`,
 so renaming or deleting one of them breaks the traced and counting runs.
 This test installs both recorders in a fresh interpreter and runs one small
-CLI job under each.
+CLI job under each.  The Counter's BFS counts are pinned too, because it
+reads the ball size as `len(_grow(...)[2])`: a change to `_grow`'s return
+shape must fail here rather than corrupt `metric.ball_elements`.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -17,12 +20,16 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
+import json
 import sys
 sys.path[:0] = [{src!r}, {perfbench!r}]
 import isoplab.cli
 import layers
-layers.{recorder}.install()
-sys.exit(isoplab.cli.main(["growth", "--group", "z", "--max-radius", "2"]))
+recorder = layers.{recorder}
+recorder.install()
+code = isoplab.cli.main(["growth", "--group", "z", "--max-radius", "2"])
+print(json.dumps(getattr(recorder, "counts", None)))
+sys.exit(code)
 """
 
 
@@ -31,4 +38,8 @@ def test_layers_install_and_run(recorder):
     script = SCRIPT.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"), recorder=recorder)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "gamma(2) = 5"
+    *lines, counts = proc.stdout.splitlines()
+    assert lines[-1] == "gamma(2) = 5"
+    if recorder == "Counter()":
+        counts = json.loads(counts)
+        assert (counts["metric_builds"], counts["ball_elements"]) == (1, 5)
