@@ -29,13 +29,18 @@ def _grow(group: Group, done: Callable[[list, dict], bool], *, ball_cap: int):
     exhausted, and returns (layers, parent, depth); parent maps each
     non-identity element to (generator index, predecessor) with
     element = s * predecessor.  Raises BudgetExceeded as soon as the ball
-    holds ball_cap + 1 elements, before the rest of that layer is built.
+    holds ball_cap + 1 elements, before the rest of that layer is built (at
+    once for a ball_cap below 1, which the identity alone outgrows).
     """
     gens = group.generating_set.elements
     mul = group.mul
     sort_key = group.sort_key
     e = group.identity()
     depth: dict = {e: 0}
+    if ball_cap < 1:
+        raise BudgetExceeded(
+            f"{group.name}: ball outgrew cap {ball_cap} at radius 0", size=1, cap=ball_cap
+        )
     parent: dict = {}
     layers: list[tuple] = [(e,)]
     while not done(layers, depth):

@@ -11,6 +11,7 @@ single-bit flip.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from statistics import median
@@ -151,24 +152,42 @@ def _sample_uniform_in_ball(group: Group, desc: SetDescriptor, *, ball_cap: int)
 
 
 def _sample_connected(group: Group, desc: SetDescriptor, *, ball_cap: int) -> FiniteSubset:
+    if ball_cap < 1:
+        raise BudgetExceeded(
+            f"{group.name}: connected sample outgrew cap {ball_cap}", size=1, cap=ball_cap
+        )
     mul = group.mul
+    sort_key = group.sort_key
     gens = group.generating_set.elements
     rng = SplitMix64(desc.seed)
     members = {group.identity()}
-    frontier = sorted(
-        {mul(s, group.identity()) for s in gens} - members, key=group.sort_key
-    )
+    # frontier: every s*m outside members, in the canonical order; keys[i]
+    # is sort_key(frontier[i]).  Distinct elements have distinct keys, so one
+    # bisect both places a new element and finds one already there.
+    frontier: list[Element] = []
+    keys: list = []
+
+    def grow(g: Element) -> None:
+        for s in gens:
+            h = mul(s, g)
+            if h not in members:
+                k = sort_key(h)
+                j = bisect_left(keys, k)
+                if j == len(keys) or keys[j] != k:
+                    keys.insert(j, k)
+                    frontier.insert(j, h)
+
+    grow(group.identity())
     while len(members) < desc.size:
         if not frontier:
             raise PreconditionViolated(
                 f"random size {desc.size} exceeds group size {len(members)}"
             )
-        pick = frontier[rng.below(len(frontier))]
+        i = rng.below(len(frontier))
+        pick = frontier.pop(i)
+        del keys[i]
         members.add(pick)
-        grown = {mul(s, pick) for s in gens}
-        frontier = sorted(
-            (set(frontier) | grown) - members, key=group.sort_key
-        )
+        grow(pick)
         if len(members) + len(frontier) > ball_cap:
             raise BudgetExceeded(
                 f"{group.name}: connected sample outgrew cap {ball_cap}",

@@ -3,10 +3,14 @@
 Everything here deliberately avoids the library's BFS tables and boundary
 formulas: balls come from brute enumeration of generator words, distances
 from iterative-deepening word search, and the unitriangular product from
-literal 3x3 integer matrix multiplication.
+literal 3x3 integer matrix multiplication.  The connected sampler's oracle
+is the straightforward version that rebuilds and re-sorts its frontier
+after every pick; it shares only the SplitMix64 stream with the library.
 """
 
 from itertools import product
+
+from isoplab import BudgetExceeded, FiniteSubset, PreconditionViolated, SplitMix64
 
 
 def word_ball(group, radius):
@@ -73,3 +77,33 @@ def unitriangular_matmul(p, q):
     out = [[sum(mp[i][k] * mq[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
     assert out[0][0] == out[1][1] == out[2][2] == 1 and out[1][0] == out[2][0] == out[2][1] == 0
     return (out[0][1], out[1][2], out[0][2])
+
+
+def sample_connected_by_resort(group, desc, *, ball_cap):
+    """The connected random set of a `random:<size>:<seed>` descriptor,
+    re-sorting the whole frontier after every pick."""
+    mul = group.mul
+    gens = group.generating_set.elements
+    rng = SplitMix64(desc.seed)
+    members = {group.identity()}
+    frontier = sorted(
+        {mul(s, group.identity()) for s in gens} - members, key=group.sort_key
+    )
+    while len(members) < desc.size:
+        if not frontier:
+            raise PreconditionViolated(
+                f"random size {desc.size} exceeds group size {len(members)}"
+            )
+        pick = frontier[rng.below(len(frontier))]
+        members.add(pick)
+        grown = {mul(s, pick) for s in gens}
+        frontier = sorted(
+            (set(frontier) | grown) - members, key=group.sort_key
+        )
+        if len(members) + len(frontier) > ball_cap:
+            raise BudgetExceeded(
+                f"{group.name}: connected sample outgrew cap {ball_cap}",
+                size=len(members) + len(frontier),
+                cap=ball_cap,
+            )
+    return FiniteSubset.from_iterable(group, members, provenance=desc.text)

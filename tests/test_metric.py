@@ -211,6 +211,21 @@ def test_ball_cap_trips_at_the_first_element_past_it(spec, cap):
         assert str(info.value) == "free:3: ball outgrew cap 1000 at radius 5"
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+@pytest.mark.parametrize("query", [
+    lambda z, cap: ball(z, 0, ball_cap=cap),
+    lambda z, cap: growth(z, 0, ball_cap=cap),
+    lambda z, cap: phi(z, 0, ball_cap=cap),
+    lambda z, cap: minimal_d(z, 0, ball_cap=cap),
+    lambda z, cap: word_length(z, (1,), ball_cap=cap),
+    lambda z, cap: enumerate_group(parse_group("cyclic:8"), ball_cap=cap),
+], ids=["ball", "growth", "phi", "minimal_d", "word_length", "enumerate_group"])
+def test_ball_cap_below_one_is_exceeded_by_the_identity(query, cap):
+    with pytest.raises(BudgetExceeded) as info:
+        query(parse_group("z"), cap)
+    assert (info.value.size, info.value.cap) == (1, cap)
+
+
 def test_growth_strictly_increases_until_saturation():
     for spec in ("z", "free:2", "cyclic:12", "dihedral:6", "symmetric:4"):
         group = parse_group(spec)

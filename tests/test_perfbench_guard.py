@@ -7,7 +7,9 @@ so renaming or deleting one of them breaks the traced and counting runs.
 This test installs both recorders in a fresh interpreter and runs one small
 CLI job under each.  The Counter's BFS counts are pinned too, because it
 reads the ball size as `len(_grow(...)[2])`: a change to `_grow`'s return
-shape must fail here rather than corrupt `metric.ball_elements`.
+shape must fail here rather than corrupt `metric.ball_elements`.  Likewise
+it reads `len(_sample_connected(...))` for `search.sampled_elements`, so a
+connected-sample job pins that count.
 """
 
 import json
@@ -27,19 +29,33 @@ import isoplab.cli
 import layers
 recorder = layers.{recorder}
 recorder.install()
-code = isoplab.cli.main(["growth", "--group", "z", "--max-radius", "2"])
+code = isoplab.cli.main({argv!r})
 print(json.dumps(getattr(recorder, "counts", None)))
 sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("recorder", ["Tracer(0)", "Counter()"])
-def test_layers_install_and_run(recorder):
-    script = SCRIPT.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"), recorder=recorder)
+def run_recorded(recorder, argv):
+    """Run one CLI job under the recorder; return its stdout lines and counts."""
+    script = SCRIPT.format(
+        src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"), recorder=recorder, argv=argv
+    )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     *lines, counts = proc.stdout.splitlines()
+    return lines, json.loads(counts)
+
+
+@pytest.mark.parametrize("recorder", ["Tracer(0)", "Counter()"])
+def test_layers_install_and_run(recorder):
+    lines, counts = run_recorded(recorder, ["growth", "--group", "z", "--max-radius", "2"])
     assert lines[-1] == "gamma(2) = 5"
     if recorder == "Counter()":
-        counts = json.loads(counts)
         assert (counts["metric_builds"], counts["ball_elements"]) == (1, 5)
+
+
+def test_counter_reads_connected_sample_size():
+    argv = ["verify", "theorem", "--group", "heisenberg", "--set", "random:60:3", "--format", "jsonl"]
+    lines, counts = run_recorded("Counter()", argv)
+    assert json.loads(lines[-1])["extra"]["set_size"] == 60
+    assert counts["sampled_elements"] == 60

@@ -1,8 +1,11 @@
+import hashlib
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoplab import (
     BudgetExceeded,
@@ -24,7 +27,8 @@ from isoplab import (
     sharpness_of_subsets,
     sharpness_scan,
 )
-from oracle_helpers import naive_outer_boundary
+from isoplab.search import _sample_connected
+from oracle_helpers import naive_outer_boundary, sample_connected_by_resort
 
 Z = parse_group("z")
 C8 = parse_group("cyclic:8")
@@ -139,6 +143,81 @@ def test_random_size_exceeding_group_is_an_error():
         generate_set(C8, parse_set_descriptor("random:9:1"))
     with pytest.raises(PreconditionViolated):
         generate_set(C8, parse_set_descriptor("random:9:1:ball=10"))
+
+
+SAMPLER_FAMILIES = ["z", "zd:2", "free:2", "heisenberg", "cyclic:12", "dihedral:6", "symmetric:4"]
+SEEDS = st.integers(0, 2**64 - 1)
+
+
+def _sampled(sampler, group, desc, ball_cap):
+    """The sampler's elements, or the type, message, size and cap of what it raised."""
+    try:
+        return sampler(group, desc, ball_cap=ball_cap).elements
+    except (PreconditionViolated, BudgetExceeded) as exc:
+        return type(exc), str(exc), getattr(exc, "size", None), getattr(exc, "cap", None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SAMPLER_FAMILIES), SEEDS, st.integers(1, 80))
+def test_connected_sampler_matches_resort_oracle(spec, seed, size):
+    group = parse_group(spec)
+    size = min(size, group.order() or size)
+    desc = parse_set_descriptor(f"random:{size}:{seed}")
+    got = _sample_connected(group, desc, ball_cap=5_000_000).elements
+    assert got == sample_connected_by_resort(group, desc, ball_cap=5_000_000).elements
+    assert len(got) == size
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["cyclic:12", "dihedral:6", "symmetric:4"]), SEEDS, st.integers(1, 10))
+def test_connected_sampler_past_the_group_order_matches_oracle(spec, seed, excess):
+    group = parse_group(spec)
+    desc = parse_set_descriptor(f"random:{group.order() + excess}:{seed}")
+    got = _sampled(_sample_connected, group, desc, 5_000_000)
+    assert got == _sampled(sample_connected_by_resort, group, desc, 5_000_000)
+    assert got[:2] == (
+        PreconditionViolated,
+        f"random size {desc.size} exceeds group size {group.order()}",
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SAMPLER_FAMILIES), SEEDS, st.integers(1, 30), st.integers(1, 30))
+def test_connected_sampler_budget_matches_oracle(spec, seed, cap, excess):
+    group = parse_group(spec)
+    size = min(cap + excess, group.order() or cap + excess)
+    desc = parse_set_descriptor(f"random:{size}:{seed}")
+    got = _sampled(_sample_connected, group, desc, cap)
+    assert got == _sampled(sample_connected_by_resort, group, desc, cap)
+    if size > cap:
+        assert got[0] is BudgetExceeded and got[3] == cap and got[2] > cap
+
+
+# sha256 of the newline-joined formatted elements, recorded with the
+# re-sorting sampler; sizes this large are out of the hypothesis oracle's reach
+CONNECTED_DIGESTS = {
+    "heisenberg": "76f9b3bd000aa72036dd6488f59b9d17cb8e75c7ebdaf61f97423a448b59f969",
+    "free:2": "fbcdd5640ee898c895da2f39a3eff5ca87efb17e8819efdaa4446fb9b797bb4c",
+    "zd:2": "1a0073f2da6aa2c990d3d71ae75a75c3b6c53857b290f9a3609487885a87916d",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CONNECTED_DIGESTS))
+def test_large_connected_sample_digest(spec):
+    group = parse_group(spec)
+    subset = generate_set(group, parse_set_descriptor("random:3000:7"))
+    text = "\n".join(group.format(e) for e in subset.elements)
+    assert len(subset) == 3000
+    assert hashlib.sha256(text.encode()).hexdigest() == CONNECTED_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+@pytest.mark.parametrize("text", ["random:1:5", "random:3:5", "random:1:5:ball=1", "ball:0", "exhaustive:1..1"])
+def test_ball_cap_below_one_is_exceeded_by_the_identity(text, cap):
+    group = C8 if text.startswith("exhaustive") else Z
+    with pytest.raises(BudgetExceeded) as info:
+        next(generate_sets(group, parse_set_descriptor(text), ball_cap=cap))
+    assert (info.value.size, info.value.cap) == (1, cap)
 
 
 def test_expand_trials_reseeds_random_descriptors():
