@@ -172,8 +172,6 @@ def geodesic_word(group: Group, g: Element, *, ball_cap: int = DEFAULT_BALL_CAP)
     first step applied to the identity.
     """
     group.validate(g)
-    if g == group.identity():
-        return ()
     _, parent, depth = _grow(group, lambda layers, depth: g in depth, ball_cap=ball_cap)
     if g not in depth:
         raise InternalContradiction(f"{group.name}: generators failed to reach {group.format(g)}")

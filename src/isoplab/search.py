@@ -1,11 +1,19 @@
 """Set generation, exhaustive isoperimetric profiles, and sharpness scans.
 
 Random sets come from the documented SplitMix64 stream, so a descriptor
-plus seed reproduces the identical set on any machine.  Exhaustive
-enumeration encodes subsets of a (small) finite group as bitmasks over the
-canonically sorted element list and walks them in binary-reflected
-Gray-code order, updating the outer-boundary size incrementally on each
-single-bit flip.
+plus seed reproduces the identical set on any machine.  Subsets of a
+(small) finite group are read as sets of positions in its canonically
+sorted element list, and both exhaustive walks update the outer-boundary
+size incrementally, one added or removed position per step.
+
+The `exhaustive:` descriptor streams every subset, walking all 2^N
+bitmasks in binary-reflected Gray-code order.  A profile needs only one
+least-boundary set per requested size k, and right translation preserves
+both the size and the outer boundary, since S(Dg) = (SD)g.  So every
+minimiser has a translate through position 0, and the lexicographically
+least minimiser contains position 0.  The profile therefore walks only the
+sets {0} u R, R a set of positions 1..N-1, depth first in lexicographic
+order: C(N-1, k-1) sets of each size k up to the largest requested.
 """
 
 from __future__ import annotations
@@ -277,10 +285,7 @@ def gray_subset_steps(
     if ground is None:
         ground = _ground_set(group, subset_cap=subset_cap, ball_cap=ball_cap)
     n = len(ground)
-    index = {e: i for i, e in enumerate(ground)}
-    gens = group.generating_set.elements
-    mul = group.mul
-    neighbors = [[index[mul(s, e)] for s in gens] for e in ground]
+    neighbors = _neighbor_table(group, ground)
 
     covered = [0] * n  # covered[z] = number of members y of D with z = s*y
     in_d = [False] * n
@@ -308,6 +313,73 @@ def gray_subset_steps(
                     boundary += 1
                 covered[z] += 1
         yield (i ^ (i >> 1), size, boundary)
+
+
+def anchored_subset_steps(
+    group: Group,
+    max_size: int,
+    *,
+    ground: Optional[list[Element]] = None,
+    subset_cap: int = DEFAULT_SUBSET_CAP,
+    ball_cap: int = DEFAULT_BALL_CAP,
+) -> Iterator[tuple[list[int], int, int]]:
+    """Walk the subsets of a finite group that contain position 0, in
+    lexicographic order of their ascending position tuples.
+
+    Yields (positions, size, outer_boundary_size) for every set {0} u R
+    with R a set of positions 1..N-1 and size at most max_size: depth first
+    in pre-order, sum(C(N-1, j) for j < max_size) steps in all.  Each step
+    adds one position, after removing those it backtracks over, and updates
+    the boundary size with the same covering counts as gray_subset_steps.
+    `positions` is the walk's own ascending list, valid until the next
+    step: copy it to keep it.
+    """
+    if max_size < 1:
+        raise ValueError("max_size must be >= 1")
+    if ground is None:
+        ground = _ground_set(group, subset_cap=subset_cap, ball_cap=ball_cap)
+    n = len(ground)
+    neighbors = _neighbor_table(group, ground)
+
+    covered = [0] * n  # covered[z] = number of members y of D with z = s*y
+    in_d = [False] * n
+    positions: list[int] = []
+    saved: list[int] = []  # saved[i]: the boundary size before positions[i] joined
+    boundary = 0
+    q = 0
+    while True:
+        in_d[q] = True
+        saved.append(boundary)
+        if covered[q]:
+            boundary -= 1
+        for z in neighbors[q]:
+            if not covered[z] and not in_d[z]:
+                boundary += 1
+            covered[z] += 1
+        positions.append(q)
+        yield positions, len(positions), boundary
+        if len(positions) < max_size and q + 1 < n:
+            q += 1
+            continue
+        # backtrack to the last position that can move right; 0 never moves
+        while True:
+            q = positions.pop()
+            in_d[q] = False
+            boundary = saved.pop()
+            for z in neighbors[q]:
+                covered[z] -= 1
+            q += 1
+            if not positions:
+                return
+            if q < n:
+                break
+
+
+def _neighbor_table(group: Group, ground: list[Element]) -> list[list[int]]:
+    """neighbors[i] = positions of s * ground[i] for s in the generating set."""
+    index = {e: i for i, e in enumerate(ground)}
+    mul = group.mul
+    return [[index[mul(s, e)] for s in group.generating_set.elements] for e in ground]
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,7 +423,16 @@ def exhaustive_profile(
     ball_cap: int = DEFAULT_BALL_CAP,
 ) -> list[ProfileRow]:
     """Minimum boundary over ALL subsets of each requested size, with a
-    canonically least witness."""
+    canonically least witness.
+
+    The witness is the lexicographically least minimiser as a tuple of
+    ascending positions in the canonical element order.  Right translation
+    keeps the size and the outer boundary, so that witness contains
+    position 0, and the walk of anchored_subset_steps, which visits the
+    sets through position 0 of each size in lexicographic order, meets it
+    as the first set of least boundary.  The cost is C(N-1, k-1) sets for
+    each size k up to the largest requested, instead of 2^N.
+    """
     wanted = sorted(set(sizes))
     if not wanted or wanted[0] < 1:
         raise PreconditionViolated("profile sizes must be >= 1")
@@ -363,22 +444,23 @@ def exhaustive_profile(
             f"profile sizes must satisfy n < Card(group)/2 = {order}/2, got n = {wanted[-1]}"
         )
     ground = _ground_set(group, subset_cap=subset_cap, ball_cap=ball_cap)
-    wanted_set = set(wanted)
-    best: dict[int, tuple[int, int]] = {}
-    for mask, size, boundary in gray_subset_steps(group, ground=ground, ball_cap=ball_cap):
-        if size not in wanted_set:
-            continue
-        cur = best.get(size)
-        if cur is None or boundary < cur[0] or (
-            boundary == cur[0] and _mask_positions(mask) < _mask_positions(cur[1])
-        ):
-            best[size] = (boundary, mask)
+    # least[k]: the least boundary seen at size k.  A boundary is below the
+    # order, so the first set of a wanted size always improves on it; -1
+    # marks the sizes not asked for, which no boundary improves on.
+    least = [-1] * (wanted[-1] + 1)
+    for n in wanted:
+        least[n] = order
+    witnesses: dict[int, tuple[int, ...]] = {}
+    for positions, size, boundary in anchored_subset_steps(group, wanted[-1], ground=ground):
+        if boundary < least[size]:
+            least[size] = boundary
+            witnesses[size] = tuple(positions)
     rows = []
     for n in wanted:
-        boundary, mask = best[n]
+        boundary = least[n]
         witness = FiniteSubset.from_iterable(
             group,
-            [ground[i] for i in _mask_positions(mask)],
+            [ground[i] for i in witnesses[n]],
             provenance=f"profile:{group.name}:n={n}",
         )
         bound = Fraction(n, 2 * phi(group, 2 * n, ball_cap=ball_cap))

@@ -6,11 +6,23 @@ from iterative-deepening word search, and the unitriangular product from
 literal 3x3 integer matrix multiplication.  The connected sampler's oracle
 is the straightforward version that rebuilds and re-sorts its frontier
 after every pick; it shares only the SplitMix64 stream with the library.
+The profile's oracle walks all 2^N subsets in Gray-code order and breaks
+boundary ties by comparing position tuples, without the anchoring argument.
 """
 
+from fractions import Fraction
 from itertools import product
 
-from isoplab import BudgetExceeded, FiniteSubset, PreconditionViolated, SplitMix64
+from isoplab import (
+    BudgetExceeded,
+    FiniteSubset,
+    PreconditionViolated,
+    ProfileRow,
+    SplitMix64,
+    enumerate_group,
+    gray_subset_steps,
+    phi,
+)
 
 
 def word_ball(group, radius):
@@ -107,3 +119,35 @@ def sample_connected_by_resort(group, desc, *, ball_cap):
                 cap=ball_cap,
             )
     return FiniteSubset.from_iterable(group, members, provenance=desc.text)
+
+
+def profile_by_gray_walk(group, sizes):
+    """Exhaustive profile rows over all 2^N subsets: for each size, the least
+    boundary and, among sets with it, the least ascending position tuple."""
+    wanted = sorted(set(sizes))
+    ground = enumerate_group(group)
+
+    def positions(mask):
+        return tuple(i for i in range(len(ground)) if mask >> i & 1)
+
+    best = {}
+    for mask, size, boundary in gray_subset_steps(group, ground=ground):
+        if size not in wanted:
+            continue
+        cur = best.get(size)
+        if cur is None or boundary < cur[0] or (
+            boundary == cur[0] and positions(mask) < positions(cur[1])
+        ):
+            best[size] = (boundary, mask)
+    rows = []
+    for n in wanted:
+        boundary, mask = best[n]
+        witness = FiniteSubset.from_iterable(
+            group, [ground[i] for i in positions(mask)], provenance=f"profile:{group.name}:n={n}"
+        )
+        bound = Fraction(n, 2 * phi(group, 2 * n))
+        rows.append(ProfileRow(
+            size=n, min_boundary=boundary, witness=witness, bound=bound,
+            gap=Fraction(boundary) - bound,
+        ))
+    return rows

@@ -25,6 +25,11 @@ COMMANDS = {
     "lemma31": ("verify", "lemma31", "--group", "free:2", "--set", "random:8:5", "--d", "2", "--trials", "2"),
     "halfmass": ("verify", "halfmass", "--group", "dihedral:5", "--set", "explicit:(0,0),(1,0),(0,1)"),
     "profile": ("profile", "--group", "dihedral:4", "--sizes", "1..3"),
+    # ROADMAP golden, a perfbench exhaustive-profile job, and the 2^24-mask
+    # case the Gray walk took 13.7 s over
+    "profile-dihedral:6": ("profile", "--group", "dihedral:6", "--sizes", "1..5"),
+    "profile-cyclic:16": ("profile", "--group", "cyclic:16", "--sizes", "1..7"),
+    "profile-symmetric:4": ("profile", "--group", "symmetric:4", "--sizes", "1..3"),
     "sharpness-intervals": ("sharpness", "--group", "z", "--family", "intervals", "--max-n", "12"),
     "sharpness-set": ("sharpness", "--group", "free:2", "--set", "random:6:1", "--trials", "3"),
     "accept": ("accept", "--quick", "--seed", "7"),
@@ -52,6 +57,9 @@ DIGESTS = {
     ("profile", "jsonl"): "a62f37d9135b7704",
     ("profile", "csv"): "a75064c4e75b15cd",
     ("profile", "human"): "4f4a0b520260ebb4",
+    ("profile-dihedral:6", "csv"): "60be03964f6302dc",
+    ("profile-cyclic:16", "csv"): "56950f02dfeb3f9d",
+    ("profile-symmetric:4", "csv"): "117cc6fc48158899",
     ("sharpness-intervals", "jsonl"): "4790918e35dbc64e",
     ("sharpness-intervals", "csv"): "0d79183799c275d7",
     ("sharpness-intervals", "human"): "1eac60cb3c4dc4c7",

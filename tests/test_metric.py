@@ -218,8 +218,14 @@ def test_ball_cap_trips_at_the_first_element_past_it(spec, cap):
     lambda z, cap: phi(z, 0, ball_cap=cap),
     lambda z, cap: minimal_d(z, 0, ball_cap=cap),
     lambda z, cap: word_length(z, (1,), ball_cap=cap),
+    lambda z, cap: word_length(z, (0,), ball_cap=cap),
+    lambda z, cap: geodesic_word(z, (0,), ball_cap=cap),
+    lambda z, cap: distance(z, (3,), (3,), ball_cap=cap),
     lambda z, cap: enumerate_group(parse_group("cyclic:8"), ball_cap=cap),
-], ids=["ball", "growth", "phi", "minimal_d", "word_length", "enumerate_group"])
+], ids=[
+    "ball", "growth", "phi", "minimal_d", "word_length", "word_length_identity",
+    "geodesic_word_identity", "distance_to_itself", "enumerate_group",
+])
 def test_ball_cap_below_one_is_exceeded_by_the_identity(query, cap):
     with pytest.raises(BudgetExceeded) as info:
         query(parse_group("z"), cap)

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -20,6 +21,7 @@ from isoplab import (
     generate_sets,
     gray_subset_steps,
     interval_subsets,
+    outer_boundary,
     parse_group,
     parse_set_descriptor,
     parse_size_range,
@@ -27,8 +29,8 @@ from isoplab import (
     sharpness_of_subsets,
     sharpness_scan,
 )
-from isoplab.search import _sample_connected
-from oracle_helpers import naive_outer_boundary, sample_connected_by_resort
+from isoplab.search import _sample_connected, anchored_subset_steps
+from oracle_helpers import naive_outer_boundary, profile_by_gray_walk, sample_connected_by_resort
 
 Z = parse_group("z")
 C8 = parse_group("cyclic:8")
@@ -237,10 +239,51 @@ def test_expand_trials_reseeds_random_descriptors():
 def test_gray_scan_matches_direct_recomputation(spec):
     group = parse_group(spec)
     ground = enumerate_group(group)
-    for mask, size, boundary in gray_subset_steps(group):
+    steps = list(gray_subset_steps(group))
+    # the exhaustive: stream keeps the binary-reflected Gray order
+    assert [mask for mask, _, _ in steps] == [i ^ (i >> 1) for i in range(1 << len(ground))]
+    for mask, size, boundary in steps:
         members = {ground[i] for i in range(len(ground)) if mask >> i & 1}
         assert size == len(members)
         assert boundary == len(naive_outer_boundary(group, members))
+
+
+# --------------------------------------------------------------- anchored walk
+
+@pytest.mark.parametrize("spec,top", [("cyclic:8", 3), ("dihedral:4", 3), ("symmetric:3", 2), ("cyclic:9", 9)])
+def test_anchored_walk_matches_direct_recomputation(spec, top):
+    group = parse_group(spec)
+    ground = enumerate_group(group)
+    n = len(ground)
+    steps = [(tuple(positions), size, boundary)
+             for positions, size, boundary in anchored_subset_steps(group, top)]
+    # the sets {0} u R, |R| < top, in lexicographic order of position tuples
+    assert [positions for positions, _, _ in steps] == sorted(
+        (0, *rest) for j in range(top) for rest in combinations(range(1, n), j)
+    )
+    for positions, size, boundary in steps:
+        members = {ground[i] for i in positions}
+        assert size == len(members)
+        assert boundary == len(naive_outer_boundary(group, members))
+
+
+@pytest.mark.parametrize("spec,top,visited", [
+    ("cyclic:16", 7, 9_949),
+    ("symmetric:4", 3, 277),
+    ("dihedral:9", 8, 41_226),
+    ("cyclic:22", 10, 695_860),
+])
+def test_anchored_walk_work_count(spec, top, visited):
+    group = parse_group(spec)
+    n = group.order()
+    per_size = Counter(size for _, size, _ in anchored_subset_steps(group, top))
+    assert per_size == {k: comb(n - 1, k - 1) for k in range(1, top + 1)}
+    assert sum(per_size.values()) == visited == sum(comb(n - 1, j) for j in range(top))
+
+
+def test_anchored_walk_needs_a_positive_size():
+    with pytest.raises(ValueError):
+        next(anchored_subset_steps(C8, 0))
 
 
 # --------------------------------------------------------------------- profile
@@ -288,6 +331,81 @@ def test_profile_singleton_minimum_is_generating_set_size():
         group = parse_group(spec)
         rows = exhaustive_profile(group, [1])
         assert rows[0].min_boundary == len(group.generating_set)
+
+
+ORDER_18_OR_LESS = (
+    [f"cyclic:{n}" for n in range(3, 19)]
+    + [f"dihedral:{n}" for n in range(3, 10)]
+    + ["symmetric:3", "heisenberg:2"]
+)
+
+
+def _rows(rows):
+    return [(row.size, row.min_boundary, row.witness.elements, row.bound, row.gap) for row in rows]
+
+
+@pytest.mark.parametrize("spec", ORDER_18_OR_LESS)
+def test_profile_matches_gray_walk_oracle(spec):
+    group = parse_group(spec)
+    sizes = range(1, (group.order() - 1) // 2 + 1)
+    assert _rows(exhaustive_profile(group, sizes)) == _rows(profile_by_gray_walk(group, sizes))
+
+
+@pytest.mark.parametrize("spec,sizes", [
+    ("cyclic:12", [2, 5]),
+    ("dihedral:7", [6, 3]),
+    ("cyclic:17", [8]),
+    ("dihedral:6", [4]),
+    ("heisenberg:2", [3]),
+])
+def test_profile_of_sparse_sizes_matches_gray_walk_oracle(spec, sizes):
+    group = parse_group(spec)
+    rows = exhaustive_profile(group, sizes)
+    assert [row.size for row in rows] == sorted(sizes)
+    assert _rows(rows) == _rows(profile_by_gray_walk(group, sizes))
+
+
+@pytest.mark.parametrize("spec", ["symmetric:4", "cyclic:24", "dihedral:12"])
+def test_profile_matches_all_combinations(spec):
+    group = parse_group(spec)
+    ground = enumerate_group(group)
+    for row in exhaustive_profile(group, range(1, 4)):
+        boundary, positions = min(
+            (len(naive_outer_boundary(group, {ground[i] for i in combo})), combo)
+            for combo in combinations(range(len(ground)), row.size)
+        )
+        assert row.min_boundary == boundary
+        assert row.witness.elements == tuple(ground[i] for i in positions)
+
+
+FINITE_FAMILIES = [
+    "cyclic:7", "cyclic:12", "dihedral:5", "dihedral:8",
+    "symmetric:3", "symmetric:4", "heisenberg:2", "heisenberg:3",
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FINITE_FAMILIES), st.data())
+def test_right_translation_keeps_the_outer_boundary(spec, data):
+    group = parse_group(spec)
+    ground = enumerate_group(group)
+    members = data.draw(st.sets(st.sampled_from(ground), min_size=1))
+    g = data.draw(st.sampled_from(ground))
+    D = FiniteSubset.from_iterable(group, members)
+    Dg = FiniteSubset.from_iterable(group, [group.mul(x, g) for x in members])
+    assert len(Dg) == len(D)
+    assert len(outer_boundary(group, Dg)) == len(outer_boundary(group, D))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([s for s in FINITE_FAMILIES if s != "heisenberg:3"]), st.data())
+def test_profile_witnesses_contain_the_first_element(spec, data):
+    group = parse_group(spec)
+    top = min((group.order() - 1) // 2, 6)
+    sizes = data.draw(st.sets(st.integers(1, top), min_size=1))
+    first = enumerate_group(group)[0]
+    for row in exhaustive_profile(group, sizes):
+        assert first in row.witness.elements
 
 
 def test_profile_preconditions():
