@@ -319,12 +319,11 @@ def anchored_subset_steps(
     group: Group,
     max_size: int,
     *,
-    ground: Optional[list[Element]] = None,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
-    ball_cap: int = DEFAULT_BALL_CAP,
+    ground: list[Element],
 ) -> Iterator[tuple[list[int], int, int]]:
     """Walk the subsets of a finite group that contain position 0, in
-    lexicographic order of their ascending position tuples.
+    lexicographic order of their ascending position tuples.  Position i is
+    ground[i], the group's canonically sorted element list.
 
     Yields (positions, size, outer_boundary_size) for every set {0} u R
     with R a set of positions 1..N-1 and size at most max_size: depth first
@@ -336,8 +335,6 @@ def anchored_subset_steps(
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    if ground is None:
-        ground = _ground_set(group, subset_cap=subset_cap, ball_cap=ball_cap)
     n = len(ground)
     neighbors = _neighbor_table(group, ground)
 

@@ -256,7 +256,7 @@ def test_anchored_walk_matches_direct_recomputation(spec, top):
     ground = enumerate_group(group)
     n = len(ground)
     steps = [(tuple(positions), size, boundary)
-             for positions, size, boundary in anchored_subset_steps(group, top)]
+             for positions, size, boundary in anchored_subset_steps(group, top, ground=ground)]
     # the sets {0} u R, |R| < top, in lexicographic order of position tuples
     assert [positions for positions, _, _ in steps] == sorted(
         (0, *rest) for j in range(top) for rest in combinations(range(1, n), j)
@@ -276,14 +276,15 @@ def test_anchored_walk_matches_direct_recomputation(spec, top):
 def test_anchored_walk_work_count(spec, top, visited):
     group = parse_group(spec)
     n = group.order()
-    per_size = Counter(size for _, size, _ in anchored_subset_steps(group, top))
+    steps = anchored_subset_steps(group, top, ground=enumerate_group(group))
+    per_size = Counter(size for _, size, _ in steps)
     assert per_size == {k: comb(n - 1, k - 1) for k in range(1, top + 1)}
     assert sum(per_size.values()) == visited == sum(comb(n - 1, j) for j in range(top))
 
 
 def test_anchored_walk_needs_a_positive_size():
     with pytest.raises(ValueError):
-        next(anchored_subset_steps(C8, 0))
+        next(anchored_subset_steps(C8, 0, ground=enumerate_group(C8)))
 
 
 # --------------------------------------------------------------------- profile
