@@ -77,7 +77,6 @@ from .search import (
     parse_set_descriptor,
     parse_size_range,
     sharpness_of_subsets,
-    sharpness_scan,
 )
 from .acceptance import (
     CriterionResult,

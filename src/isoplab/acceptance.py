@@ -189,7 +189,7 @@ def _criterion_transport(seed, quick, reports, ball_cap) -> CriterionResult:
             reports.append(pre)
             if not (pre.verdict and pre.extra["max_le_word_length"]):
                 failures.append(f"{fam}: preimage bound failed on {subset.provenance}")
-            disp = displacement_bound_check(group, gamma0, subset, 5, ball_cap=ball_cap)
+            disp = displacement_bound_check(record, 5)
             reports.append(disp)
             if not (disp.verdict and disp.extra["holds_at_word_length"]):
                 failures.append(f"{fam}: displacement bound failed on {subset.provenance}")

@@ -15,7 +15,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 from .acceptance import DEFAULT_SEED, run_acceptance
@@ -163,17 +163,9 @@ _REPORT_HEADER = [
 ]
 
 
-def _report_row(r) -> list:
-    sharp = r.sharpness
-    return [
-        r.kind, r.group, r.set_descriptor,
-        "" if r.d is None else r.d, r.gamma0 or "",
-        r.lhs.numerator, r.lhs.denominator,
-        r.rhs.numerator, r.rhs.denominator,
-        "holds" if r.verdict else "fails",
-        "" if sharp is None else sharp.numerator,
-        "" if sharp is None else sharp.denominator,
-    ]
+def _csv_row(header: list[str], record: dict) -> list:
+    """The record's value under each header field; "" where it is missing or None."""
+    return ["" if record.get(key) is None else record[key] for key in header]
 
 
 def _report_lines(reports) -> list[str]:
@@ -236,13 +228,15 @@ def _cmd_verify(config: RunConfig, check: str) -> int:
         gamma0 = parse_generator_word(group, config.gamma0)
         if d is None:
             d = word_length(group, gamma0, ball_cap=cap)
+
+    def transport(s):
+        record = transport_map(group, gamma0, s, ball_cap=cap)
+        return [preimage_bound_check(record, d), displacement_bound_check(record, d)]
+
     verifiers = {
         "lemma31": lambda s: [lemma31_check(group, s, d, ball_cap=cap)],
         "halfmass": lambda s: [half_mass_witness(group, s, ball_cap=cap)[1]],
-        "transport": lambda s: [
-            preimage_bound_check(transport_map(group, gamma0, s, ball_cap=cap), d),
-            displacement_bound_check(group, gamma0, s, d, ball_cap=cap),
-        ],
+        "transport": transport,
         "theorem": lambda s: [verify_theorem(group, s, ball_cap=cap)],
         "csc": lambda s: [verify_csc(group, s, ball_cap=cap)],
         "boundary-cmp": lambda s: [boundary_comparison(group, s)],
@@ -259,7 +253,7 @@ def _cmd_verify(config: RunConfig, check: str) -> int:
         config,
         lambda: (r.to_json_dict() for r in reports),
         _REPORT_HEADER,
-        lambda: map(_report_row, reports),
+        lambda: (_csv_row(_REPORT_HEADER, r.to_json_dict()) for r in reports),
         lambda: _report_lines(reports),
     )
     return EXIT_OK if all(r.verdict for r in reports) else EXIT_FAILED_VERDICT
@@ -277,7 +271,7 @@ def _cmd_profile(config: RunConfig) -> int:
         config,
         lambda: dicts,
         header,
-        lambda: ([d[k] for k in header] for d in dicts),
+        lambda: (_csv_row(header, d) for d in dicts),
         lambda: (
             f"n={d['n']}: min boundary {d['min_boundary']} "
             f"(strict bound {row.bound}, gap {row.gap}) witness {d['witness']}"
@@ -346,8 +340,13 @@ def _cmd_accept(config: RunConfig) -> int:
     return EXIT_OK if outcome.all_passed else EXIT_FAILED_VERDICT
 
 
+_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
 _CONFIG_INT_KEYS = {"d", "trials", "seed", "max_radius", "phi", "max_n", "ball_cap"}
 _CONFIG_BOOL_KEYS = {"quick"}
+_CONFIG_BOOLS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
 _CONFIG_MINIMUM = {"d": 0, "trials": 1, "max_radius": 0, "phi": 0, "ball_cap": 1, "max_n": 1}
 
 
@@ -362,7 +361,10 @@ def _load_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ParseError(f"bad config line {line!r} (expected key=value)")
                 key, _, value = line.partition("=")
-                values[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if key not in _CONFIG_KEYS:
+                    raise ParseError(f"unknown config key {key!r} in {path}")
+                values[key] = value.strip()
     except OSError as exc:
         raise ParseError(f"cannot read config file {path}: {exc}") from None
     return values
@@ -383,7 +385,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 except ValueError:
                     raise ParseError(f"config key {key} needs an integer, got {raw!r}") from None
             if key in _CONFIG_BOOL_KEYS:
-                return raw.lower() in ("1", "true", "yes", "on")
+                if raw.lower() not in _CONFIG_BOOLS:
+                    raise ParseError(
+                        f"config key {key} needs 1/0, true/false, yes/no or on/off, got {raw!r}"
+                    )
+                return _CONFIG_BOOLS[raw.lower()]
             return raw
         return default
 

@@ -29,7 +29,7 @@ from typing import Iterable, Optional
 
 from .errors import InternalContradiction, PreconditionViolated
 from .groups import Element, Group
-from .metric import DEFAULT_BALL_CAP, BallTable, ball, geodesic_word, minimal_d, phi, word_length
+from .metric import DEFAULT_BALL_CAP, BallTable, ball, geodesic_word, minimal_d, phi
 
 @dataclass(frozen=True, eq=False)
 class FiniteSubset:
@@ -148,6 +148,7 @@ class TransportMapRecord:
     subset: FiniteSubset
     entries: tuple[TransportEntry, ...]
     preimage_counts: dict
+    boundary_size: int  # Card(outer boundary of D)
 
     @property
     def length(self) -> int:
@@ -412,6 +413,7 @@ def transport_map(
         subset=D,
         entries=tuple(entries),
         preimage_counts=counts,
+        boundary_size=len(boundary),
     )
 
 
@@ -440,28 +442,26 @@ def preimage_bound_check(record: TransportMapRecord, d: int) -> VerificationRepo
     )
 
 
-def displacement_bound_check(
-    group: Group, gamma0: Element, D: FiniteSubset, d: int, *, ball_cap: int = DEFAULT_BALL_CAP
-) -> VerificationReport:
+def displacement_bound_check(record: TransportMapRecord, d: int) -> VerificationReport:
     """Card(gamma0*D \\ D) <= d * Card(outer boundary), plus the sharper
-    bound with d replaced by ||gamma0||."""
-    group.validate(gamma0)
-    _require_non_empty(D)
-    k = word_length(group, gamma0, ball_cap=ball_cap)
+    bound with d replaced by ||gamma0||.  Left translation is injective, so
+    the moved points of the record are exactly gamma0*D \\ D."""
+    k = record.length
     if k > d:
         raise PreconditionViolated(f"need ||gamma0|| <= d, got {k} > {d}")
-    moved = displacement(group, gamma0, D)
-    boundary_size = len(outer_boundary(group, D))
+    moved = len(record.entries)
+    boundary_size = record.boundary_size
+    group = record.group
     return VerificationReport(
         kind="displacement_bound",
         group=group.name,
-        set_descriptor=D.provenance,
+        set_descriptor=record.subset.provenance,
         lhs=Fraction(moved),
         rhs=Fraction(d * boundary_size),
         verdict=moved <= d * boundary_size,
         strict=False,
         d=d,
-        gamma0=group.format(gamma0),
+        gamma0=group.format(record.gamma0),
         extra={
             "word_length": k,
             "boundary_size": boundary_size,

@@ -1,19 +1,22 @@
-"""Set generation, exhaustive isoperimetric profiles, and sharpness scans.
+"""Set generation, exhaustive isoperimetric profiles, and sharpness factors.
 
 Random sets come from the documented SplitMix64 stream, so a descriptor
 plus seed reproduces the identical set on any machine.  Subsets of a
-(small) finite group are read as sets of positions in its canonically
-sorted element list, and both exhaustive walks update the outer-boundary
-size incrementally, one added or removed position per step.
+finite group are read as sets of positions in its canonically sorted
+element list, which only _ground_set builds: it alone applies the
+exhaustive order cap DEFAULT_SUBSET_CAP, and both exhaustive walks take
+the list it returns.  Each walk updates the outer-boundary size
+incrementally, one added or removed position per step.
 
-The `exhaustive:` descriptor streams every subset, walking all 2^N
-bitmasks in binary-reflected Gray-code order.  A profile needs only one
-least-boundary set per requested size k, and right translation preserves
-both the size and the outer boundary, since S(Dg) = (SD)g.  So every
-minimiser has a translate through position 0, and the lexicographically
-least minimiser contains position 0.  The profile therefore walks only the
-sets {0} u R, R a set of positions 1..N-1, depth first in lexicographic
-order: C(N-1, k-1) sets of each size k up to the largest requested.
+The `exhaustive:` descriptor streams the subsets in its size range, but
+walks all 2^N bitmasks in binary-reflected Gray-code order to find them,
+whatever the range.  A profile needs only one least-boundary set per
+requested size k, and right translation preserves both the size and the
+outer boundary, since S(Dg) = (SD)g.  So every minimiser has a translate
+through position 0, and the lexicographically least minimiser contains
+position 0.  The profile therefore walks only the sets {0} u R, R a set of
+positions 1..N-1, depth first in lexicographic order: C(N-1, k-1) sets of
+each size k up to the largest requested.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from statistics import median
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceeded, ParseError, PreconditionViolated
 from .groups import Element, Group, ZGroup
@@ -210,7 +213,6 @@ def generate_sets(
     desc: SetDescriptor,
     *,
     ball_cap: int = DEFAULT_BALL_CAP,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> Iterator[FiniteSubset]:
     """Stream the subsets a descriptor denotes (a single one except for
     exhaustive descriptors)."""
@@ -231,10 +233,10 @@ def generate_sets(
             yield _sample_connected(group, desc, ball_cap=ball_cap)
         return
     if desc.kind == "exhaustive":
-        ground = _ground_set(group, subset_cap=subset_cap, ball_cap=ball_cap)
-        for mask, size, _ in gray_subset_steps(group, ground=ground, ball_cap=ball_cap):
+        ground = _ground_set(group, ball_cap=ball_cap)
+        for mask, size, _ in gray_subset_steps(group, ground=ground):
             if desc.size_lo <= size <= desc.size_hi:
-                elems = [ground[i] for i in _mask_positions(mask)]
+                elems = [e for i, e in enumerate(ground) if mask >> i & 1]
                 yield FiniteSubset.from_iterable(
                     group, elems, provenance=f"{desc.text}:mask={mask}"
                 )
@@ -243,47 +245,36 @@ def generate_sets(
 
 
 def generate_set(
-    group: Group,
-    desc: SetDescriptor,
-    *,
-    ball_cap: int = DEFAULT_BALL_CAP,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
+    group: Group, desc: SetDescriptor, *, ball_cap: int = DEFAULT_BALL_CAP
 ) -> FiniteSubset:
     if desc.kind == "exhaustive":
         raise ParseError("exhaustive descriptors denote a stream; use generate_sets")
-    return next(generate_sets(group, desc, ball_cap=ball_cap, subset_cap=subset_cap))
+    return next(generate_sets(group, desc, ball_cap=ball_cap))
 
 
-def _ground_set(group: Group, *, subset_cap: int, ball_cap: int) -> list[Element]:
+def _ground_set(group: Group, *, ball_cap: int) -> list[Element]:
+    """The sorted elements of a finite group within the exhaustive order cap."""
     order = group.order()
     if order is None:
         raise PreconditionViolated(f"{group.name} is infinite; exhaustive search needs a finite group")
-    if order > subset_cap:
+    if order > DEFAULT_SUBSET_CAP:
         raise BudgetExceeded(
-            f"{group.name} has {order} elements, above the exhaustive cap {subset_cap}",
+            f"{group.name} has {order} elements, above the exhaustive cap {DEFAULT_SUBSET_CAP}",
             size=order,
-            cap=subset_cap,
+            cap=DEFAULT_SUBSET_CAP,
         )
     return enumerate_group(group, ball_cap=ball_cap)
 
 
-def gray_subset_steps(
-    group: Group,
-    *,
-    ground: Optional[list[Element]] = None,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
-    ball_cap: int = DEFAULT_BALL_CAP,
-) -> Iterator[tuple[int, int, int]]:
+def gray_subset_steps(group: Group, *, ground: list[Element]) -> Iterator[tuple[int, int, int]]:
     """Walk all subsets of a finite group in Gray-code order.
 
     Yields (mask, size, outer_boundary_size) for every visited subset,
     starting from the empty set.  Bit i of the mask refers to position i in
-    the canonically sorted element list; each step flips exactly one bit
-    and updates the boundary size incrementally via per-element counts of
-    covering neighbors.
+    ground, the group's canonically sorted element list; each step flips
+    exactly one bit and updates the boundary size incrementally via
+    per-element counts of covering neighbors.
     """
-    if ground is None:
-        ground = _ground_set(group, subset_cap=subset_cap, ball_cap=ball_cap)
     n = len(ground)
     neighbors = _neighbor_table(group, ground)
 
@@ -401,22 +392,10 @@ class ProfileRow:
         }
 
 
-def _mask_positions(mask: int) -> tuple[int, ...]:
-    positions = []
-    i = 0
-    while mask:
-        if mask & 1:
-            positions.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(positions)
-
-
 def exhaustive_profile(
     group: Group,
     sizes: Iterable[int],
     *,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
     ball_cap: int = DEFAULT_BALL_CAP,
 ) -> list[ProfileRow]:
     """Minimum boundary over ALL subsets of each requested size, with a
@@ -440,7 +419,7 @@ def exhaustive_profile(
         raise PreconditionViolated(
             f"profile sizes must satisfy n < Card(group)/2 = {order}/2, got n = {wanted[-1]}"
         )
-    ground = _ground_set(group, subset_cap=subset_cap, ball_cap=ball_cap)
+    ground = _ground_set(group, ball_cap=ball_cap)
     # least[k]: the least boundary seen at size k.  A boundary is below the
     # order, so the first set of a wanted size always improves on it; -1
     # marks the sizes not asked for, which no boundary improves on.
@@ -509,7 +488,6 @@ def expand_trials(
     trials: int = 1,
     *,
     ball_cap: int = DEFAULT_BALL_CAP,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> Iterator[FiniteSubset]:
     """Expand a descriptor into the subsets of a run.
 
@@ -521,9 +499,9 @@ def expand_trials(
         rng = SplitMix64(desc.seed)
         for t in range(trials):
             child = desc.reseeded(rng.child_seed(t), f"trial={t}")
-            yield generate_set(group, child, ball_cap=ball_cap, subset_cap=subset_cap)
+            yield generate_set(group, child, ball_cap=ball_cap)
         return
-    yield from generate_sets(group, desc, ball_cap=ball_cap, subset_cap=subset_cap)
+    yield from generate_sets(group, desc, ball_cap=ball_cap)
 
 
 def sharpness_of_subsets(
@@ -542,23 +520,6 @@ def sharpness_of_subsets(
     if not entries:
         raise PreconditionViolated("sharpness scan needs at least one set")
     return SharpnessSummary(entries=tuple(entries), reports=tuple(reports))
-
-
-def sharpness_scan(
-    group: Group,
-    descriptors: Sequence[SetDescriptor],
-    trials: int = 1,
-    *,
-    ball_cap: int = DEFAULT_BALL_CAP,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
-) -> SharpnessSummary:
-    """Sharpness factors over the sets the descriptors denote."""
-    subsets = []
-    for desc in descriptors:
-        subsets.extend(
-            expand_trials(group, desc, trials, ball_cap=ball_cap, subset_cap=subset_cap)
-        )
-    return sharpness_of_subsets(group, subsets, ball_cap=ball_cap)
 
 
 def interval_subsets(group: Group, n_max: int) -> list[FiniteSubset]:

@@ -8,6 +8,8 @@ is the straightforward version that rebuilds and re-sorts its frontier
 after every pick; it shares only the SplitMix64 stream with the library.
 The profile's oracle walks all 2^N subsets in Gray-code order and breaks
 boundary ties by comparing position tuples, without the anchoring argument.
+The displacement bound's oracle counts gamma0*D \\ D and the outer boundary
+from scratch instead of reading them off the transport record.
 """
 
 from fractions import Fraction
@@ -19,9 +21,11 @@ from isoplab import (
     PreconditionViolated,
     ProfileRow,
     SplitMix64,
+    VerificationReport,
     enumerate_group,
     gray_subset_steps,
     phi,
+    word_length,
 )
 
 
@@ -151,3 +155,31 @@ def profile_by_gray_walk(group, sizes):
             gap=Fraction(boundary) - bound,
         ))
     return rows
+
+
+def displacement_bound_by_direct_count(group, gamma0, D, d):
+    """The displacement-bound report from a fresh word length, a direct
+    count of gamma0*D \\ D and a naive outer boundary."""
+    k = word_length(group, gamma0)
+    if k > d:
+        raise PreconditionViolated(f"need ||gamma0|| <= d, got {k} > {d}")
+    members = set(D.elements)
+    moved = sum(1 for x in D.elements if group.mul(gamma0, x) not in members)
+    boundary_size = len(naive_outer_boundary(group, members))
+    return VerificationReport(
+        kind="displacement_bound",
+        group=group.name,
+        set_descriptor=D.provenance,
+        lhs=Fraction(moved),
+        rhs=Fraction(d * boundary_size),
+        verdict=moved <= d * boundary_size,
+        strict=False,
+        d=d,
+        gamma0=group.format(gamma0),
+        extra={
+            "word_length": k,
+            "boundary_size": boundary_size,
+            "k_times_boundary": k * boundary_size,
+            "holds_at_word_length": moved <= k * boundary_size,
+        },
+    )

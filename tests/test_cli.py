@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from isoplab.cli import main, parse_generator_word
+from isoplab.cli import _resolve_config, build_parser, main, parse_generator_word
 from isoplab import parse_group
 
 
@@ -186,6 +186,28 @@ def test_bad_values_from_config_file_exit_2(tmp_path, capsys):
     cfg.write_text("group=z\nfamily=intervals\nmax_n=-1\n")
     code, _, err = run(capsys, "sharpness", "--config", str(cfg))
     assert code == 2 and "max-n" in err
+    # unknown keys and unrecognised boolean spellings are not ignored
+    for command, text, needle in [
+        (("accept",), "quick=banana\n", "quick"),
+        (("accept",), "quick=\n", "quick"),
+        (("accept",), "qiuck=1\n", "qiuck"),
+        (("growth",), "group=z\nmax_radius=2\ncommand=profile\n", "command"),
+        (("verify", "theorem"), "group=z\nset=ball:2\nconfig_path=x\n", "config_path"),
+    ]:
+        cfg.write_text(text)
+        code, out, err = run(capsys, *command, "--config", str(cfg))
+        assert code == 2 and out == "" and needle in err
+
+
+@pytest.mark.parametrize("raw,value", [
+    ("1", True), ("TRUE", True), ("yes", True), ("on", True),
+    ("0", False), ("false", False), ("No", False), ("off", False),
+])
+def test_config_boolean_spellings(tmp_path, raw, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"quick={raw}\n")
+    args = build_parser().parse_args(["accept", "--config", str(cfg)])
+    assert _resolve_config(args).quick is value
 
 
 def test_word_flags_checked_before_sets_are_generated(capsys):

@@ -31,7 +31,11 @@ from isoplab import (
     verify_theorem,
     word_length,
 )
-from oracle_helpers import naive_inner_boundary, naive_outer_boundary
+from oracle_helpers import (
+    displacement_bound_by_direct_count,
+    naive_inner_boundary,
+    naive_outer_boundary,
+)
 
 Z = parse_group("z")
 F2 = parse_group("free:2")
@@ -327,16 +331,16 @@ def test_preimage_bound_precondition():
 # ------------------------------------------------------- displacement bound
 
 def test_displacement_bound_examples():
-    rep = displacement_bound_check(Z, (3,), interval(5), 3)
+    rep = displacement_bound_check(transport_map(Z, (3,), interval(5)), 3)
     assert rep.lhs == Fraction(3) and rep.rhs == Fraction(6)
     assert rep.verdict
 
-    rep = displacement_bound_check(Z, (1,), interval(10), 1)
+    rep = displacement_bound_check(transport_map(Z, (1,), interval(10)), 1)
     assert rep.lhs == Fraction(1) and rep.rhs == Fraction(2)
     assert rep.verdict
 
     dea = FiniteSubset.from_iterable(F2, [(), (1,)])
-    rep = displacement_bound_check(F2, F2.parse("aa"), dea, 2)
+    rep = displacement_bound_check(transport_map(F2, F2.parse("aa"), dea), 2)
     assert rep.lhs == Fraction(2) and rep.rhs == Fraction(12)
     assert rep.extra["k_times_boundary"] == 12
     assert rep.verdict and rep.extra["holds_at_word_length"]
@@ -344,7 +348,42 @@ def test_displacement_bound_examples():
 
 def test_displacement_bound_precondition():
     with pytest.raises(PreconditionViolated):
-        displacement_bound_check(Z, (3,), interval(5), 2)
+        displacement_bound_check(transport_map(Z, (3,), interval(5)), 2)
+
+
+DISPLACEMENT_FAMILIES = ["z", "zd:2", "free:2", "heisenberg", "cyclic:12", "dihedral:6", "symmetric:4"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(DISPLACEMENT_FAMILIES),
+    st.integers(1, 30),
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.integers(0, 10**6),
+    st.integers(-1, 2),
+)
+def test_displacement_bound_from_record_matches_direct_count(spec, size, seed, uniform, pick, slack):
+    group = parse_group(spec)
+    table = ball(group, 4)
+    # stay inside the group for the connected sampler, inside B(e, 4) for the uniform one
+    size = min(size, table.size if uniform else group.order() or size)
+    text = f"random:{size}:{seed}" + (":ball=4" if uniform else "")
+    D = generate_set(group, parse_set_descriptor(text))
+    pool = [g for layer in table.layers[1:] for g in layer]
+    gamma0 = pool[pick % len(pool)]
+    d = word_length(group, gamma0) + slack
+    record = transport_map(group, gamma0, D)
+    assert record.boundary_size == len(naive_outer_boundary(group, set(D.elements)))
+    if slack < 0:
+        with pytest.raises(PreconditionViolated) as new_exc:
+            displacement_bound_check(record, d)
+        with pytest.raises(PreconditionViolated) as old_exc:
+            displacement_bound_by_direct_count(group, gamma0, D, d)
+        assert str(new_exc.value) == str(old_exc.value)
+        return
+    new = displacement_bound_check(record, d).to_json_dict()
+    assert new == displacement_bound_by_direct_count(group, gamma0, D, d).to_json_dict()
 
 
 # -------------------------------------------------------------------- theorem

@@ -27,7 +27,6 @@ from isoplab import (
     parse_size_range,
     phi,
     sharpness_of_subsets,
-    sharpness_scan,
 )
 from isoplab.search import _sample_connected, anchored_subset_steps
 from oracle_helpers import naive_outer_boundary, profile_by_gray_walk, sample_connected_by_resort
@@ -95,18 +94,20 @@ def test_exhaustive_stream_counts():
 def test_exhaustive_needs_small_finite_group():
     with pytest.raises(PreconditionViolated):
         next(generate_sets(Z, parse_set_descriptor("exhaustive:1..2")))
-    d13 = parse_group("dihedral:13")  # 26 elements, above the default cap of 24
-    with pytest.raises(BudgetExceeded):
+    d13 = parse_group("dihedral:13")  # 26 elements, above the cap of 24
+    with pytest.raises(BudgetExceeded) as stream_exc:
         next(generate_sets(d13, parse_set_descriptor("exhaustive:1..2")))
-    s4 = parse_group("symmetric:4")
-    with pytest.raises(BudgetExceeded):
-        next(generate_sets(s4, parse_set_descriptor("exhaustive:1..2"), subset_cap=12))
-    # the 24-element group sits exactly at the default cap: enumeration is
-    # admitted (walking all 2^24 masks is exercised on smaller groups above)
+    with pytest.raises(BudgetExceeded) as profile_exc:
+        exhaustive_profile(d13, [1, 2])
+    for exc in (stream_exc.value, profile_exc.value):
+        assert (exc.size, exc.cap) == (26, 24)
+        assert str(exc) == "dihedral:13 has 26 elements, above the exhaustive cap 24"
+    # the 24-element group sits exactly at the cap: enumeration is admitted
+    # (walking all 2^24 masks is exercised on smaller groups above)
     from isoplab.search import _ground_set
-    assert len(_ground_set(s4, subset_cap=24, ball_cap=5_000_000)) == 24
+    assert len(_ground_set(parse_group("symmetric:4"), ball_cap=5_000_000)) == 24
     d8 = parse_group("dihedral:8")  # 16 elements: a full 65536-mask walk
-    stream = generate_sets(d8, parse_set_descriptor("exhaustive:1..1"), subset_cap=16)
+    stream = generate_sets(d8, parse_set_descriptor("exhaustive:1..1"))
     assert len(list(stream)) == 16
 
 
@@ -239,7 +240,7 @@ def test_expand_trials_reseeds_random_descriptors():
 def test_gray_scan_matches_direct_recomputation(spec):
     group = parse_group(spec)
     ground = enumerate_group(group)
-    steps = list(gray_subset_steps(group))
+    steps = list(gray_subset_steps(group, ground=ground))
     # the exhaustive: stream keeps the binary-reflected Gray order
     assert [mask for mask, _, _ in steps] == [i ^ (i >> 1) for i in range(1 << len(ground))]
     for mask, size, boundary in steps:
@@ -437,7 +438,7 @@ def test_sharpness_on_z2_balls_exceeds_one():
 
 
 def test_sharpness_scan_over_descriptors():
-    summary = sharpness_scan(Z, [parse_set_descriptor("random:5:9")], trials=5)
+    summary = sharpness_of_subsets(Z, expand_trials(Z, parse_set_descriptor("random:5:9"), 5))
     assert len(summary.entries) == 5
     assert all(f > 1 for _, f in summary.entries)
     payload = summary.to_json_dict()
