@@ -350,7 +350,9 @@ _CONFIG_BOOLS = {
 _CONFIG_MINIMUM = {"d": 0, "trials": 1, "max_radius": 0, "phi": 0, "ball_cap": 1, "max_n": 1}
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, command: str, keys) -> dict:
+    """key=value pairs of a config file; any key outside `keys` (the settings
+    the command's parser defines) exits 2."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -362,8 +364,8 @@ def _load_config_file(path: str) -> dict:
                     raise ParseError(f"bad config line {line!r} (expected key=value)")
                 key, _, value = line.partition("=")
                 key = key.strip().replace("-", "_")
-                if key not in _CONFIG_KEYS:
-                    raise ParseError(f"unknown config key {key!r} in {path}")
+                if key not in keys:
+                    raise ParseError(f"unknown config key {key!r} for {command} in {path}")
                 values[key] = value.strip()
     except OSError as exc:
         raise ParseError(f"cannot read config file {path}: {exc}") from None
@@ -371,7 +373,10 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_values = _load_config_file(args.config_path) if getattr(args, "config_path", None) else {}
+    file_values = {}
+    if getattr(args, "config_path", None):
+        keys = _CONFIG_KEYS & vars(args).keys()
+        file_values = _load_config_file(args.config_path, args.command, keys)
 
     def pick(key: str, default=None):
         flag = getattr(args, key, None)

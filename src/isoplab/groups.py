@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
+from operator import add
 from typing import Optional, Union
 
 from .errors import ParseError
@@ -157,7 +158,19 @@ class Group:
 
 
 class ZGroup(Group):
-    """Free abelian group Z^k; elements are integer k-tuples under addition."""
+    """Free abelian group Z^k; elements are integer k-tuples under addition.
+
+    `mul` is chosen once per rank when the group is built: ranks 1 and 2
+    construct a subclass whose `mul` is a closed-form tuple, and higher
+    ranks add with `map`.  Each stays a class method, so patching a group
+    class's `mul` (as perfbench's counting pass does) still sees every call.
+    """
+
+    def __new__(cls, rank: int = 0):
+        # rank has a default because copy and pickle call __new__ without it
+        if cls is ZGroup:
+            cls = _Z_BY_RANK.get(rank, ZGroup)
+        return super().__new__(cls)
 
     def __init__(self, rank: int):
         if rank < 1:
@@ -173,7 +186,7 @@ class ZGroup(Group):
         return (0,) * self.rank
 
     def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def inv(self, a):
         return tuple(-x for x in a)
@@ -209,6 +222,19 @@ class ZGroup(Group):
         if self.rank == 1:
             return str(e[0])
         return "(" + ",".join(str(x) for x in e) + ")"
+
+
+class _Z1Group(ZGroup):
+    def mul(self, a, b):
+        return (a[0] + b[0],)
+
+
+class _Z2Group(ZGroup):
+    def mul(self, a, b):
+        return (a[0] + b[0], a[1] + b[1])
+
+
+_Z_BY_RANK = {1: _Z1Group, 2: _Z2Group}
 
 
 class CyclicGroup(Group):

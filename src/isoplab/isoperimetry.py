@@ -318,21 +318,37 @@ def half_mass_witness(
     """Find x in B(e, d) with Card(xD \\ D) > Card(D)/2, for the least d with
     gamma(d) > 2 Card(D).
 
-    Scans the whole ball; the witness maximizes displacement, with ties
-    broken by minimal word length and then minimal canonical order (the
-    scan order makes that automatic).  Averaging guarantees a strict
-    witness exists whenever Card(D) < Card(group)/2.
+    The witness maximizes displacement, with ties broken by minimal word
+    length and then minimal canonical order: the ball is scanned in layer
+    order, canonical within each layer, and only a strictly greater
+    displacement replaces the best so far.  The scan is an exact
+    branch-and-bound on that rule.  It counts the points y of D with x*y
+    still in D and drops x as soon as that count reaches n - best, since x
+    can then no longer beat the best strictly; it stops at the first x
+    that moves all of D.  Averaging guarantees a strict witness exists
+    whenever Card(D) < Card(group)/2.
     """
     _require_admissible(group, D)
     n = len(D)
     d, table = minimal_d(group, 2 * n, ball_cap=ball_cap)
+    mul = group.mul
+    members = D.member_set
+    elements = D.elements
     best_x = None
     best_disp = -1
     for x in table.elements():  # layer order, canonical within each layer
-        disp = displacement(group, x, D)
-        if disp > best_disp:
-            best_disp = disp
+        stay_limit = n - best_disp
+        stay = 0
+        for y in elements:
+            if mul(x, y) in members:
+                stay += 1
+                if stay == stay_limit:
+                    break
+        else:
+            best_disp = n - stay
             best_x = x
+            if best_disp == n:
+                break
     threshold = Fraction(n, 2)
     witness = TransportWitness(d=d, x=best_x, displacement=best_disp, threshold=threshold)
     report = VerificationReport(

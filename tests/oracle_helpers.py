@@ -9,7 +9,9 @@ after every pick; it shares only the SplitMix64 stream with the library.
 The profile's oracle walks all 2^N subsets in Gray-code order and breaks
 boundary ties by comparing position tuples, without the anchoring argument.
 The displacement bound's oracle counts gamma0*D \\ D and the outer boundary
-from scratch instead of reading them off the transport record.
+from scratch instead of reading them off the transport record.  The
+half-mass oracle computes every displacement in the ball in full, without
+the pruning and early stop of the library's scan.
 """
 
 from fractions import Fraction
@@ -21,9 +23,12 @@ from isoplab import (
     PreconditionViolated,
     ProfileRow,
     SplitMix64,
+    TransportWitness,
     VerificationReport,
+    displacement,
     enumerate_group,
     gray_subset_steps,
+    minimal_d,
     phi,
     word_length,
 )
@@ -183,3 +188,43 @@ def displacement_bound_by_direct_count(group, gamma0, D, d):
             "holds_at_word_length": moved <= k * boundary_size,
         },
     )
+
+
+def half_mass_by_full_scan(group, D):
+    """The half-mass witness and report from the full scan: displacement(x, D)
+    for every x of the ball, in scan order, keeping the first greatest."""
+    order = group.order()
+    if not D.elements:
+        raise PreconditionViolated("D must be non-empty")
+    if order is not None and 2 * len(D) >= order:
+        raise PreconditionViolated(
+            f"need Card(D) < Card(group)/2: Card(D)={len(D)}, Card(group)={order}"
+        )
+    n = len(D)
+    d, table = minimal_d(group, 2 * n)
+    best_x = None
+    best_disp = -1
+    for x in table.elements():
+        disp = displacement(group, x, D)
+        if disp > best_disp:
+            best_disp = disp
+            best_x = x
+    threshold = Fraction(n, 2)
+    witness = TransportWitness(d=d, x=best_x, displacement=best_disp, threshold=threshold)
+    report = VerificationReport(
+        kind="half_mass",
+        group=group.name,
+        set_descriptor=D.provenance,
+        lhs=Fraction(best_disp),
+        rhs=threshold,
+        verdict=Fraction(best_disp) > threshold,
+        strict=True,
+        d=d,
+        extra={
+            "witness": group.format(best_x),
+            "witness_length": table.layer_of(best_x),
+            "ball_size": table.size,
+            "set_size": n,
+        },
+    )
+    return witness, report

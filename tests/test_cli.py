@@ -193,6 +193,11 @@ def test_bad_values_from_config_file_exit_2(tmp_path, capsys):
         (("accept",), "qiuck=1\n", "qiuck"),
         (("growth",), "group=z\nmax_radius=2\ncommand=profile\n", "command"),
         (("verify", "theorem"), "group=z\nset=ball:2\nconfig_path=x\n", "config_path"),
+        # keys of another subcommand are not read, so they are not accepted
+        (("growth",), "group=z\nmax_radius=2\nsizes=1..3\n", "sizes"),
+        (("accept",), "quick=1\nset=ball:2\n", "set"),
+        (("profile",), "group=cyclic:8\nsizes=1..3\nseed=7\n", "seed"),
+        (("verify", "theorem"), "group=z\nset=ball:2\nmax_n=3\n", "max_n"),
     ]:
         cfg.write_text(text)
         code, out, err = run(capsys, *command, "--config", str(cfg))

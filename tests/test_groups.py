@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,6 +138,20 @@ def test_multiply_examples():
 def test_heisenberg_matches_matrix_multiplication(p, q):
     h = HeisenbergGroup(None)
     assert h.mul(p, q) == unitriangular_matmul(p, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda rank: st.tuples(
+    st.just(rank),
+    st.tuples(*[st.integers(-10**20, 10**20)] * rank),
+    st.tuples(*[st.integers(-10**20, 10**20)] * rank),
+)))
+def test_lattice_mul_matches_coordinatewise_sum(case):
+    rank, a, b = case
+    group = ZGroup(rank)
+    assert group.rank == rank and group.key == ("z", rank)
+    assert group.mul(a, b) == tuple(x + y for x, y in zip(a, b))
+    assert copy.deepcopy(group).mul(a, b) == group.mul(a, b)
 
 
 def test_inverse_examples():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from isoplab import (
     FiniteSubset,
+    Group,
     PreconditionViolated,
     SmoothedDensity,
     SplitMix64,
@@ -33,6 +34,7 @@ from isoplab import (
 )
 from oracle_helpers import (
     displacement_bound_by_direct_count,
+    half_mass_by_full_scan,
     naive_inner_boundary,
     naive_outer_boundary,
 )
@@ -244,6 +246,116 @@ def test_half_mass_never_fails_on_admissible_sets(spec):
         assert rep.verdict
         assert Fraction(witness.displacement) > Fraction(len(subset), 2)
         assert word_length(group, witness.x) <= witness.d
+
+
+class CountingGroup(Group):
+    """Delegates to `inner` and counts its `mul` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.mul_calls = 0
+
+    @property
+    def key(self):
+        return self.inner.key
+
+    def mul(self, a, b):
+        self.mul_calls += 1
+        return self.inner.mul(a, b)
+
+    def identity(self):
+        return self.inner.identity()
+
+    def inv(self, a):
+        return self.inner.inv(a)
+
+    def order(self):
+        return self.inner.order()
+
+    def sort_key(self, e):
+        return self.inner.sort_key(e)
+
+    def format(self, e):
+        return self.inner.format(e)
+
+    def generator_tokens(self):
+        return self.inner.generator_tokens()
+
+
+def scan_mul_calls(scan, group, D):
+    """Run scan(group, D) through a CountingGroup; return its result and the
+    mul calls it made beyond building the ball B(e, d)."""
+    bfs = CountingGroup(group)
+    minimal_d(bfs, 2 * len(D))
+    counted = CountingGroup(group)
+    result = scan(counted, D)
+    return result, counted.mul_calls - bfs.mul_calls
+
+
+HALF_MASS_FAMILIES = [
+    "z", "zd:2", "free:2", "heisenberg", "heisenberg:3", "cyclic:12", "dihedral:6", "symmetric:4",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(HALF_MASS_FAMILIES),
+    st.integers(1, 40),
+    st.integers(0, 2**32),
+    st.sampled_from([None, 2, 3, 5]),
+)
+def test_half_mass_pruned_scan_matches_full_scan(spec, size, seed, radius):
+    group = parse_group(spec)
+    # stay inside the group for the connected sampler, inside B(e, radius) for the uniform one
+    room = ball(group, radius).size if radius is not None else (group.order() or size)
+    size = min(size, room)
+    text = f"random:{size}:{seed}" + ("" if radius is None else f":ball={radius}")
+    D = generate_set(group, parse_set_descriptor(text))
+    if group.order() is not None and 2 * size >= group.order():
+        with pytest.raises(PreconditionViolated) as new_exc:
+            half_mass_witness(group, D)
+        with pytest.raises(PreconditionViolated) as old_exc:
+            half_mass_by_full_scan(group, D)
+        assert str(new_exc.value) == str(old_exc.value)
+        return
+    (witness, report), pruned_calls = scan_mul_calls(half_mass_witness, group, D)
+    (old_witness, old_report), full_calls = scan_mul_calls(half_mass_by_full_scan, group, D)
+    assert witness == old_witness
+    assert report.to_json_dict() == old_report.to_json_dict()
+    assert pruned_calls <= full_calls
+
+
+@pytest.mark.parametrize("spec,elems,x,disp", [
+    # 4, 8, 5 and 7 all move 4 of 5 points; 4 comes first in scan order
+    ("cyclic:12", [0, 1, 2, 3, 5], 4, 4),
+    # 1, 11, 2 and 10 tie at 3 before 4 moves more
+    ("cyclic:12", [0, 1, 3, 4, 6], 4, 4),
+    # -5 and 5 both move all of D; -5 comes first
+    ("z", [(v,) for v in range(5)], (-5,), 5),
+])
+def test_half_mass_first_of_tied_translates_wins(spec, elems, x, disp):
+    group = parse_group(spec)
+    D = FiniteSubset.from_iterable(group, elems)
+    witness, report = half_mass_witness(group, D)
+    assert (witness.x, witness.displacement) == (x, disp)
+    old_witness, old_report = half_mass_by_full_scan(group, D)
+    assert witness == old_witness
+    assert report.to_json_dict() == old_report.to_json_dict()
+
+
+def test_half_mass_scan_stops_at_a_full_move():
+    group = parse_group("free:2")
+    D = generate_set(group, parse_set_descriptor("random:300:845294:ball=7"))
+    n = len(D)
+    (witness, _), pruned_calls = scan_mul_calls(half_mass_witness, group, D)
+    _, full_calls = scan_mul_calls(half_mass_by_full_scan, group, D)
+    assert witness.displacement == n == 300
+    scan = list(minimal_d(group, 2 * n)[1].elements())
+    position = scan.index(witness.x)
+    assert full_calls == len(scan) * n
+    # the witness itself is counted in full; no translate after it adds a call
+    assert n <= pruned_calls <= (position + 1) * n < len(scan) * n
 
 
 # -------------------------------------------------------------- transport map
