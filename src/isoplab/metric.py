@@ -4,15 +4,27 @@ Balls are built by breadth-first search from the identity.  Neighbors
 under the right-invariant word metric are left multiples s*g, so BFS
 expands by left multiplication; generators are tried in generating-set
 order and each completed layer is sorted by the canonical element order,
-which makes tables and parent links fully deterministic.
+which makes tables and geodesic words fully deterministic.
+
+Each group (by Group.key) has one table of completed layers in a module
+cache, grown one layer at a time as queries need more of it.  A query
+answers from the smallest layer prefix that meets its stop condition, and
+the BallTable it returns is a read-only view of that prefix.  One lock
+guards the cache and every extension of a table.  A table that outgrows
+RETAINED_TABLE_MAX elements serves the query that grew it and is then
+dropped from the cache, so a large ball does not stay alive for the rest of
+the run.
 
 Infinite groups are explored lazily and exactly up to the configured ball
-cap; exceeding the cap is a hard error, never a silent truncation.
+cap; exceeding the cap is a hard error, never a silent truncation.  A query
+whose prefix exceeds its cap raises even when a larger table is cached.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator
 
@@ -20,69 +32,143 @@ from .errors import BudgetExceeded, InternalContradiction, Unattainable
 from .groups import Element, Group
 
 DEFAULT_BALL_CAP = 5_000_000
+# Larger tables are not kept once their query is answered: a large ball
+# would otherwise stay alive, unused, for the rest of the run.
+RETAINED_TABLE_MAX = 4096
+
+# Group.key -> (layers, depth, exhausted) of the completed layers so far.
+_tables: dict = {}
+_tables_lock = threading.Lock()
 
 
-def _grow(group: Group, done: Callable[[list, dict], bool], *, ball_cap: int):
-    """Layered BFS from the identity.
+def _over_cap(group: Group, ball_cap: int, radius: int) -> BudgetExceeded:
+    """The error of a BFS whose element ball_cap + 1 (the identity, for a
+    ball_cap below 1) lies at the given radius."""
+    return BudgetExceeded(
+        f"{group.name}: ball outgrew cap {ball_cap} at radius {radius}",
+        size=max(ball_cap + 1, 1),
+        cap=ball_cap,
+    )
 
-    Adds completed layers until done(layers, depth) holds or the group is
-    exhausted, and returns (layers, parent, depth); parent maps each
-    non-identity element to (generator index, predecessor) with
-    element = s * predecessor.  Raises BudgetExceeded as soon as the ball
-    holds ball_cap + 1 elements, before the rest of that layer is built (at
-    once for a ball_cap below 1, which the identity alone outgrows).
+
+def _grow(
+    group: Group,
+    done: Callable[[int, int, dict], bool],
+    layers: list,
+    depth: dict,
+    *,
+    ball_cap: int,
+):
+    """Extend a layered BFS from the identity in place.
+
+    layers holds the completed layers so far (none to start from the
+    identity) and depth maps each of their elements to its layer.  Adds
+    completed layers until done(radius, size, depth) holds for the whole
+    table or the group is exhausted, and returns (layers, exhausted, depth).
+    Raises BudgetExceeded as soon as the table holds ball_cap + 1 elements,
+    before the rest of that layer is built (at once for a ball_cap below 1,
+    which the identity alone outgrows); depth then holds part of a layer.
     """
+    if not layers:
+        if ball_cap < 1:
+            raise _over_cap(group, ball_cap, 0)
+        e = group.identity()
+        depth[e] = 0
+        layers.append((e,))
     gens = group.generating_set.elements
     mul = group.mul
-    sort_key = group.sort_key
-    e = group.identity()
-    depth: dict = {e: 0}
-    if ball_cap < 1:
-        raise BudgetExceeded(
-            f"{group.name}: ball outgrew cap {ball_cap} at radius 0", size=1, cap=ball_cap
-        )
-    parent: dict = {}
-    layers: list[tuple] = [(e,)]
-    while not done(layers, depth):
+    while not done(len(layers) - 1, len(depth), depth):
         frontier = []
         level = len(layers)
         for g in layers[-1]:
-            for i, s in enumerate(gens):
+            for s in gens:
                 h = mul(s, g)
                 if h not in depth:
                     depth[h] = level
-                    parent[h] = (i, g)
                     frontier.append(h)
                     if len(depth) > ball_cap:
-                        raise BudgetExceeded(
-                            f"{group.name}: ball outgrew cap {ball_cap} at radius {level}",
-                            size=len(depth),
-                            cap=ball_cap,
-                        )
+                        raise _over_cap(group, ball_cap, level)
         if not frontier:
-            break
-        frontier.sort(key=sort_key)
+            return layers, True, depth
+        frontier.sort(key=group.sort_key)
         layers.append(tuple(frontier))
-    return layers, parent, depth
+    return layers, False, depth
+
+
+def _prefix(group: Group, done: Callable[[int, int, dict], bool], ball_cap: int) -> BallTable:
+    """The smallest layer prefix of the group's table on which
+    done(radius, size, depth) holds, or the whole group if it never does.
+
+    done sees the whole table's depth dict, so it must read an element's
+    depth as present only up to the radius it is given.
+    """
+    key = group.key
+    with _tables_lock:
+        layers, depth, exhausted = _tables.get(key) or ([], {}, False)
+        size = 0
+        for radius, layer in enumerate(layers):
+            size += len(layer)
+            if size > ball_cap:
+                raise _over_cap(group, ball_cap, radius)
+            if done(radius, size, depth):
+                return BallTable(group, radius, tuple(layers[: radius + 1]), size, depth)
+        if not exhausted:
+            # Out of the cache while it grows: a layer left half built by an
+            # exception must never be served.
+            _tables.pop(key, None)
+            layers, exhausted, depth = _grow(group, done, layers, depth, ball_cap=ball_cap)
+            if len(depth) <= RETAINED_TABLE_MAX:
+                _tables[key] = (layers, depth, exhausted)
+        return BallTable(group, len(layers) - 1, tuple(layers), len(depth), depth)
+
+
+class _DepthView(Mapping):
+    """Word lengths of the elements of one ball: the depth dict of its
+    group's table, read only up to the ball's radius."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: BallTable):
+        self._table = table
+
+    def get(self, e, default=None):
+        k = self._table._depth.get(e)
+        return k if k is not None and k <= self._table.radius else default
+
+    def __getitem__(self, e) -> int:
+        k = self.get(e)
+        if k is None:
+            raise KeyError(e)
+        return k
+
+    def __contains__(self, e) -> bool:
+        return self.get(e) is not None
+
+    def __iter__(self) -> Iterator[Element]:
+        return self._table.elements()
+
+    def __len__(self) -> int:
+        return self._table.size
 
 
 @dataclass(frozen=True, eq=False)
 class BallTable:
-    """Layered ball around the identity with parent links for geodesics.
+    """Read-only view of the layers 0..radius of a group's BFS table.
 
     layers[k] holds the elements of word length exactly k, sorted by the
-    canonical order; depth is the exact word-length lookup over the union.
+    canonical order (empty beyond saturation); depth is the exact
+    word-length lookup over their union.
     """
 
     group: Group
     radius: int
     layers: tuple[tuple[Element, ...], ...]
-    parent: dict
-    depth: dict
+    size: int
+    _depth: dict = field(repr=False)  # the whole table's, which may reach past radius
 
-    @cached_property
-    def size(self) -> int:
-        return sum(len(layer) for layer in self.layers)
+    @property
+    def depth(self) -> Mapping:
+        return _DepthView(self)
 
     @cached_property
     def growth_values(self) -> tuple[int, ...]:
@@ -106,16 +192,34 @@ class BallTable:
         for layer in self.layers:
             yield from layer
 
+    def parent(self, h: Element) -> tuple[int, Element]:
+        """(i, pred) with h = s_i * pred and pred one layer nearer the
+        identity: the least such pred in canonical order, which is where
+        BFS first reached h, since it scans each layer in that order."""
+        k = self.layer_of(h)
+        if k == 0:
+            raise ValueError("the identity has no parent")
+        gens = self.group.generating_set
+        mul = self.group.mul
+        depth = self._depth
+        preds = []
+        for i, j in enumerate(gens.inverse_pairing):
+            pred = mul(gens.elements[j], h)
+            if depth.get(pred) == k - 1:
+                preds.append((pred, i))
+        pred, i = min(preds, key=lambda p: self.group.sort_key(p[0]))
+        return i, pred
+
 
 def ball(group: Group, radius: int, *, ball_cap: int = DEFAULT_BALL_CAP) -> BallTable:
     """Exact ball of the given radius (layers beyond saturation are empty)."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    layers, parent, depth = _grow(
-        group, lambda layers, depth: len(layers) > radius, ball_cap=ball_cap
-    )
-    layers += [()] * (radius + 1 - len(layers))
-    return BallTable(group=group, radius=radius, layers=tuple(layers), parent=parent, depth=depth)
+    table = _prefix(group, lambda r, size, depth: r >= radius, ball_cap)
+    if table.radius == radius:
+        return table
+    layers = table.layers + ((),) * (radius - table.radius)
+    return BallTable(group, radius, layers, table.size, table._depth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,37 +255,37 @@ def minimal_d(
     """Least d with gamma(d) > target, together with the ball it certifies."""
     if target < 0:
         raise ValueError("target must be non-negative")
-    layers, parent, depth = _grow(
-        group, lambda layers, depth: len(depth) > target, ball_cap=ball_cap
-    )
-    if len(depth) <= target:
-        raise Unattainable(target, available=len(depth))
-    d = len(layers) - 1
-    return d, BallTable(group=group, radius=d, layers=tuple(layers), parent=parent, depth=depth)
+    table = _prefix(group, lambda r, size, depth: size > target, ball_cap)
+    if table.size <= target:
+        raise Unattainable(target, available=table.size)
+    return table.radius, table
+
+
+def _ball_reaching(group: Group, g: Element, ball_cap: int) -> BallTable:
+    """The ball of radius ||g||."""
+    group.validate(g)
+    table = _prefix(group, lambda r, size, depth: depth.get(g, r + 1) <= r, ball_cap)
+    if g not in table:
+        raise InternalContradiction(f"{group.name}: generators failed to reach {group.format(g)}")
+    return table
 
 
 def word_length(group: Group, g: Element, *, ball_cap: int = DEFAULT_BALL_CAP) -> int:
     """BFS depth at which g first appears; 0 iff g is the identity."""
-    return len(geodesic_word(group, g, ball_cap=ball_cap))
+    return _ball_reaching(group, g, ball_cap).layer_of(g)
 
 
 def geodesic_word(group: Group, g: Element, *, ball_cap: int = DEFAULT_BALL_CAP) -> tuple[int, ...]:
     """Generator indices (s_1, ..., s_k) with g = s_k * ... * s_1 and k = ||g||.
 
-    The word follows BFS parent links, so it is deterministic; s_1 is the
-    first step applied to the identity.
+    The word follows BFS parent links (BallTable.parent), so it is
+    deterministic; s_1 is the first step applied to the identity.
     """
-    group.validate(g)
-    _, parent, depth = _grow(group, lambda layers, depth: g in depth, ball_cap=ball_cap)
-    if g not in depth:
-        raise InternalContradiction(f"{group.name}: generators failed to reach {group.format(g)}")
+    table = _ball_reaching(group, g, ball_cap)
     indices = []
-    cur = g
-    e = group.identity()
-    while cur != e:
-        i, pred = parent[cur]
+    for _ in range(table.layer_of(g)):
+        i, g = table.parent(g)
         indices.append(i)
-        cur = pred
     indices.reverse()
     return tuple(indices)
 
@@ -198,9 +302,9 @@ def enumerate_group(group: Group, *, ball_cap: int = DEFAULT_BALL_CAP) -> list[E
     order = group.order()
     if order is None:
         raise ValueError(f"{group.name} is infinite; cannot enumerate")
-    _, _, depth = _grow(group, lambda layers, depth: len(depth) >= order, ball_cap=ball_cap)
-    if len(depth) != order:
+    table = _prefix(group, lambda r, size, depth: size >= order, ball_cap)
+    if table.size != order:
         raise InternalContradiction(
-            f"{group.name}: enumeration found {len(depth)} of {order} elements"
+            f"{group.name}: enumeration found {table.size} of {order} elements"
         )
-    return sorted(depth.keys(), key=group.sort_key)
+    return sorted(table.elements(), key=group.sort_key)

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Optional
 from .errors import BudgetExceeded, ParseError, PreconditionViolated
 from .groups import Element, Group, ZGroup
 from .isoperimetry import FiniteSubset, VerificationReport, verify_theorem
-from .metric import DEFAULT_BALL_CAP, ball, enumerate_group, phi, _grow
+from .metric import DEFAULT_BALL_CAP, ball, enumerate_group, minimal_d, phi
 from .rng import SplitMix64
 
 DEFAULT_SUBSET_CAP = 24
@@ -137,12 +137,12 @@ def parse_size_range(text: str) -> tuple[int, int]:
 
 def default_uniform_radius(group: Group, size: int, ball_cap: int) -> int:
     """Smallest R with gamma(R) >= 2*size (the whole group once saturated)."""
-    layers, _, depth = _grow(
-        group, lambda layers, depth: len(depth) >= 2 * size, ball_cap=ball_cap
-    )
-    if len(depth) < size:
-        raise PreconditionViolated(f"random size {size} exceeds group size {len(depth)}")
-    return len(layers) - 1
+    order = group.order()
+    saturated = order is not None and order < 2 * size
+    radius, table = minimal_d(group, order - 1 if saturated else 2 * size - 1, ball_cap=ball_cap)
+    if table.size < size:
+        raise PreconditionViolated(f"random size {size} exceeds group size {table.size}")
+    return radius
 
 
 def _sample_uniform_in_ball(group: Group, desc: SetDescriptor, *, ball_cap: int) -> FiniteSubset:

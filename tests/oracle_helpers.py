@@ -11,7 +11,9 @@ boundary ties by comparing position tuples, without the anchoring argument.
 The displacement bound's oracle counts gamma0*D \\ D and the outer boundary
 from scratch instead of reading them off the transport record.  The
 half-mass oracle computes every displacement in the ball in full, without
-the pruning and early stop of the library's scan.
+the pruning and early stop of the library's scan.  The metric oracles run a
+fresh BFS for every query and walk stored parent links, as the library did
+before it kept one growth table per group.
 """
 
 from fractions import Fraction
@@ -20,10 +22,12 @@ from itertools import product
 from isoplab import (
     BudgetExceeded,
     FiniteSubset,
+    InternalContradiction,
     PreconditionViolated,
     ProfileRow,
     SplitMix64,
     TransportWitness,
+    Unattainable,
     VerificationReport,
     displacement,
     enumerate_group,
@@ -228,3 +232,96 @@ def half_mass_by_full_scan(group, D):
         },
     )
     return witness, report
+
+
+def grow_with_parents(group, done, *, ball_cap):
+    """Uncached layered BFS from the identity.
+
+    Adds completed layers until done(layers, depth) holds or the group is
+    exhausted, and returns (layers, parent, depth); parent maps each
+    non-identity element to (generator index, predecessor) with
+    element = s * predecessor, recorded where BFS first reaches it.  Raises
+    BudgetExceeded as soon as the ball holds ball_cap + 1 elements (at once
+    for a ball_cap below 1).
+    """
+    gens = group.generating_set.elements
+    mul = group.mul
+    e = group.identity()
+    depth = {e: 0}
+    if ball_cap < 1:
+        raise BudgetExceeded(
+            f"{group.name}: ball outgrew cap {ball_cap} at radius 0", size=1, cap=ball_cap
+        )
+    parent = {}
+    layers = [(e,)]
+    while not done(layers, depth):
+        frontier = []
+        level = len(layers)
+        for g in layers[-1]:
+            for i, s in enumerate(gens):
+                h = mul(s, g)
+                if h not in depth:
+                    depth[h] = level
+                    parent[h] = (i, g)
+                    frontier.append(h)
+                    if len(depth) > ball_cap:
+                        raise BudgetExceeded(
+                            f"{group.name}: ball outgrew cap {ball_cap} at radius {level}",
+                            size=len(depth),
+                            cap=ball_cap,
+                        )
+        if not frontier:
+            break
+        frontier.sort(key=group.sort_key)
+        layers.append(tuple(frontier))
+    return layers, parent, depth
+
+
+def oracle_ball(group, radius, *, ball_cap):
+    """(layers padded to radius + 1, parent, depth) of B(e, radius)."""
+    layers, parent, depth = grow_with_parents(
+        group, lambda layers, depth: len(layers) > radius, ball_cap=ball_cap
+    )
+    return tuple(layers) + ((),) * (radius + 1 - len(layers)), parent, depth
+
+
+def oracle_minimal_d(group, target, *, ball_cap):
+    """(d, layers, depth) of the least ball with more than target elements."""
+    layers, _, depth = grow_with_parents(
+        group, lambda layers, depth: len(depth) > target, ball_cap=ball_cap
+    )
+    if len(depth) <= target:
+        raise Unattainable(target, available=len(depth))
+    return len(layers) - 1, tuple(layers), depth
+
+
+def oracle_geodesic_word(group, g, *, ball_cap):
+    """The BFS parent-link walk from g back to the identity, reversed."""
+    group.validate(g)
+    _, parent, depth = grow_with_parents(group, lambda layers, depth: g in depth, ball_cap=ball_cap)
+    if g not in depth:
+        raise InternalContradiction(f"{group.name}: generators failed to reach {group.format(g)}")
+    indices = []
+    while g != group.identity():
+        i, g = parent[g]
+        indices.append(i)
+    return tuple(reversed(indices))
+
+
+def oracle_enumerate_group(group, *, ball_cap):
+    order = group.order()
+    if order is None:
+        raise ValueError(f"{group.name} is infinite; cannot enumerate")
+    _, _, depth = grow_with_parents(
+        group, lambda layers, depth: len(depth) >= order, ball_cap=ball_cap
+    )
+    return sorted(depth, key=group.sort_key)
+
+
+def oracle_default_uniform_radius(group, size, ball_cap):
+    layers, _, depth = grow_with_parents(
+        group, lambda layers, depth: len(depth) >= 2 * size, ball_cap=ball_cap
+    )
+    if len(depth) < size:
+        raise PreconditionViolated(f"random size {size} exceeds group size {len(depth)}")
+    return len(layers) - 1

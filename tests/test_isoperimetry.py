@@ -285,7 +285,13 @@ class CountingGroup(Group):
 
 def scan_mul_calls(scan, group, D):
     """Run scan(group, D) through a CountingGroup; return its result and the
-    mul calls it made beyond building the ball B(e, d)."""
+    mul calls it made beyond building the ball B(e, d).
+
+    The first query fills the growth cache, so that `bfs` and the scan
+    either both find B(e, d) there or, for a table too large to keep, both
+    build it.
+    """
+    minimal_d(group, 2 * len(D))
     bfs = CountingGroup(group)
     minimal_d(bfs, 2 * len(D))
     counted = CountingGroup(group)

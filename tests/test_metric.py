@@ -71,7 +71,7 @@ def test_layers_are_disjoint_sorted_and_parented(spec, radius):
             seen.add(g)
             assert table.layer_of(g) == k
             if k > 0:
-                i, pred = table.parent[g]
+                i, pred = table.parent(g)
                 s = group.generating_set.elements[i]
                 assert group.mul(s, pred) == g
                 assert table.layer_of(pred) == k - 1
