@@ -85,13 +85,15 @@ class AcceptanceOutcome:
         return all(r.passed for r in self.results)
 
 
-def _random_subset_descriptor(group, size, seed_value, uniform, ball_cap):
+def _random_subset(group, rng, size_cap, uniform, ball_cap) -> FiniteSubset:
+    """A random set of 1..size_cap points (at most the group's order): drawn
+    uniformly from a ball when `uniform`, else a connected sample."""
+    order = group.order()
+    size = 1 + rng.below(size_cap if order is None else min(size_cap, order))
+    text = f"random:{size}:{rng.child_seed(1)}"
     if uniform:
-        radius = default_uniform_radius(group, size, ball_cap)
-        text = f"random:{size}:{seed_value}:ball={radius}"
-    else:
-        text = f"random:{size}:{seed_value}"
-    return parse_set_descriptor(text)
+        text += f":ball={default_uniform_radius(group, size, ball_cap)}"
+    return generate_set(group, parse_set_descriptor(text), ball_cap=ball_cap)
 
 
 def acceptance_instances(seed: int, quick: bool, *, ball_cap: int = DEFAULT_BALL_CAP):
@@ -103,18 +105,11 @@ def acceptance_instances(seed: int, quick: bool, *, ball_cap: int = DEFAULT_BALL
     seq = 0
     for fam in FAMILIES:
         group = parse_group(fam)
-        order = group.order()
         for j in range(per_family):
             rng = master.child(seq)
             seq += 1
-            size_cap = 60 if order is None else order
-            size = 1 + rng.below(size_cap)
-            d = rng.below(5)
-            desc = _random_subset_descriptor(
-                group, size, rng.child_seed(1), uniform=(j % 2 == 1), ball_cap=ball_cap
-            )
-            subset = generate_set(group, desc, ball_cap=ball_cap)
-            instances.append(Instance(group=group, subset=subset, d=d))
+            subset = _random_subset(group, rng, 60, uniform=(j % 2 == 1), ball_cap=ball_cap)
+            instances.append(Instance(group=group, subset=subset, d=rng.below(5)))
     return instances
 
 
@@ -161,17 +156,11 @@ def _criterion_transport(seed, quick, reports, ball_cap) -> CriterionResult:
     checked = 0
     for fi, fam in enumerate(FAMILIES):
         group = parse_group(fam)
-        order = group.order()
         table = ball(group, 5, ball_cap=ball_cap)
         candidates = [g for layer in table.layers[1:] for g in layer]
         for j in range(per_family):
             rng = master.child(10_000 + fi * 1000 + j)
-            size_cap = 40 if order is None else min(40, order)
-            size = 1 + rng.below(size_cap)
-            desc = _random_subset_descriptor(
-                group, size, rng.child_seed(1), uniform=(j % 2 == 1), ball_cap=ball_cap
-            )
-            subset = generate_set(group, desc, ball_cap=ball_cap)
+            subset = _random_subset(group, rng, 40, uniform=(j % 2 == 1), ball_cap=ball_cap)
             gamma0 = candidates[rng.below(len(candidates))]
             try:
                 record = transport_map(group, gamma0, subset, ball_cap=ball_cap)
@@ -323,16 +312,10 @@ def _criterion_oracles(seed, quick, ball_cap) -> CriterionResult:
     checked_a = 0
     for fi, fam in enumerate(FAMILIES):
         group = parse_group(fam)
-        order = group.order()
         b2 = ball(group, 2, ball_cap=ball_cap)
         for j in range(per_family_a):
             rng = master.child(20_000 + fi * 1000 + j)
-            size_cap = 12 if order is None else min(12, order)
-            size = 1 + rng.below(size_cap)
-            desc = _random_subset_descriptor(
-                group, size, rng.child_seed(1), uniform=(j % 2 == 1), ball_cap=ball_cap
-            )
-            subset = generate_set(group, desc, ball_cap=ball_cap)
+            subset = _random_subset(group, rng, 12, uniform=(j % 2 == 1), ball_cap=ball_cap)
             lib = outer_boundary(group, subset).member_set
             oracle = _distance_one_oracle(group, subset, b2)
             if lib != oracle:

@@ -241,8 +241,6 @@ def _cmd_verify(config: RunConfig, check: str) -> int:
         "csc": lambda s: [verify_csc(group, s, ball_cap=cap)],
         "boundary-cmp": lambda s: [boundary_comparison(group, s)],
     }
-    if check not in verifiers:
-        raise ParseError(f"unknown verify check {check!r}")
     trials = config.trials if config.trials is not None else 1
     reports = [
         rep
@@ -286,8 +284,6 @@ def _cmd_sharpness(config: RunConfig) -> int:
         raise ParseError("sharpness needs --group")
     group = parse_group(config.group)
     if config.family is not None:
-        if config.family != "intervals":
-            raise ParseError(f"unknown sharpness family {config.family!r}")
         subsets = interval_subsets(group, config.max_n if config.max_n is not None else 50)
     elif config.set is not None:
         desc = parse_set_descriptor(config.set)
@@ -340,9 +336,6 @@ def _cmd_accept(config: RunConfig) -> int:
     return EXIT_OK if outcome.all_passed else EXIT_FAILED_VERDICT
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)} - {"command"}
-_CONFIG_INT_KEYS = {"d", "trials", "seed", "max_radius", "phi", "max_n", "ball_cap"}
-_CONFIG_BOOL_KEYS = {"quick"}
 _CONFIG_BOOLS = {
     "1": True, "true": True, "yes": True, "on": True,
     "0": False, "false": False, "no": False, "off": False,
@@ -350,75 +343,50 @@ _CONFIG_BOOLS = {
 _CONFIG_MINIMUM = {"d": 0, "trials": 1, "max_radius": 0, "phi": 0, "ball_cap": 1, "max_n": 1}
 
 
-def _load_config_file(path: str, command: str, keys) -> dict:
-    """key=value pairs of a config file; any key outside `keys` (the settings
-    the command's parser defines) exits 2."""
-    values = {}
+def _load_config_file(args: argparse.Namespace) -> dict:
+    """Settings of a key=value config file, each parsed by the command's own
+    parser as the flag `--key=value`; a key the command has no flag for, or a
+    value that flag rejects, exits 2."""
+    path = args.config_path
+    keys = vars(args).keys() - {"command", "check", "config_path"}
+    command = [args.command, args.check] if args.command == "verify" else [args.command]
+    parser = build_parser()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ParseError(f"bad config line {line!r} (expected key=value)")
-                key, _, value = line.partition("=")
-                key = key.strip().replace("-", "_")
-                if key not in keys:
-                    raise ParseError(f"unknown config key {key!r} for {command} in {path}")
-                values[key] = value.strip()
-    except OSError as exc:
+            lines = [raw.strip() for raw in fh]
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read config file {path}: {exc}") from None
+    values = {}
+    for line in lines:
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParseError(f"bad config line {line!r} (expected key=value)")
+        key, _, value = line.partition("=")
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key not in keys:
+            raise ParseError(f"unknown config key {key!r} for {args.command} in {path}")
+        if key == "quick":
+            # a store_true flag takes no value, so the spellings are read here
+            if value.lower() not in _CONFIG_BOOLS:
+                raise ParseError(
+                    f"config key quick needs 1/0, true/false, yes/no or on/off, got {value!r}"
+                )
+            values[key] = _CONFIG_BOOLS[value.lower()]
+            continue
+        try:
+            parsed = parser.parse_args([*command, f"--{key.replace('_', '-')}={value}"])
+        except SystemExit:
+            raise ParseError(f"bad value for config key {key} in {path}") from None
+        values[key] = getattr(parsed, key)
     return values
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_values = {}
-    if getattr(args, "config_path", None):
-        keys = _CONFIG_KEYS & vars(args).keys()
-        file_values = _load_config_file(args.config_path, args.command, keys)
-
-    def pick(key: str, default=None):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        if key in file_values:
-            raw = file_values[key]
-            if key in _CONFIG_INT_KEYS:
-                try:
-                    return int(raw)
-                except ValueError:
-                    raise ParseError(f"config key {key} needs an integer, got {raw!r}") from None
-            if key in _CONFIG_BOOL_KEYS:
-                if raw.lower() not in _CONFIG_BOOLS:
-                    raise ParseError(
-                        f"config key {key} needs 1/0, true/false, yes/no or on/off, got {raw!r}"
-                    )
-                return _CONFIG_BOOLS[raw.lower()]
-            return raw
-        return default
-
-    fmt = pick("format", "human")
-    if fmt not in ("jsonl", "csv", "human"):
-        raise ParseError(f"unknown format {fmt!r}")
-    config = RunConfig(
-        command=args.command,
-        group=pick("group"),
-        set=pick("set"),
-        d=pick("d"),
-        gamma0=pick("gamma0"),
-        trials=pick("trials"),
-        seed=pick("seed"),
-        sizes=pick("sizes"),
-        max_radius=pick("max_radius"),
-        phi=pick("phi"),
-        family=pick("family"),
-        max_n=pick("max_n"),
-        format=fmt,
-        out=pick("out"),
-        ball_cap=pick("ball_cap", DEFAULT_BALL_CAP),
-        quick=pick("quick"),
-    )
+    """The run configuration: flags beat the --config file, which beats defaults."""
+    values = _load_config_file(args) if args.config_path else {}
+    values.update((key, value) for key, value in vars(args).items() if value is not None)
+    config = RunConfig(**{f.name: values[f.name] for f in fields(RunConfig) if f.name in values})
     for key, least in _CONFIG_MINIMUM.items():
         value = getattr(config, key)
         if value is not None and value < least:
@@ -501,9 +469,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _cmd_profile(config)
         if args.command == "sharpness":
             return _cmd_sharpness(config)
-        if args.command == "accept":
-            return _cmd_accept(config)
-        raise ParseError(f"unknown command {args.command!r}")
+        return _cmd_accept(config)
     except ParseError as exc:
         print(f"isoplab: error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -543,7 +543,15 @@ class SymmetricGroup(Group):
         return "[" + ",".join(str(x) for x in e) + "]"
 
 
-_GROUP_RE = re.compile(r"(zd|cyclic|dihedral|free|heisenberg|symmetric):([0-9]+)")
+_FAMILIES = {
+    "zd": ZGroup,
+    "cyclic": CyclicGroup,
+    "dihedral": DihedralGroup,
+    "free": FreeGroup,
+    "heisenberg": HeisenbergGroup,
+    "symmetric": SymmetricGroup,
+}
+_GROUP_RE = re.compile(f"({'|'.join(_FAMILIES)}):([0-9]+)")
 
 
 def parse_group(text: str) -> Group:
@@ -557,18 +565,7 @@ def parse_group(text: str) -> Group:
     m = _GROUP_RE.fullmatch(t)
     if m is None:
         raise ParseError(f"unrecognized group spec {text!r}")
-    family, value = m.group(1), int(m.group(2))
-    if family == "zd":
-        return ZGroup(value)
-    if family == "cyclic":
-        return CyclicGroup(value)
-    if family == "dihedral":
-        return DihedralGroup(value)
-    if family == "free":
-        return FreeGroup(value)
-    if family == "heisenberg":
-        return HeisenbergGroup(value)
-    return SymmetricGroup(value)
+    return _FAMILIES[m.group(1)](int(m.group(2)))
 
 
 # Spec-style functional surface over the method API.

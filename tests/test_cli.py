@@ -1,8 +1,10 @@
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
-from isoplab.cli import _resolve_config, build_parser, main, parse_generator_word
+from isoplab.cli import RunConfig, _resolve_config, build_parser, main, parse_generator_word
 from isoplab import parse_group
 
 
@@ -191,6 +193,7 @@ def test_bad_values_from_config_file_exit_2(tmp_path, capsys):
         (("accept",), "quick=banana\n", "quick"),
         (("accept",), "quick=\n", "quick"),
         (("accept",), "qiuck=1\n", "qiuck"),
+        (("growth",), "gro=z\nmax_radius=2\n", "'gro'"),  # no prefix matching
         (("growth",), "group=z\nmax_radius=2\ncommand=profile\n", "command"),
         (("verify", "theorem"), "group=z\nset=ball:2\nconfig_path=x\n", "config_path"),
         # keys of another subcommand are not read, so they are not accepted
@@ -198,10 +201,17 @@ def test_bad_values_from_config_file_exit_2(tmp_path, capsys):
         (("accept",), "quick=1\nset=ball:2\n", "set"),
         (("profile",), "group=cyclic:8\nsizes=1..3\nseed=7\n", "seed"),
         (("verify", "theorem"), "group=z\nset=ball:2\nmax_n=3\n", "max_n"),
+        # values are typed and checked by the same parser as the flags
+        (("verify", "theorem"), "group=z\nset=ball:2\ntrials=abc\n", "trials"),
+        (("growth",), "group=z\nmax_radius=2\nball_cap=1e3\n", "ball_cap"),
+        (("growth",), "group=z\nmax_radius=2\nformat=xml\n", "format"),
+        (("sharpness",), "group=z\nfamily=balls\n", "family"),
+        # a file that is not UTF-8 text
+        (("growth",), "group=z\xff\n", "cannot read config file"),
     ]:
-        cfg.write_text(text)
+        cfg.write_bytes(text.encode("latin-1"))
         code, out, err = run(capsys, *command, "--config", str(cfg))
-        assert code == 2 and out == "" and needle in err
+        assert code == 2 and out == "" and needle in err and "isoplab: error:" in err
 
 
 @pytest.mark.parametrize("raw,value", [
@@ -238,6 +248,30 @@ def test_config_file_with_flag_precedence(tmp_path, capsys):
     # flags beat the file
     code, out, _ = run(capsys, "growth", "--config", str(cfg), "--max-radius", "1")
     assert out.splitlines()[-1] == "1,3"
+
+
+def test_config_value_keeps_leading_sign(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("group=zd:2\nset=random:10:3\ngamma0=-1+2\n")
+    code, from_file, _ = run(capsys, "verify", "transport", "--config", str(cfg))
+    assert code == 0
+    code, from_flag, _ = run(
+        capsys, "verify", "transport", "--group", "zd:2", "--set", "random:10:3", "--gamma0=-1+2"
+    )
+    assert code == 0 and from_file == from_flag
+
+
+def test_every_run_config_field_has_a_flag():
+    # each echoed setting is a flag of some subcommand, and each flag is echoed
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {
+        action.dest
+        for sp in subparsers.choices.values()
+        for action in sp._actions
+        if action.dest != "help"
+    }
+    assert {f.name for f in fields(RunConfig)} - {"command"} == dests - {"check", "config_path"}
 
 
 def test_out_writes_file(tmp_path, capsys):
