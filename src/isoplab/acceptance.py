@@ -265,23 +265,22 @@ def _criterion_csc_boundary(instances, reports, ball_cap) -> CriterionResult:
     )
 
 
-def _oracle_word_length(group: Group, g: Element, max_depth: int) -> Optional[int]:
-    """Minimal word length by brute enumeration of generator words, wholly
-    independent of the BFS tables."""
-    if g == group.identity():
-        return 0
+def _word_levels(group: Group, max_depth: int) -> list[set]:
+    """The level sets L_0 = {e}, L_n = {s*x : x in L_(n-1), s in S} for
+    n <= max_depth: L_n holds exactly the products of n generators.  Built
+    by plain multiplication, wholly independent of the BFS tables."""
     gens = group.generating_set.elements
     mul = group.mul
+    levels = [{group.identity()}]
+    for _ in range(max_depth):
+        levels.append({mul(s, x) for x in levels[-1] for s in gens})
+    return levels
 
-    def reaches(cur, remaining):
-        if remaining == 0:
-            return cur == g
-        return any(reaches(mul(s, cur), remaining - 1) for s in gens)
 
-    for n in range(1, max_depth + 1):
-        if reaches(group.identity(), n):
-            return n
-    return None
+def _oracle_word_length(levels: list[set], g: Element) -> Optional[int]:
+    """Minimal word length of g: the least n with g in L_n, or None if g
+    lies in no level built."""
+    return next((n for n, level in enumerate(levels) if g in level), None)
 
 
 def _distance_one_oracle(group: Group, subset: FiniteSubset, b2) -> frozenset:
@@ -329,6 +328,7 @@ def _criterion_oracles(seed, quick, ball_cap) -> CriterionResult:
         group = parse_group(fam)
         radius = _ORACLE_RADII[fam]
         table = ball(group, radius, ball_cap=ball_cap)
+        levels = _word_levels(group, radius)
         pool = list(table.elements())
         rng = master.child(30_000 + fi)
         for _ in range(per_family_b):
@@ -336,7 +336,7 @@ def _criterion_oracles(seed, quick, ball_cap) -> CriterionResult:
             expected = table.layer_of(g)
             if word_length(group, g, ball_cap=ball_cap) != expected:
                 failures.append(f"{fam}: BFS word length disagrees with layer of {group.format(g)}")
-            if _oracle_word_length(group, g, radius) != expected:
+            if _oracle_word_length(levels, g) != expected:
                 failures.append(f"{fam}: word enumeration disagrees with layer of {group.format(g)}")
             checked_b += 1
 

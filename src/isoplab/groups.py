@@ -374,6 +374,8 @@ class FreeGroup(Group):
         return ()
 
     def mul(self, a, b):
+        if not a or not b or a[-1] != -b[0]:
+            return a + b  # nothing cancels
         i = len(a)
         j = 0
         while i > 0 and j < len(b) and a[i - 1] == -b[j]:

@@ -53,7 +53,16 @@ class FiniteSubset:
             else:
                 digest = hashlib.sha1(";".join(formatted).encode()).hexdigest()[:12]
                 provenance = f"set:n={len(formatted)}:sha1={digest}"
-        return cls(group=group, elements=tuple(unique), provenance=provenance)
+        return cls._from_sorted(group, unique, provenance)
+
+    @classmethod
+    def _from_sorted(
+        cls, group: Group, elements: Iterable[Element], provenance: str
+    ) -> "FiniteSubset":
+        """A set the library computed from valid elements: `elements` are
+        distinct and in `group.sort_key` order, so nothing is validated or
+        sorted.  Text input goes through `from_iterable` instead."""
+        return cls(group=group, elements=tuple(elements), provenance=provenance)
 
     @cached_property
     def member_set(self) -> frozenset:
@@ -172,9 +181,8 @@ def _require_admissible(group: Group, D: FiniteSubset) -> None:
         )
 
 
-def outer_boundary(group: Group, D: FiniteSubset) -> FiniteSubset:
-    """(S*D) \\ D: the elements at distance exactly 1 from D."""
-    _require_non_empty(D)
+def _outer_boundary_set(group: Group, D: FiniteSubset) -> set:
+    """(S*D) \\ D as a plain set, for callers that need its members or size."""
     mul = group.mul
     members = D.member_set
     out = set()
@@ -183,27 +191,42 @@ def outer_boundary(group: Group, D: FiniteSubset) -> FiniteSubset:
             h = mul(s, x)
             if h not in members:
                 out.add(h)
-    return FiniteSubset.from_iterable(group, out, provenance=f"outer({D.provenance})")
+    return out
+
+
+def _inner_right(group: Group, D: FiniteSubset) -> list:
+    """{x in D : some x*s lies outside D}, in the order of D."""
+    mul = group.mul
+    members = D.member_set
+    gens = group.generating_set.elements
+    return [x for x in D.elements if any(mul(x, s) not in members for s in gens)]
+
+
+def _inner_left(group: Group, D: FiniteSubset) -> list:
+    """{x in D : some s*x lies outside D}, in the order of D."""
+    mul = group.mul
+    members = D.member_set
+    gens = group.generating_set.elements
+    return [x for x in D.elements if any(mul(s, x) not in members for s in gens)]
+
+
+def outer_boundary(group: Group, D: FiniteSubset) -> FiniteSubset:
+    """(S*D) \\ D: the elements at distance exactly 1 from D."""
+    _require_non_empty(D)
+    out = sorted(_outer_boundary_set(group, D), key=group.sort_key)
+    return FiniteSubset._from_sorted(group, out, f"outer({D.provenance})")
 
 
 def inner_boundary_right(group: Group, D: FiniteSubset) -> FiniteSubset:
     """{x in D : some x*s lies outside D}."""
     _require_non_empty(D)
-    mul = group.mul
-    members = D.member_set
-    gens = group.generating_set.elements
-    out = [x for x in D.elements if any(mul(x, s) not in members for s in gens)]
-    return FiniteSubset.from_iterable(group, out, provenance=f"inner_r({D.provenance})")
+    return FiniteSubset._from_sorted(group, _inner_right(group, D), f"inner_r({D.provenance})")
 
 
 def inner_boundary_left(group: Group, D: FiniteSubset) -> FiniteSubset:
     """{x in D : some s*x lies outside D}."""
     _require_non_empty(D)
-    mul = group.mul
-    members = D.member_set
-    gens = group.generating_set.elements
-    out = [x for x in D.elements if any(mul(s, x) not in members for s in gens)]
-    return FiniteSubset.from_iterable(group, out, provenance=f"inner_l({D.provenance})")
+    return FiniteSubset._from_sorted(group, _inner_left(group, D), f"inner_l({D.provenance})")
 
 
 def translate(group: Group, x: Element, D: FiniteSubset) -> FiniteSubset:
@@ -390,7 +413,7 @@ def transport_map(
     gens = group.generating_set.elements
     mul = group.mul
     members = D.member_set
-    boundary = outer_boundary(group, D).member_set
+    boundary = _outer_boundary_set(group, D)
 
     gamma0_inv = group.inv(gamma0)
     moved = sorted(
@@ -496,7 +519,7 @@ def verify_theorem(
     """
     _require_admissible(group, D)
     n = len(D)
-    boundary_size = len(outer_boundary(group, D))
+    boundary_size = len(_outer_boundary_set(group, D))
     radius = phi(group, 2 * n, ball_cap=ball_cap)
     lhs = Fraction(boundary_size, n)
     rhs = Fraction(1, 2 * radius)
@@ -521,7 +544,7 @@ def verify_csc(
     """
     _require_admissible(group, D)
     n = len(D)
-    inner_size = len(inner_boundary_right(group, D))
+    inner_size = len(_inner_right(group, D))
     card_s = len(group.generating_set)
     radius = phi(group, 2 * n, ball_cap=ball_cap)
     lhs = Fraction(inner_size, n)
@@ -547,9 +570,9 @@ def boundary_comparison(group: Group, D: FiniteSubset) -> VerificationReport:
     be surfaced as findings without failing a run.
     """
     _require_non_empty(D)
-    outer_size = len(outer_boundary(group, D))
-    left_size = len(inner_boundary_left(group, D))
-    right_size = len(inner_boundary_right(group, D))
+    outer_size = len(_outer_boundary_set(group, D))
+    left_size = len(_inner_left(group, D))
+    right_size = len(_inner_right(group, D))
     card_s = len(group.generating_set)
     lhs = Fraction(outer_size)
     rhs = Fraction(card_s * left_size)

@@ -159,7 +159,7 @@ def _sample_uniform_in_ball(group: Group, desc: SetDescriptor, *, ball_cap: int)
     chosen: set = set()
     while len(chosen) < desc.size:
         chosen.add(pool[rng.below(len(pool))])
-    return FiniteSubset.from_iterable(group, chosen, provenance=desc.text)
+    return FiniteSubset._from_sorted(group, sorted(chosen, key=group.sort_key), desc.text)
 
 
 def _sample_connected(group: Group, desc: SetDescriptor, *, ball_cap: int) -> FiniteSubset:
@@ -205,7 +205,7 @@ def _sample_connected(group: Group, desc: SetDescriptor, *, ball_cap: int) -> Fi
                 size=len(members) + len(frontier),
                 cap=ball_cap,
             )
-    return FiniteSubset.from_iterable(group, members, provenance=desc.text)
+    return FiniteSubset._from_sorted(group, sorted(members, key=sort_key), desc.text)
 
 
 def generate_sets(
@@ -236,10 +236,9 @@ def generate_sets(
         ground = _ground_set(group, ball_cap=ball_cap)
         for mask, size, _ in gray_subset_steps(group, ground=ground):
             if desc.size_lo <= size <= desc.size_hi:
+                # ground is sorted and distinct, so every subsequence is too
                 elems = [e for i, e in enumerate(ground) if mask >> i & 1]
-                yield FiniteSubset.from_iterable(
-                    group, elems, provenance=f"{desc.text}:mask={mask}"
-                )
+                yield FiniteSubset._from_sorted(group, elems, f"{desc.text}:mask={mask}")
         return
     raise ParseError(f"unknown descriptor kind {desc.kind!r}")
 

@@ -13,7 +13,8 @@ from scratch instead of reading them off the transport record.  The
 half-mass oracle computes every displacement in the ball in full, without
 the pruning and early stop of the library's scan.  The metric oracles run a
 fresh BFS for every query and walk stored parent links, as the library did
-before it kept one growth table per group.
+before it kept one growth table per group.  The free group's product oracle
+is the seam-cancelling loop without the no-cancellation fast path.
 """
 
 from fractions import Fraction
@@ -68,6 +69,17 @@ def word_length_by_enumeration(group, g, max_depth):
         if reaches(group.identity(), n):
             return n
     return None
+
+
+def free_mul_by_loop(a, b):
+    """Product of two reduced free-group words: cancel each x, -x pair at
+    the seam, one pair per step, then concatenate what is left."""
+    i = len(a)
+    j = 0
+    while i > 0 and j < len(b) and a[i - 1] == -b[j]:
+        i -= 1
+        j += 1
+    return a[:i] + b[j:]
 
 
 def naive_outer_boundary(group, members):

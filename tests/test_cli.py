@@ -175,6 +175,20 @@ def test_bad_values_exit_2(capsys, argv):
     assert err.startswith("isoplab: error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "theorem", "--group", "cyclic:12", "--set", "explicit:0,13"),
+    ("verify", "theorem", "--group", "z", "--set", "explicit:(0),(1,2)"),
+    ("verify", "theorem", "--group", "free:2", "--set", "explicit:a,c"),
+    ("verify", "theorem", "--group", "heisenberg:3", "--set", "explicit:(0,0,0),(0,0,3)"),
+    ("verify", "transport", "--group", "free:2", "--set", "ball:2", "--gamma0", "c"),
+    ("verify", "transport", "--group", "z", "--set", "ball:2", "--gamma0", "+2"),
+])
+def test_parsed_elements_are_validated(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("isoplab: error:")
+
+
 def test_out_to_directory_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "growth", "--group", "z", "--max-radius", "2", "--out", str(tmp_path))
     assert code == 2 and "cannot write" in err

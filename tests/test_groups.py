@@ -14,7 +14,7 @@ from isoplab import (
     ZGroup,
     parse_group,
 )
-from oracle_helpers import unitriangular_matmul
+from oracle_helpers import free_mul_by_loop, unitriangular_matmul
 
 ALL_SPECS = [
     "z", "zd:2", "zd:3", "cyclic:2", "cyclic:12", "dihedral:3", "dihedral:6",
@@ -251,3 +251,43 @@ def test_free_letter_e_is_reserved_for_the_identity():
         FreeGroup(26)
     with pytest.raises(ParseError):
         f5.parse("g")  # letter above rank
+
+
+def reduced_word(rank):
+    """Reduced words of free:rank, freely reduced with a stack rather than
+    by FreeGroup.mul."""
+    letters = [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)]
+
+    def reduce(raw):
+        word = []
+        for x in raw:
+            if word and word[-1] == -x:
+                word.pop()
+            else:
+                word.append(x)
+        return tuple(word)
+
+    return st.lists(st.sampled_from(letters), max_size=8).map(reduce)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda rank: st.tuples(
+    st.just(rank), reduced_word(rank), reduced_word(rank), st.integers(0, 8),
+)))
+def test_free_mul_matches_the_reduction_loop(case):
+    rank, a, c, k = case
+    group = FreeGroup(rank)
+    # b starts by undoing up to k letters of a, so cancellation is common
+    b = free_mul_by_loop(group.inv(a)[:k], c)
+    for x, y in ((a, b), (b, a), (a, c), (a, group.inv(a)), ((), a), (a, ())):
+        assert group.mul(x, y) == free_mul_by_loop(x, y)
+    assert group.mul(a, group.inv(a)) == ()
+
+
+def test_free_mul_cancellation_examples():
+    f2 = FreeGroup(2)
+    assert f2.mul((), ()) == ()
+    assert f2.mul((1, 2), ()) == (1, 2) and f2.mul((), (1, 2)) == (1, 2)
+    assert f2.mul((1, 2), (1,)) == (1, 2, 1)  # no cancellation
+    assert f2.mul((1, 2), (-2, 1)) == (1, 1)  # partial
+    assert f2.mul((1, -2, 1), (-1, 2, -1)) == ()  # full

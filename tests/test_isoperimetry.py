@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from isoplab import (
     FiniteSubset,
     Group,
+    ParseError,
     PreconditionViolated,
     SmoothedDensity,
     SplitMix64,
@@ -91,6 +92,60 @@ def test_boundaries_match_naive_oracles(spec, seed, size):
     assert set(inner_boundary_left(group, subset).elements) == naive_inner_boundary(
         group, members, "left"
     )
+
+
+BOUNDARY_FAMILIES = [
+    "z", "zd:2", "free:2", "heisenberg", "heisenberg:3", "cyclic:12", "dihedral:6", "symmetric:4",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(BOUNDARY_FAMILIES),
+    st.integers(1, 40),
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.integers(0, 10**6),
+)
+def test_counted_boundary_sizes_match_built_boundaries(spec, size, seed, uniform, pick):
+    group = parse_group(spec)
+    table = ball(group, 4)
+    order = group.order()
+    # stay inside the group for the connected sampler, inside B(e, 4) for the uniform one
+    size = min(size, table.size if uniform else order or size)
+    text = f"random:{size}:{seed}" + (":ball=4" if uniform else "")
+    D = generate_set(group, parse_set_descriptor(text))
+    members = set(D.elements)
+    outer = naive_outer_boundary(group, members)
+    left = naive_inner_boundary(group, members, "left")
+    right = naive_inner_boundary(group, members, "right")
+    for built, naive, label in (
+        (outer_boundary(group, D), outer, "outer"),
+        (inner_boundary_left(group, D), left, "inner_l"),
+        (inner_boundary_right(group, D), right, "inner_r"),
+    ):
+        want = FiniteSubset.from_iterable(group, naive, provenance=f"{label}({D.provenance})")
+        assert (built.elements, built.provenance) == (want.elements, want.provenance)
+    extra = boundary_comparison(group, D).extra
+    assert (extra["outer_size"], extra["inner_left_size"], extra["inner_right_size"]) == (
+        len(outer), len(left), len(right),
+    )
+    pool = [g for layer in table.layers[1:] for g in layer]
+    assert transport_map(group, pool[pick % len(pool)], D).boundary_size == len(outer)
+    if order is None or 2 * size < order:
+        assert verify_theorem(group, D).extra["boundary_size"] == len(outer)
+        assert verify_csc(group, D).extra["inner_right_size"] == len(right)
+
+
+def test_from_iterable_validates_every_element():
+    with pytest.raises(ParseError):
+        FiniteSubset.from_iterable(Z, [(1, 2)])
+    with pytest.raises(ParseError):
+        FiniteSubset.from_iterable(Z, [(0,), (1, 2)])
+    with pytest.raises(ParseError):
+        FiniteSubset.from_iterable(F2, [(1, -1)])  # not reduced
+    with pytest.raises(ParseError):
+        FiniteSubset.from_iterable(C12, [12])
 
 
 def test_translate_and_displacement_examples():

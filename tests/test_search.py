@@ -28,7 +28,7 @@ from isoplab import (
     phi,
     sharpness_of_subsets,
 )
-from isoplab.search import _sample_connected, anchored_subset_steps
+from isoplab.search import _sample_connected, _sample_uniform_in_ball, anchored_subset_steps
 from oracle_helpers import naive_outer_boundary, profile_by_gray_walk, sample_connected_by_resort
 
 Z = parse_group("z")
@@ -194,6 +194,49 @@ def test_connected_sampler_budget_matches_oracle(spec, seed, cap, excess):
     assert got == _sampled(sample_connected_by_resort, group, desc, cap)
     if size > cap:
         assert got[0] is BudgetExceeded and got[3] == cap and got[2] > cap
+
+
+TRUSTED_FAMILIES = [
+    "z", "zd:2", "free:2", "heisenberg", "heisenberg:3", "cyclic:12", "dihedral:6", "symmetric:4",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(TRUSTED_FAMILIES), SEEDS, st.integers(1, 60), st.sampled_from([None, 2, 3, 5]),
+)
+def test_sampled_sets_equal_validated_sets(spec, seed, size, radius):
+    group = parse_group(spec)
+    # stay inside the group for the connected sampler, inside B(e, radius) for the uniform one
+    room = ball(group, radius).size if radius is not None else (group.order() or size)
+    size = min(size, room)
+    text = f"random:{size}:{seed}" + ("" if radius is None else f":ball={radius}")
+    desc = parse_set_descriptor(text)
+    sampler = _sample_connected if radius is None else _sample_uniform_in_ball
+    got = sampler(group, desc, ball_cap=5_000_000)
+    want = FiniteSubset.from_iterable(group, reversed(got.elements), provenance=desc.text)
+    assert (got.elements, got.provenance) == (want.elements, want.provenance)
+
+
+@pytest.mark.parametrize("spec,sizes", [
+    ("cyclic:8", "1..3"), ("dihedral:4", "2..6"), ("symmetric:3", "1..6"),
+    ("heisenberg:2", "3..5"),
+])
+def test_exhaustive_stream_equals_validated_sets(spec, sizes):
+    group = parse_group(spec)
+    desc = parse_set_descriptor(f"exhaustive:{sizes}")
+    ground = enumerate_group(group)
+    want = [
+        FiniteSubset.from_iterable(
+            group,
+            [e for i, e in enumerate(ground) if mask >> i & 1],
+            provenance=f"{desc.text}:mask={mask}",
+        )
+        for mask, size, _ in gray_subset_steps(group, ground=ground)
+        if desc.size_lo <= size <= desc.size_hi
+    ]
+    got = list(generate_sets(group, desc))
+    assert [(s.elements, s.provenance) for s in got] == [(s.elements, s.provenance) for s in want]
 
 
 # sha256 of the newline-joined formatted elements, recorded with the
