@@ -4,19 +4,22 @@ Random sets come from the documented SplitMix64 stream, so a descriptor
 plus seed reproduces the identical set on any machine.  Subsets of a
 finite group are read as sets of positions in its canonically sorted
 element list, which only _ground_set builds: it alone applies the
-exhaustive order cap DEFAULT_SUBSET_CAP, and both exhaustive walks take
-the list it returns.  Each walk updates the outer-boundary size
-incrementally, one added or removed position per step.
+exhaustive order cap DEFAULT_SUBSET_CAP.
 
-The `exhaustive:` descriptor streams the subsets in its size range, but
-walks all 2^N bitmasks in binary-reflected Gray-code order to find them,
-whatever the range.  A profile needs only one least-boundary set per
-requested size k, and right translation preserves both the size and the
-outer boundary, since S(Dg) = (SD)g.  So every minimiser has a translate
-through position 0, and the lexicographically least minimiser contains
-position 0.  The profile therefore walks only the sets {0} u R, R a set of
-positions 1..N-1, depth first in lexicographic order: C(N-1, k-1) sets of
-each size k up to the largest requested.
+The `exhaustive:` descriptor streams the subsets in its size range in
+binary-reflected Gray-code order of their bitmasks.  gray_subset_steps
+jumps over every run of the code whose sizes all miss the range, so it
+meets only the wanted masks, and computes no boundaries.
+
+A profile needs only one least-boundary set per requested size k, and
+right translation preserves both the size and the outer boundary, since
+S(Dg) = (SD)g.  So every minimiser has a translate through position 0,
+and the lexicographically least minimiser contains position 0.  The
+profile therefore walks only the sets {0} u R, R a set of positions
+1..N-1, depth first in lexicographic order: C(N-1, k-1) sets of each size
+k up to the largest requested.  That walk, anchored_subset_steps, updates
+the outer-boundary size incrementally, one added or removed position per
+step.
 """
 
 from __future__ import annotations
@@ -234,11 +237,14 @@ def generate_sets(
         return
     if desc.kind == "exhaustive":
         ground = _ground_set(group, ball_cap=ball_cap)
-        for mask, size, _ in gray_subset_steps(group, ground=ground):
-            if desc.size_lo <= size <= desc.size_hi:
-                # ground is sorted and distinct, so every subsequence is too
-                elems = [e for i, e in enumerate(ground) if mask >> i & 1]
-                yield FiniteSubset._from_sorted(group, elems, f"{desc.text}:mask={mask}")
+        if desc.size_lo > len(ground):
+            raise PreconditionViolated(
+                f"{group.name} has {len(ground)} elements, so {desc.text} denotes no subsets"
+            )
+        for mask, _ in gray_subset_steps(len(ground), desc.size_lo, desc.size_hi):
+            # ground is sorted and distinct, so every subsequence is too
+            elems = [e for i, e in enumerate(ground) if mask >> i & 1]
+            yield FiniteSubset._from_sorted(group, elems, f"{desc.text}:mask={mask}")
         return
     raise ParseError(f"unknown descriptor kind {desc.kind!r}")
 
@@ -265,44 +271,33 @@ def _ground_set(group: Group, *, ball_cap: int) -> list[Element]:
     return enumerate_group(group, ball_cap=ball_cap)
 
 
-def gray_subset_steps(group: Group, *, ground: list[Element]) -> Iterator[tuple[int, int, int]]:
-    """Walk all subsets of a finite group in Gray-code order.
+def gray_subset_steps(n: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """Yield (mask, size) for each n-bit mask with lo <= size <= hi, in
+    binary-reflected Gray-code order: mask i ^ (i >> 1) for i = 0, 1, ...
 
-    Yields (mask, size, outer_boundary_size) for every visited subset,
-    starting from the empty set.  Bit i of the mask refers to position i in
-    ground, the group's canonically sorted element list; each step flips
-    exactly one bit and updates the boundary size incrementally via
-    per-element counts of covering neighbors.
+    G(k), the code on the low k bits, is G(k-1) followed by G(k-1) reversed
+    with bit k-1 set.  So the 2^k indices from a multiple i of 2^k give all
+    settings of the low k bits under the fixed high bits mask >> k, and the
+    walk jumps over the largest such block in which every size misses the
+    range.
     """
-    n = len(ground)
-    neighbors = _neighbor_table(group, ground)
-
-    covered = [0] * n  # covered[z] = number of members y of D with z = s*y
-    in_d = [False] * n
-    size = 0
-    boundary = 0
-    yield (0, 0, 0)
-    for i in range(1, 1 << n):
-        bit = ((i ^ (i >> 1)) ^ ((i - 1) ^ ((i - 1) >> 1))).bit_length() - 1
-        if in_d[bit]:
-            in_d[bit] = False
-            size -= 1
-            if covered[bit] > 0:
-                boundary += 1
-            for z in neighbors[bit]:
-                covered[z] -= 1
-                if covered[z] == 0 and not in_d[z]:
-                    boundary -= 1
-        else:
-            in_d[bit] = True
-            size += 1
-            if covered[bit] > 0:
-                boundary -= 1
-            for z in neighbors[bit]:
-                if covered[z] == 0 and not in_d[z]:
-                    boundary += 1
-                covered[z] += 1
-        yield (i ^ (i >> 1), size, boundary)
+    i, end = 0, 1 << n
+    while i < end:
+        mask = i ^ (i >> 1)
+        size = mask.bit_count()
+        if lo <= size <= hi:
+            yield mask, size
+            i += 1
+            continue
+        # i is a multiple of 2^k up to its trailing zeros (n for i = 0);
+        # k = 0 always qualifies, since this mask misses the range
+        k = ((i & -i) or end).bit_length() - 1
+        while True:
+            fixed = (mask >> k).bit_count()
+            if fixed > hi or fixed + k < lo:
+                break
+            k -= 1
+        i += 1 << k
 
 
 def anchored_subset_steps(
@@ -319,14 +314,17 @@ def anchored_subset_steps(
     with R a set of positions 1..N-1 and size at most max_size: depth first
     in pre-order, sum(C(N-1, j) for j < max_size) steps in all.  Each step
     adds one position, after removing those it backtracks over, and updates
-    the boundary size with the same covering counts as gray_subset_steps.
-    `positions` is the walk's own ascending list, valid until the next
-    step: copy it to keep it.
+    the boundary size incrementally from per-position counts of covering
+    neighbours.  `positions` is the walk's own ascending list, valid until
+    the next step: copy it to keep it.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     n = len(ground)
-    neighbors = _neighbor_table(group, ground)
+    index = {e: i for i, e in enumerate(ground)}
+    mul = group.mul
+    # neighbors[i] = positions of s * ground[i] for s in the generating set
+    neighbors = [[index[mul(s, e)] for s in group.generating_set.elements] for e in ground]
 
     covered = [0] * n  # covered[z] = number of members y of D with z = s*y
     in_d = [False] * n
@@ -360,13 +358,6 @@ def anchored_subset_steps(
                 return
             if q < n:
                 break
-
-
-def _neighbor_table(group: Group, ground: list[Element]) -> list[list[int]]:
-    """neighbors[i] = positions of s * ground[i] for s in the generating set."""
-    index = {e: i for i, e in enumerate(ground)}
-    mul = group.mul
-    return [[index[mul(s, e)] for s in group.generating_set.elements] for e in ground]
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,10 @@ from iterative-deepening word search, and the unitriangular product from
 literal 3x3 integer matrix multiplication.  The connected sampler's oracle
 is the straightforward version that rebuilds and re-sorts its frontier
 after every pick; it shares only the SplitMix64 stream with the library.
-The profile's oracle walks all 2^N subsets in Gray-code order and breaks
+The Gray-walk oracle visits all 2^N subsets in binary-reflected Gray-code
+order and keeps each outer-boundary size up to date from per-element
+covering counts, as the `exhaustive:` stream did before it learned to skip
+the masks outside its size range.  The profile's oracle reads it and breaks
 boundary ties by comparing position tuples, without the anchoring argument.
 The displacement bound's oracle counts gamma0*D \\ D and the outer boundary
 from scratch instead of reading them off the transport record.  The
@@ -32,7 +35,6 @@ from isoplab import (
     VerificationReport,
     displacement,
     enumerate_group,
-    gray_subset_steps,
     minimal_d,
     phi,
     word_length,
@@ -146,6 +148,42 @@ def sample_connected_by_resort(group, desc, *, ball_cap):
     return FiniteSubset.from_iterable(group, members, provenance=desc.text)
 
 
+def gray_walk_with_boundaries(group, ground):
+    """Walk all subsets of a finite group in Gray-code order, from the empty
+    set: yield (mask, size, outer_boundary_size) with bit i of the mask for
+    ground[i].  Each step flips one bit and updates the boundary size from
+    covered[z], the number of members y with z = s*y."""
+    n = len(ground)
+    index = {e: i for i, e in enumerate(ground)}
+    neighbors = [[index[group.mul(s, e)] for s in group.generating_set.elements] for e in ground]
+    covered = [0] * n
+    in_d = [False] * n
+    size = 0
+    boundary = 0
+    yield (0, 0, 0)
+    for i in range(1, 1 << n):
+        bit = ((i ^ (i >> 1)) ^ ((i - 1) ^ ((i - 1) >> 1))).bit_length() - 1
+        if in_d[bit]:
+            in_d[bit] = False
+            size -= 1
+            if covered[bit] > 0:
+                boundary += 1
+            for z in neighbors[bit]:
+                covered[z] -= 1
+                if covered[z] == 0 and not in_d[z]:
+                    boundary -= 1
+        else:
+            in_d[bit] = True
+            size += 1
+            if covered[bit] > 0:
+                boundary -= 1
+            for z in neighbors[bit]:
+                if covered[z] == 0 and not in_d[z]:
+                    boundary += 1
+                covered[z] += 1
+        yield (i ^ (i >> 1), size, boundary)
+
+
 def profile_by_gray_walk(group, sizes):
     """Exhaustive profile rows over all 2^N subsets: for each size, the least
     boundary and, among sets with it, the least ascending position tuple."""
@@ -156,7 +194,7 @@ def profile_by_gray_walk(group, sizes):
         return tuple(i for i in range(len(ground)) if mask >> i & 1)
 
     best = {}
-    for mask, size, boundary in gray_subset_steps(group, ground=ground):
+    for mask, size, boundary in gray_walk_with_boundaries(group, ground):
         if size not in wanted:
             continue
         cur = best.get(size)

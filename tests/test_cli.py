@@ -152,6 +152,16 @@ def test_exit_code_precondition(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("command", [("verify", "theorem"), ("sharpness",)])
+def test_exhaustive_range_above_the_order_exits_4(capsys, command):
+    code, out, err = run(capsys, *command, "--group", "cyclic:8", "--set", "exhaustive:30..40")
+    assert code == 4 and out == ""
+    assert err == (
+        "isoplab: precondition violated: "
+        "cyclic:8 has 8 elements, so exhaustive:30..40 denotes no subsets\n"
+    )
+
+
 def test_usage_error_returns_2(capsys):
     assert main(["no-such-command"]) == 2
 

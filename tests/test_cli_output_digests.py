@@ -30,6 +30,10 @@ COMMANDS = {
     "profile-dihedral:6": ("profile", "--group", "dihedral:6", "--sizes", "1..5"),
     "profile-cyclic:16": ("profile", "--group", "cyclic:16", "--sizes", "1..7"),
     "profile-symmetric:4": ("profile", "--group", "symmetric:4", "--sizes", "1..3"),
+    # the exhaustive: stream, including a range far below the order of symmetric:4
+    "stream-cyclic:12": ("verify", "theorem", "--group", "cyclic:12", "--set", "exhaustive:1..5"),
+    "stream-dihedral:5": ("verify", "boundary-cmp", "--group", "dihedral:5", "--set", "exhaustive:3..7"),
+    "stream-symmetric:4": ("verify", "theorem", "--group", "symmetric:4", "--set", "exhaustive:1..1"),
     "sharpness-intervals": ("sharpness", "--group", "z", "--family", "intervals", "--max-n", "12"),
     "sharpness-set": ("sharpness", "--group", "free:2", "--set", "random:6:1", "--trials", "3"),
     "accept": ("accept", "--quick", "--seed", "7"),
@@ -60,6 +64,9 @@ DIGESTS = {
     ("profile-dihedral:6", "csv"): "60be03964f6302dc",
     ("profile-cyclic:16", "csv"): "56950f02dfeb3f9d",
     ("profile-symmetric:4", "csv"): "117cc6fc48158899",
+    ("stream-cyclic:12", "jsonl"): "f0fca123697eb659",
+    ("stream-dihedral:5", "csv"): "bb3e85a395288d17",
+    ("stream-symmetric:4", "jsonl"): "3ad1380a9b098bfa",
     ("sharpness-intervals", "jsonl"): "4790918e35dbc64e",
     ("sharpness-intervals", "csv"): "0d79183799c275d7",
     ("sharpness-intervals", "human"): "1eac60cb3c4dc4c7",

@@ -10,8 +10,9 @@ reads the ball size as `len(_grow(...)[2])`: a change to `_grow`'s return
 shape must fail here rather than corrupt `metric.ball_elements`.  Likewise
 it reads `len(_sample_connected(...))` for `search.sampled_elements`, so a
 connected-sample job pins that count, and it counts the steps of
-`gray_subset_steps` for `search.subsets_visited`, which the `exhaustive:`
-stream still walks, so an exhaustive-descriptor job pins that count.
+`gray_subset_steps` for `search.subsets_visited`, reading each step's size
+as `step[1]`.  The `exhaustive:` stream walks only the masks in its size
+range, one step each, so an exhaustive-descriptor job pins that count.
 """
 
 import json
@@ -67,4 +68,4 @@ def test_counter_reads_gray_walk_steps():
     argv = ["verify", "theorem", "--group", "cyclic:8", "--set", "exhaustive:1..3", "--format", "jsonl"]
     lines, counts = run_recorded("Counter()", argv)
     assert len(lines) == 92  # comb(8, 1) + comb(8, 2) + comb(8, 3) sets
-    assert counts["subsets_visited"] == 256
+    assert counts["subsets_visited"] == 92  # the masks of size 1..3

@@ -29,7 +29,12 @@ from isoplab import (
     sharpness_of_subsets,
 )
 from isoplab.search import _sample_connected, _sample_uniform_in_ball, anchored_subset_steps
-from oracle_helpers import naive_outer_boundary, profile_by_gray_walk, sample_connected_by_resort
+from oracle_helpers import (
+    gray_walk_with_boundaries,
+    naive_outer_boundary,
+    profile_by_gray_walk,
+    sample_connected_by_resort,
+)
 
 Z = parse_group("z")
 C8 = parse_group("cyclic:8")
@@ -102,13 +107,21 @@ def test_exhaustive_needs_small_finite_group():
     for exc in (stream_exc.value, profile_exc.value):
         assert (exc.size, exc.cap) == (26, 24)
         assert str(exc) == "dihedral:13 has 26 elements, above the exhaustive cap 24"
-    # the 24-element group sits exactly at the cap: enumeration is admitted
-    # (walking all 2^24 masks is exercised on smaller groups above)
-    from isoplab.search import _ground_set
-    assert len(_ground_set(parse_group("symmetric:4"), ball_cap=5_000_000)) == 24
-    d8 = parse_group("dihedral:8")  # 16 elements: a full 65536-mask walk
+    # the 24-element group sits exactly at the cap: its stream is admitted
+    stream = generate_sets(parse_group("symmetric:4"), parse_set_descriptor("exhaustive:1..1"))
+    assert len(list(stream)) == 24
+    d8 = parse_group("dihedral:8")  # 16 elements
     stream = generate_sets(d8, parse_set_descriptor("exhaustive:1..1"))
     assert len(list(stream)) == 16
+
+
+def test_exhaustive_range_above_the_order_denotes_no_sets():
+    # cyclic:8 has one subset of size 8 and none larger
+    (whole,) = generate_sets(C8, parse_set_descriptor("exhaustive:8..12"))
+    assert whole.provenance == "exhaustive:8..12:mask=255" and len(whole) == 8
+    for text in ("exhaustive:9..9", "exhaustive:30..40"):
+        with pytest.raises(PreconditionViolated, match="cyclic:8 has 8 elements"):
+            next(generate_sets(C8, parse_set_descriptor(text)))
 
 
 def test_random_uniform_in_ball_is_deterministic_and_in_ball():
@@ -226,14 +239,15 @@ def test_exhaustive_stream_equals_validated_sets(spec, sizes):
     group = parse_group(spec)
     desc = parse_set_descriptor(f"exhaustive:{sizes}")
     ground = enumerate_group(group)
+    masks = (i ^ (i >> 1) for i in range(1 << len(ground)))
     want = [
         FiniteSubset.from_iterable(
             group,
             [e for i, e in enumerate(ground) if mask >> i & 1],
             provenance=f"{desc.text}:mask={mask}",
         )
-        for mask, size, _ in gray_subset_steps(group, ground=ground)
-        if desc.size_lo <= size <= desc.size_hi
+        for mask in masks
+        if desc.size_lo <= mask.bit_count() <= desc.size_hi
     ]
     got = list(generate_sets(group, desc))
     assert [(s.elements, s.provenance) for s in got] == [(s.elements, s.provenance) for s in want]
@@ -283,13 +297,27 @@ def test_expand_trials_reseeds_random_descriptors():
 def test_gray_scan_matches_direct_recomputation(spec):
     group = parse_group(spec)
     ground = enumerate_group(group)
-    steps = list(gray_subset_steps(group, ground=ground))
-    # the exhaustive: stream keeps the binary-reflected Gray order
+    steps = list(gray_walk_with_boundaries(group, ground))
     assert [mask for mask, _, _ in steps] == [i ^ (i >> 1) for i in range(1 << len(ground))]
     for mask, size, boundary in steps:
         members = {ground[i] for i in range(len(ground)) if mask >> i & 1}
         assert size == len(members)
         assert boundary == len(naive_outer_boundary(group, members))
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_gray_subset_steps_equal_the_filtered_gray_code(n):
+    code = [i ^ (i >> 1) for i in range(1 << n)]
+    for lo in range(n + 2):
+        for hi in range(lo, n + 2):
+            want = [(m, m.bit_count()) for m in code if lo <= m.bit_count() <= hi]
+            assert list(gray_subset_steps(n, lo, hi)) == want
+
+
+def test_exhaustive_stream_is_lazy():
+    # 1..12 of 24 elements is over 9 million sets; the first must not wait for them
+    first = next(generate_sets(parse_group("symmetric:4"), parse_set_descriptor("exhaustive:1..12")))
+    assert first.provenance == "exhaustive:1..12:mask=1" and len(first) == 1
 
 
 # --------------------------------------------------------------- anchored walk
