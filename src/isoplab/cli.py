@@ -314,7 +314,7 @@ def _cmd_accept(config: RunConfig) -> int:
     results = outcome.results
 
     def records():
-        yield from (r.to_json_dict() for r in outcome.reports)
+        yield from outcome.report_dicts
         yield from (res.to_json_dict() for res in results)
         yield {"all_passed": outcome.all_passed}
 

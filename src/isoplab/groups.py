@@ -13,9 +13,11 @@ The symmetric generating set of each family is fixed at construction:
     symmetric:<n>    adjacent transpositions (each its own inverse)
 
 No generating set contains the identity; involutions appear once, and
-Card(S) counts distinct elements.  Elements are totally ordered by
-(encoding length, encoding); that order is the tie-breaker wherever
-determinism matters.
+Card(S) counts distinct elements.  The canonical order, the tie-breaker
+wherever determinism matters, is the elements' natural order, except that
+free words go by length first (shortlex); `Group.sort_key` is its key.  A
+free word's length is its word length, so elements of equal word length
+are in canonical order when sorted plainly, without a key.
 """
 
 from __future__ import annotations
@@ -109,13 +111,9 @@ class Group:
         """Raise ParseError unless e is a canonical encoding for this group."""
         raise NotImplementedError
 
-    def encoding(self, e: Element) -> tuple:
-        """Canonical tuple encoding used by the documented total order."""
-        return e  # tuple-encoded families
-
     def sort_key(self, e: Element):
-        enc = self.encoding(e)
-        return (len(enc), enc)
+        """Key of the canonical order: the element itself, outside free groups."""
+        return e
 
     def parse(self, text: str) -> Element:
         raise NotImplementedError
@@ -266,9 +264,6 @@ class CyclicGroup(Group):
         if not (isinstance(e, int) and 0 <= e < self.n):
             raise ParseError(f"{self.name}: residue must lie in 0..{self.n - 1}, got {e!r}")
 
-    def encoding(self, e):
-        return (e,)
-
     def generator_tokens(self):
         return {"+1": 1, "-1": self.n - 1}
 
@@ -385,6 +380,10 @@ class FreeGroup(Group):
 
     def inv(self, a):
         return tuple(-x for x in reversed(a))
+
+    def sort_key(self, e):
+        """Shortlex: by length, then naturally."""
+        return (len(e), e)
 
     def order(self):
         return None

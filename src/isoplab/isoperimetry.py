@@ -271,15 +271,15 @@ class SmoothedDensity:
         self.d = d
         self.table = table if table is not None and table.radius == d else ball(group, d, ball_cap=ball_cap)
         self.ball_size = self.table.size
-        self.values: dict = {}
+
+    def count(self, y: Element) -> int:
+        """|D n B(y, d)| = |{x in B(e, d) : x*y in D}|, which is value(y) * |B(e, d)|."""
+        mul = self.group.mul
+        members = self.D.member_set
+        return sum(1 for x in self.table.elements() if mul(x, y) in members)
 
     def value(self, y: Element) -> Fraction:
-        if y not in self.values:
-            mul = self.group.mul
-            members = self.D.member_set
-            count = sum(1 for x in self.table.elements() if mul(x, y) in members)
-            self.values[y] = Fraction(count, self.ball_size)
-        return self.values[y]
+        return Fraction(self.count(y), self.ball_size)
 
 
 def smoothed_density(
@@ -301,7 +301,7 @@ def lemma31_check(
         B = sum over y in D of |B(y,d) \\ D|
         C = sum over x in B(e,d) of |xD \\ D|
 
-    and reports whether A = B = C as integers.
+    and reports whether A = B = C as integers; A's terms are |B(e,d)| - count(y).
     """
     _require_non_empty(D)
     if d < 0:
@@ -311,10 +311,7 @@ def lemma31_check(
     members = D.member_set
 
     density = SmoothedDensity(group, D, d, table=table)
-    a_frac = sum((1 - density.value(y) for y in D.elements), start=Fraction(0)) * table.size
-    if a_frac.denominator != 1:
-        raise InternalContradiction("scaled smoothing deficit is not an integer")
-    a_value = int(a_frac)
+    a_value = table.size * len(D) - sum(density.count(y) for y in D.elements)
 
     b_value = sum(
         sum(1 for x in table.elements() if mul(x, y) not in members) for y in D.elements

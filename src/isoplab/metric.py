@@ -90,7 +90,7 @@ def _grow(
                         raise _over_cap(group, ball_cap, level)
         if not frontier:
             return layers, True, depth
-        frontier.sort(key=group.sort_key)
+        frontier.sort()  # one word length: the canonical order (see groups)
         layers.append(tuple(frontier))
     return layers, False, depth
 
@@ -207,7 +207,7 @@ class BallTable:
             pred = mul(gens.elements[j], h)
             if depth.get(pred) == k - 1:
                 preds.append((pred, i))
-        pred, i = min(preds, key=lambda p: self.group.sort_key(p[0]))
+        pred, i = min(preds)  # one word length: the canonical order (see groups)
         return i, pred
 
 

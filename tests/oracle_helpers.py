@@ -16,8 +16,11 @@ from scratch instead of reading them off the transport record.  The
 half-mass oracle computes every displacement in the ball in full, without
 the pruning and early stop of the library's scan.  The metric oracles run a
 fresh BFS for every query and walk stored parent links, as the library did
-before it kept one growth table per group.  The free group's product oracle
-is the seam-cancelling loop without the no-cancellation fast path.
+before it kept one growth table per group; they sort each layer by
+`encoding_order_key`, the canonical order's key as it was first defined.
+The free group's product oracle is the seam-cancelling loop without the
+no-cancellation fast path.  The lemma 3.1 oracle computes route A with one
+`Fraction` per point, as the library did before it summed integer counts.
 """
 
 from fractions import Fraction
@@ -25,6 +28,7 @@ from itertools import product
 
 from isoplab import (
     BudgetExceeded,
+    CyclicGroup,
     FiniteSubset,
     InternalContradiction,
     PreconditionViolated,
@@ -33,12 +37,21 @@ from isoplab import (
     TransportWitness,
     Unattainable,
     VerificationReport,
+    ball,
     displacement,
     enumerate_group,
     minimal_d,
     phi,
     word_length,
 )
+
+
+def encoding_order_key(group):
+    """Key function of the canonical order as first defined: (len(enc), enc),
+    where enc is the element's tuple encoding, (e,) for a residue."""
+    if isinstance(group, CyclicGroup):
+        return lambda e: (1, (e,))
+    return lambda e: (len(e), e)
 
 
 def word_ball(group, radius):
@@ -322,7 +335,7 @@ def grow_with_parents(group, done, *, ball_cap):
                         )
         if not frontier:
             break
-        frontier.sort(key=group.sort_key)
+        frontier.sort(key=encoding_order_key(group))
         layers.append(tuple(frontier))
     return layers, parent, depth
 
@@ -375,3 +388,16 @@ def oracle_default_uniform_radius(group, size, ball_cap):
     if len(depth) < size:
         raise PreconditionViolated(f"random size {size} exceeds group size {len(depth)}")
     return len(layers) - 1
+
+
+def lemma31_route_a_by_fractions(group, D, d):
+    """Route A of the lemma 3.1 identity, |B(e,d)| * sum over y in D of
+    (1 - |{x in B(e,d) : x*y in D}| / |B(e,d)|), summed as fractions; a
+    Fraction, which the identity requires to be an integer."""
+    elements = list(ball(group, d).elements())
+    members = set(D.elements)
+    return sum(
+        (1 - Fraction(sum(1 for x in elements if group.mul(x, y) in members), len(elements))
+         for y in D.elements),
+        start=Fraction(0),
+    ) * len(elements)

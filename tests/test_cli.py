@@ -5,7 +5,7 @@ from dataclasses import fields
 import pytest
 
 from isoplab.cli import RunConfig, _resolve_config, build_parser, main, parse_generator_word
-from isoplab import parse_group
+from isoplab import VerificationReport, parse_group
 
 
 def run(capsys, *argv):
@@ -351,3 +351,21 @@ def test_accept_quick_passes_and_exits_zero(capsys):
     assert code == 0
     assert "acceptance: ALL PASS" in out
     assert out.count("criterion") == 8
+
+
+def test_accept_encodes_each_report_once_per_pass(capsys, monkeypatch):
+    # one to_json_dict per report in each of the two passes; stdout reuses the reported pass's
+    calls = 0
+    to_json_dict = VerificationReport.to_json_dict
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return to_json_dict(self)
+
+    monkeypatch.setattr(VerificationReport, "to_json_dict", counted)
+    code, out, _ = run(capsys, "accept", "--quick", "--seed", "7", "--format", "jsonl")
+    assert code == 0
+    reports = sum(1 for line in out.splitlines() if '"kind":' in line)
+    assert reports > 1000
+    assert calls == 2 * reports

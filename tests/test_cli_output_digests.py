@@ -34,6 +34,15 @@ COMMANDS = {
     "stream-cyclic:12": ("verify", "theorem", "--group", "cyclic:12", "--set", "exhaustive:1..5"),
     "stream-dihedral:5": ("verify", "boundary-cmp", "--group", "dihedral:5", "--set", "exhaustive:3..7"),
     "stream-symmetric:4": ("verify", "theorem", "--group", "symmetric:4", "--set", "exhaustive:1..1"),
+    # witnesses and transport images that tie-break by the order within a BFS
+    # layer: free words, residues, unitriangular triples and permutations
+    "halfmass-free:2": ("verify", "halfmass", "--group", "free:2", "--set", "random:40:3:ball=4"),
+    "halfmass-cyclic:12": ("verify", "halfmass", "--group", "cyclic:12", "--set", "explicit:0,1,2,3,5"),
+    "halfmass-heisenberg:3": ("verify", "halfmass", "--group", "heisenberg:3", "--set", "random:9:4"),
+    "halfmass-symmetric:4": ("verify", "halfmass", "--group", "symmetric:4", "--set", "random:7:2"),
+    "transport-free:2": (
+        "verify", "transport", "--group", "free:2", "--set", "random:20:4", "--gamma0", "abA",
+    ),
     "sharpness-intervals": ("sharpness", "--group", "z", "--family", "intervals", "--max-n", "12"),
     "sharpness-set": ("sharpness", "--group", "free:2", "--set", "random:6:1", "--trials", "3"),
     "accept": ("accept", "--quick", "--seed", "7"),
@@ -67,6 +76,11 @@ DIGESTS = {
     ("stream-cyclic:12", "jsonl"): "f0fca123697eb659",
     ("stream-dihedral:5", "csv"): "bb3e85a395288d17",
     ("stream-symmetric:4", "jsonl"): "3ad1380a9b098bfa",
+    ("halfmass-free:2", "jsonl"): "5115a7de41327aa4",
+    ("halfmass-cyclic:12", "jsonl"): "5c540913e1deb1ae",
+    ("halfmass-heisenberg:3", "jsonl"): "783cd3dff39fc029",
+    ("halfmass-symmetric:4", "jsonl"): "6bc747845a2e7962",
+    ("transport-free:2", "jsonl"): "13d1c0ad0de4076d",
     ("sharpness-intervals", "jsonl"): "4790918e35dbc64e",
     ("sharpness-intervals", "csv"): "0d79183799c275d7",
     ("sharpness-intervals", "human"): "1eac60cb3c4dc4c7",

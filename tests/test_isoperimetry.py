@@ -33,9 +33,11 @@ from isoplab import (
     verify_theorem,
     word_length,
 )
+from isoplab.acceptance import FAMILIES
 from oracle_helpers import (
     displacement_bound_by_direct_count,
     half_mass_by_full_scan,
+    lemma31_route_a_by_fractions,
     naive_inner_boundary,
     naive_outer_boundary,
 )
@@ -242,6 +244,15 @@ def test_lemma31_randomized(spec):
 def test_lemma31_property_on_z(values, d):
     rep = lemma31_check(Z, zset(*values), d)
     assert rep.verdict
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(1, 30), st.integers(0, 2**32), st.integers(0, 4))
+def test_lemma31_route_a_matches_the_fraction_route(fam, size, seed, d):
+    group = parse_group(fam)
+    size = min(size, group.order() or size)
+    subset = generate_set(group, parse_set_descriptor(f"random:{size}:{seed}"))
+    assert lemma31_check(group, subset, d).lhs == lemma31_route_a_by_fractions(group, subset, d)
 
 
 @pytest.mark.parametrize("spec,seed", [("zd:2", 41), ("free:2", 42), ("dihedral:6", 43)])

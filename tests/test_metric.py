@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isoplab import (
@@ -16,7 +16,7 @@ from isoplab import (
     phi,
     word_length,
 )
-from oracle_helpers import word_ball, word_length_by_enumeration
+from oracle_helpers import encoding_order_key, word_ball, word_length_by_enumeration
 
 
 def test_growth_closed_forms():
@@ -75,6 +75,29 @@ def test_layers_are_disjoint_sorted_and_parented(spec, radius):
                 s = group.generating_set.elements[i]
                 assert group.mul(s, pred) == g
                 assert table.layer_of(pred) == k - 1
+
+
+# spec -> radius of the ball the order test reads
+ORDER_RADII = {
+    "z": 6, "zd:3": 3, "free:2": 4, "free:3": 3, "cyclic:12": 6,
+    "dihedral:6": 6, "heisenberg": 3, "heisenberg:3": 4, "symmetric:4": 6,
+}
+ORDER_POOLS = {spec: ball(parse_group(spec), r) for spec, r in ORDER_RADII.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@example("free:2", [0, 1, 5, 17, 2, 53])  # e, B, BB, BBB, A, BBBB: not in natural order
+@given(st.sampled_from(sorted(ORDER_RADII)), st.lists(st.integers(0, 10**6), max_size=40))
+def test_canonical_order_is_the_encoding_order(spec, picks):
+    # every BFS layer is sorted without a key; sort_key orders mixed lengths
+    table = ORDER_POOLS[spec]
+    group = table.group
+    old_key = encoding_order_key(group)
+    for layer in table.layers:
+        assert list(layer) == sorted(layer, key=old_key)
+    pool = list(table.elements())
+    xs = [pool[i % len(pool)] for i in picks]
+    assert sorted(xs, key=group.sort_key) == sorted(xs, key=old_key)
 
 
 def test_phi_examples():

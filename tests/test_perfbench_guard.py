@@ -13,6 +13,9 @@ connected-sample job pins that count, and it counts the steps of
 `gray_subset_steps` for `search.subsets_visited`, reading each step's size
 as `step[1]`.  The `exhaustive:` stream walks only the masks in its size
 range, one step each, so an exhaustive-descriptor job pins that count.
+It counts `sort_key` calls by patching the method on each group class that
+defines it, so a free-group connected-sample job pins that count: a key
+bound on the instance instead would hide those calls.
 """
 
 import json
@@ -69,3 +72,10 @@ def test_counter_reads_gray_walk_steps():
     lines, counts = run_recorded("Counter()", argv)
     assert len(lines) == 92  # comb(8, 1) + comb(8, 2) + comb(8, 3) sets
     assert counts["subsets_visited"] == 92  # the masks of size 1..3
+
+
+def test_counter_reads_free_group_sort_keys():
+    argv = ["verify", "theorem", "--group", "free:2", "--set", "random:60:3", "--format", "jsonl"]
+    lines, counts = run_recorded("Counter()", argv)
+    assert json.loads(lines[-1])["extra"]["set_size"] == 60
+    assert counts["sort_key_calls"] == 241  # the connected sampler's shortlex keys
