@@ -15,7 +15,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 from .acceptance import DEFAULT_SEED, run_acceptance
@@ -53,43 +52,8 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_PRECONDITION = 4
 
-_RELATION = {
-    "lemma31": "=",
-    "half_mass": ">",
-    "theorem": ">",
-    "csc": ">=",
-    "preimage_bound": "<=",
-    "displacement_bound": "<=",
-    "boundary_cmp": "<=",
-}
-
-
-@dataclass
-class RunConfig:
-    """Everything that determines a run; echoed into every report."""
-
-    command: str
-    group: Optional[str] = None
-    set: Optional[str] = None
-    d: Optional[int] = None
-    gamma0: Optional[str] = None
-    trials: Optional[int] = None
-    seed: Optional[int] = None
-    sizes: Optional[str] = None
-    max_radius: Optional[int] = None
-    phi: Optional[int] = None
-    family: Optional[str] = None
-    max_n: Optional[int] = None
-    format: str = "human"
-    out: Optional[str] = None
-    ball_cap: int = DEFAULT_BALL_CAP
-    quick: Optional[bool] = None
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
-
-    def json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+# Namespace entries that are not settings of the run, so never echoed
+_NOT_SETTINGS = {"check", "config_path"}
 
 
 def parse_generator_word(group: Group, text: str) -> Element:
@@ -127,24 +91,29 @@ def _csv_lines(header: list[str], rows) -> list[str]:
     return buf.getvalue().splitlines()
 
 
-def _emit(config: RunConfig, records, header: list[str], rows, human) -> None:
+def _emit(config: argparse.Namespace, records, header: list[str], rows, human) -> None:
     """Render one command's output in config.format and write it.
 
     records, rows and human are callables returning the JSON records, the
     CSV rows under header, and the human lines; only the one the format
-    asks for is called.  Every JSON record carries the run configuration;
-    the CSV and human outputs open with it.
+    asks for is called.  Every JSON record carries the run configuration,
+    its settings that are not None; the CSV and human outputs open with it.
     """
+    run_config = {
+        key: value for key, value in vars(config).items()
+        if value is not None and key not in _NOT_SETTINGS
+    }
     if config.format == "jsonl":
-        run_config = config.to_dict()
         lines = [
             json.dumps({**rec, "run_config": run_config}, sort_keys=True, separators=(",", ":"))
             for rec in records()
         ]
-    elif config.format == "csv":
-        lines = [f"# config: {config.json()}", *_csv_lines(header, rows())]
     else:
-        lines = [f"config: {config.json()}", *human()]
+        echo = json.dumps(run_config, sort_keys=True, separators=(",", ":"))
+        if config.format == "csv":
+            lines = [f"# config: {echo}", *_csv_lines(header, rows())]
+        else:
+            lines = [f"config: {echo}", *human()]
     text = "\n".join(lines) + ("\n" if lines else "")
     if not config.out:
         sys.stdout.write(text)
@@ -178,14 +147,14 @@ def _report_lines(reports) -> list[str]:
         if r.gamma0 is not None:
             parts.append(f"gamma0={r.gamma0}")
         verdict = "holds" if r.verdict else "FAILS"
-        line = " ".join(parts) + f": {r.lhs} {_RELATION.get(r.kind, '?')} {r.rhs} -> {verdict}"
-        if r.sharpness is not None and r.kind in ("theorem", "half_mass", "csc"):
+        line = " ".join(parts) + f": {r.lhs} {r.relation} {r.rhs} -> {verdict}"
+        if r.sharpness is not None and r.relation.startswith(">"):
             line += f" (sharpness {r.sharpness})"
         lines.append(line)
     return lines
 
 
-def _cmd_growth(config: RunConfig) -> int:
+def _cmd_growth(config: argparse.Namespace) -> int:
     if config.group is None:
         raise ParseError("growth needs --group")
     group = parse_group(config.group)
@@ -213,7 +182,7 @@ def _cmd_growth(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(config: RunConfig, check: str) -> int:
+def _cmd_verify(config: argparse.Namespace, check: str) -> int:
     if config.group is None or config.set is None:
         raise ParseError("verify needs --group and --set")
     if check == "lemma31" and config.d is None:
@@ -257,7 +226,7 @@ def _cmd_verify(config: RunConfig, check: str) -> int:
     return EXIT_OK if all(r.verdict for r in reports) else EXIT_FAILED_VERDICT
 
 
-def _cmd_profile(config: RunConfig) -> int:
+def _cmd_profile(config: argparse.Namespace) -> int:
     if config.group is None or config.sizes is None:
         raise ParseError("profile needs --group and --sizes")
     group = parse_group(config.group)
@@ -279,7 +248,7 @@ def _cmd_profile(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_sharpness(config: RunConfig) -> int:
+def _cmd_sharpness(config: argparse.Namespace) -> int:
     if config.group is None:
         raise ParseError("sharpness needs --group")
     group = parse_group(config.group)
@@ -306,7 +275,7 @@ def _cmd_sharpness(config: RunConfig) -> int:
     return EXIT_OK if all(r.verdict for r in summary.reports) else EXIT_FAILED_VERDICT
 
 
-def _cmd_accept(config: RunConfig) -> int:
+def _cmd_accept(config: argparse.Namespace) -> int:
     seed = config.seed if config.seed is not None else DEFAULT_SEED
     outcome = run_acceptance(
         seed, bool(config.quick), check_determinism=True, ball_cap=config.ball_cap
@@ -348,7 +317,7 @@ def _load_config_file(args: argparse.Namespace) -> dict:
     parser as the flag `--key=value`; a key the command has no flag for, or a
     value that flag rejects, exits 2."""
     path = args.config_path
-    keys = vars(args).keys() - {"command", "check", "config_path"}
+    keys = vars(args).keys() - _NOT_SETTINGS - {"command"}
     command = [args.command, args.check] if args.command == "verify" else [args.command]
     parser = build_parser()
     try:
@@ -382,15 +351,17 @@ def _load_config_file(args: argparse.Namespace) -> dict:
     return values
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
     """The run configuration: flags beat the --config file, which beats defaults."""
-    values = _load_config_file(args) if args.config_path else {}
+    values = {**vars(args), "format": "human", "ball_cap": DEFAULT_BALL_CAP}
+    if args.config_path:
+        values.update(_load_config_file(args))
     values.update((key, value) for key, value in vars(args).items() if value is not None)
-    config = RunConfig(**{f.name: values[f.name] for f in fields(RunConfig) if f.name in values})
     for key, least in _CONFIG_MINIMUM.items():
-        value = getattr(config, key)
+        value = values.get(key)
         if value is not None and value < least:
             raise ParseError(f"{key.replace('_', '-')} must be >= {least}, got {value}")
+    config = argparse.Namespace(**values)
     if config.out and not os.path.isdir(os.path.dirname(os.path.abspath(config.out))):
         raise ParseError(f"cannot write --out {config.out}: no such directory")
     return config

@@ -80,8 +80,9 @@ class FiniteSubset:
 
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
-    """Exact record of one check: both sides, the verdict, and enough extra
-    integers to recompute the verdict from the report alone."""
+    """Exact record of one check: both sides, the relation the check asks of
+    them ("=", ">", ">=" or "<="), the verdict, and enough extra integers to
+    recompute the verdict from the report alone."""
 
     kind: str
     group: str
@@ -89,10 +90,14 @@ class VerificationReport:
     lhs: Fraction
     rhs: Fraction
     verdict: bool
-    strict: bool
+    relation: str
     d: Optional[int] = None
     gamma0: Optional[str] = None
     extra: dict = field(default_factory=dict)
+
+    @property
+    def strict(self) -> bool:
+        return self.relation == ">"
 
     @property
     def sharpness(self) -> Optional[Fraction]:
@@ -326,7 +331,7 @@ def lemma31_check(
         lhs=Fraction(a_value),
         rhs=Fraction(c_value),
         verdict=(a_value == b_value == c_value),
-        strict=False,
+        relation="=",
         d=d,
         extra={"mid_b": b_value, "ball_size": table.size, "set_size": len(D)},
     )
@@ -378,7 +383,7 @@ def half_mass_witness(
         lhs=Fraction(best_disp),
         rhs=threshold,
         verdict=Fraction(best_disp) > threshold,
-        strict=True,
+        relation=">",
         d=d,
         extra={
             "witness": group.format(best_x),
@@ -467,7 +472,7 @@ def preimage_bound_check(record: TransportMapRecord, d: int) -> VerificationRepo
         lhs=Fraction(max_count),
         rhs=Fraction(d),
         verdict=max_count <= d,
-        strict=False,
+        relation="<=",
         d=d,
         gamma0=group.format(record.gamma0),
         extra={
@@ -495,7 +500,7 @@ def displacement_bound_check(record: TransportMapRecord, d: int) -> Verification
         lhs=Fraction(moved),
         rhs=Fraction(d * boundary_size),
         verdict=moved <= d * boundary_size,
-        strict=False,
+        relation="<=",
         d=d,
         gamma0=group.format(record.gamma0),
         extra={
@@ -527,7 +532,7 @@ def verify_theorem(
         lhs=lhs,
         rhs=rhs,
         verdict=lhs > rhs,
-        strict=True,
+        relation=">",
         extra={"phi": radius, "boundary_size": boundary_size, "set_size": n},
     )
 
@@ -553,7 +558,7 @@ def verify_csc(
         lhs=lhs,
         rhs=rhs,
         verdict=lhs >= rhs,
-        strict=False,
+        relation=">=",
         extra={"phi": radius, "inner_right_size": inner_size, "card_s": card_s, "set_size": n},
     )
 
@@ -580,7 +585,7 @@ def boundary_comparison(group: Group, D: FiniteSubset) -> VerificationReport:
         lhs=lhs,
         rhs=rhs,
         verdict=outer_size <= card_s * left_size,
-        strict=False,
+        relation="<=",
         extra={
             "card_s": card_s,
             "outer_size": outer_size,

@@ -23,9 +23,9 @@ whose prefix exceeds its cap raises even when a larger table is cached.
 from __future__ import annotations
 
 import threading
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Iterator
 
 from .errors import BudgetExceeded, InternalContradiction, Unattainable
@@ -122,42 +122,13 @@ def _prefix(group: Group, done: Callable[[int, int, dict], bool], ball_cap: int)
         return BallTable(group, len(layers) - 1, tuple(layers), len(depth), depth)
 
 
-class _DepthView(Mapping):
-    """Word lengths of the elements of one ball: the depth dict of its
-    group's table, read only up to the ball's radius."""
-
-    __slots__ = ("_table",)
-
-    def __init__(self, table: BallTable):
-        self._table = table
-
-    def get(self, e, default=None):
-        k = self._table._depth.get(e)
-        return k if k is not None and k <= self._table.radius else default
-
-    def __getitem__(self, e) -> int:
-        k = self.get(e)
-        if k is None:
-            raise KeyError(e)
-        return k
-
-    def __contains__(self, e) -> bool:
-        return self.get(e) is not None
-
-    def __iter__(self) -> Iterator[Element]:
-        return self._table.elements()
-
-    def __len__(self) -> int:
-        return self._table.size
-
-
 @dataclass(frozen=True, eq=False)
 class BallTable:
     """Read-only view of the layers 0..radius of a group's BFS table.
 
     layers[k] holds the elements of word length exactly k, sorted by the
     canonical order (empty beyond saturation); depth is the exact
-    word-length lookup over their union.
+    word-length lookup over their union, a read-only mapping.
     """
 
     group: Group
@@ -166,9 +137,9 @@ class BallTable:
     size: int
     _depth: dict = field(repr=False)  # the whole table's, which may reach past radius
 
-    @property
-    def depth(self) -> Mapping:
-        return _DepthView(self)
+    @cached_property
+    def depth(self) -> MappingProxyType:
+        return MappingProxyType({e: k for k, layer in enumerate(self.layers) for e in layer})
 
     @cached_property
     def growth_values(self) -> tuple[int, ...]:
@@ -183,10 +154,13 @@ class BallTable:
         return self.growth_values[k]
 
     def __contains__(self, e: Element) -> bool:
-        return e in self.depth
+        k = self._depth.get(e)
+        return k is not None and k <= self.radius
 
     def layer_of(self, e: Element) -> int:
-        return self.depth[e]
+        if e not in self:
+            raise KeyError(e)
+        return self._depth[e]
 
     def elements(self) -> Iterator[Element]:
         for layer in self.layers:

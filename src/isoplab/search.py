@@ -28,6 +28,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from statistics import median
 from typing import Iterable, Iterator, Optional
 
@@ -447,8 +448,11 @@ class SharpnessSummary:
     """Per-set sharpness factors (lhs/rhs of the strict bound) and their
     minimum and median, all exact."""
 
-    entries: tuple[tuple[str, Fraction], ...]
     reports: tuple[VerificationReport, ...]
+
+    @cached_property
+    def entries(self) -> tuple[tuple[str, Fraction], ...]:
+        return tuple((r.set_descriptor, r.sharpness) for r in self.reports)
 
     @property
     def min_factor(self) -> Fraction:
@@ -501,15 +505,10 @@ def sharpness_of_subsets(
     ball_cap: int = DEFAULT_BALL_CAP,
 ) -> SharpnessSummary:
     """Exact sharpness factor of the strict bound on each given set."""
-    entries = []
-    reports = []
-    for subset in subsets:
-        report = verify_theorem(group, subset, ball_cap=ball_cap)
-        reports.append(report)
-        entries.append((subset.provenance, report.sharpness))
-    if not entries:
+    reports = tuple(verify_theorem(group, subset, ball_cap=ball_cap) for subset in subsets)
+    if not reports:
         raise PreconditionViolated("sharpness scan needs at least one set")
-    return SharpnessSummary(entries=tuple(entries), reports=tuple(reports))
+    return SharpnessSummary(reports=reports)
 
 
 def interval_subsets(group: Group, n_max: int) -> list[FiniteSubset]:

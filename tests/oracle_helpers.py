@@ -245,7 +245,7 @@ def displacement_bound_by_direct_count(group, gamma0, D, d):
         lhs=Fraction(moved),
         rhs=Fraction(d * boundary_size),
         verdict=moved <= d * boundary_size,
-        strict=False,
+        relation="<=",
         d=d,
         gamma0=group.format(gamma0),
         extra={
@@ -285,7 +285,7 @@ def half_mass_by_full_scan(group, D):
         lhs=Fraction(best_disp),
         rhs=threshold,
         verdict=Fraction(best_disp) > threshold,
-        strict=True,
+        relation=">",
         d=d,
         extra={
             "witness": group.format(best_x),

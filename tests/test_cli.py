@@ -1,10 +1,8 @@
-import argparse
 import json
-from dataclasses import fields
 
 import pytest
 
-from isoplab.cli import RunConfig, _resolve_config, build_parser, main, parse_generator_word
+from isoplab.cli import _resolve_config, build_parser, main, parse_generator_word
 from isoplab import VerificationReport, parse_group
 
 
@@ -285,17 +283,25 @@ def test_config_value_keeps_leading_sign(tmp_path, capsys):
     assert code == 0 and from_file == from_flag
 
 
-def test_every_run_config_field_has_a_flag():
-    # each echoed setting is a flag of some subcommand, and each flag is echoed
-    parser = build_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    dests = {
-        action.dest
-        for sp in subparsers.choices.values()
-        for action in sp._actions
-        if action.dest != "help"
+def test_config_echo_is_the_same_from_file_and_flags(tmp_path, capsys):
+    # the echo holds the set settings plus the format and ball_cap defaults,
+    # never the verify check or the config file's path
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("group=heisenberg\nset=random:12:7\ntrials=2\n")
+    code, from_file, _ = run(capsys, "verify", "theorem", "--config", str(cfg))
+    assert code == 0
+    code, from_flags, _ = run(
+        capsys, "verify", "theorem", "--group", "heisenberg", "--set", "random:12:7", "--trials", "2"
+    )
+    assert code == 0
+    echo = from_file.splitlines()[0]
+    assert echo == from_flags.splitlines()[0]
+    assert echo.startswith("config: ")
+    assert json.loads(echo[len("config: "):]) == {
+        "ball_cap": 5000000, "command": "verify", "format": "human",
+        "group": "heisenberg", "set": "random:12:7", "trials": 2,
     }
-    assert {f.name for f in fields(RunConfig)} - {"command"} == dests - {"check", "config_path"}
+    assert "check" not in echo and "config_path" not in echo
 
 
 def test_out_writes_file(tmp_path, capsys):

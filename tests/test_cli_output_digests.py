@@ -43,6 +43,9 @@ COMMANDS = {
     "transport-free:2": (
         "verify", "transport", "--group", "free:2", "--set", "random:20:4", "--gamma0", "abA",
     ),
+    # the two verify checks whose relation is not > or =
+    "csc": ("verify", "csc", "--group", "z", "--set", "ball:5"),
+    "boundary-cmp": ("verify", "boundary-cmp", "--group", "free:2", "--set", "random:12:3"),
     "sharpness-intervals": ("sharpness", "--group", "z", "--family", "intervals", "--max-n", "12"),
     "sharpness-set": ("sharpness", "--group", "free:2", "--set", "random:6:1", "--trials", "3"),
     "accept": ("accept", "--quick", "--seed", "7"),
@@ -81,6 +84,12 @@ DIGESTS = {
     ("halfmass-heisenberg:3", "jsonl"): "783cd3dff39fc029",
     ("halfmass-symmetric:4", "jsonl"): "6bc747845a2e7962",
     ("transport-free:2", "jsonl"): "13d1c0ad0de4076d",
+    ("csc", "jsonl"): "5c03ede6e714ad30",
+    ("csc", "csv"): "e0dcf67b53a9e933",
+    ("csc", "human"): "a537054d56091f4e",
+    ("boundary-cmp", "jsonl"): "0daeb92893d763c5",
+    ("boundary-cmp", "csv"): "bc210bdc3553de3e",
+    ("boundary-cmp", "human"): "7b0d9f4b6da33a89",
     ("sharpness-intervals", "jsonl"): "4790918e35dbc64e",
     ("sharpness-intervals", "csv"): "0d79183799c275d7",
     ("sharpness-intervals", "human"): "1eac60cb3c4dc4c7",

@@ -1,4 +1,5 @@
 import json
+import operator
 from fractions import Fraction
 
 import pytest
@@ -654,6 +655,43 @@ def test_report_json_schema():
     # verdict is recomputable from the stored quantities
     assert (Fraction(payload["lhs_num"], payload["lhs_den"])
             > Fraction(payload["rhs_num"], payload["rhs_den"])) == (payload["verdict"] == "holds")
+
+
+RELATIONS = {"=": operator.eq, ">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(FAMILIES),
+    st.integers(1, 20),
+    st.integers(0, 2**32),
+    st.integers(0, 10**6),
+    st.integers(0, 3),
+)
+def test_every_verdict_is_its_reported_relation(fam, size, seed, pick, slack):
+    group = parse_group(fam)
+    order = group.order()
+    size = min(size, (order - 1) // 2) if order else size  # Card(D) < Card(group)/2
+    D = generate_set(group, parse_set_descriptor(f"random:{size}:{seed}"))
+    pool = [g for layer in ball(group, 3).layers[1:] for g in layer]
+    record = transport_map(group, pool[pick % len(pool)], D)
+    d = record.length + slack
+    lemma = lemma31_check(group, D, slack)
+    reports = [
+        lemma,
+        half_mass_witness(group, D)[1],
+        preimage_bound_check(record, d),
+        displacement_bound_check(record, d),
+        verify_theorem(group, D),
+        verify_csc(group, D),
+        boundary_comparison(group, D),
+    ]
+    for r in reports:
+        assert r.relation in RELATIONS, r.kind
+        assert r.verdict == RELATIONS[r.relation](r.lhs, r.rhs), r.kind
+        assert r.strict == (r.relation == ">")
+    # lemma31 holds only when all three routes agree
+    assert lemma.verdict == (lemma.lhs == lemma.rhs == lemma.extra["mid_b"])
 
 
 def test_report_line_is_deterministic():

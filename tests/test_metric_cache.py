@@ -233,6 +233,8 @@ def test_views_of_a_growing_table_keep_their_radius():
     assert dict(small.depth) == {g: k for g, k in ball(group, 4).depth.items() if k <= 1}
     with pytest.raises(KeyError):
         small.layer_of(outside)
+    with pytest.raises(TypeError):
+        small.depth[outside] = 1  # a read-only mapping of the view's own layers
 
 
 THREADS = 4
