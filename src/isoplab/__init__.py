@@ -19,12 +19,6 @@ from .groups import (
     HeisenbergGroup,
     SymmetricGroup,
     ZGroup,
-    format_element,
-    group_order,
-    identity,
-    inverse,
-    multiply,
-    parse_element,
     parse_group,
 )
 from .isoperimetry import (

@@ -432,7 +432,20 @@ class HeisenbergGroup(Group):
     (a, b, c) encodes the matrix [[1, a, c], [0, 1, b], [0, 0, 1]], so
     (a, b, c)(a2, b2, c2) = (a + a2, b + b2, c + c2 + a*b2), with every
     coordinate reduced mod m in the modular variant.
+
+    `mul` and `inv` are chosen once per modulus when the group is built, as
+    ZGroup chooses `mul` per rank: the integer group's methods reduce
+    nothing, and a modulus constructs a subclass whose methods reduce each
+    coordinate mod m.  Both stay class methods, so patching a group class's
+    `mul` still sees every call.
     """
+
+    def __new__(cls, modulus: Optional[int] = None):
+        # modulus has a default because copy and pickle call __new__ without
+        # it, passing the instance's own class, which keeps its variant
+        if cls is HeisenbergGroup and modulus is not None:
+            cls = _ModularHeisenbergGroup
+        return super().__new__(cls)
 
     def __init__(self, modulus: Optional[int] = None):
         if modulus is not None and modulus < 2:
@@ -447,20 +460,14 @@ class HeisenbergGroup(Group):
     def identity(self):
         return (0, 0, 0)
 
-    def _reduce(self, a, b, c):
-        m = self.modulus
-        if m is None:
-            return (a, b, c)
-        return (a % m, b % m, c % m)
-
     def mul(self, x, y):
         a, b, c = x
         a2, b2, c2 = y
-        return self._reduce(a + a2, b + b2, c + c2 + a * b2)
+        return (a + a2, b + b2, c + c2 + a * b2)
 
     def inv(self, x):
         a, b, c = x
-        return self._reduce(-a, -b, a * b - c)
+        return (-a, -b, a * b - c)
 
     def order(self):
         return None if self.modulus is None else self.modulus**3
@@ -472,8 +479,7 @@ class HeisenbergGroup(Group):
             raise ParseError(f"{self.name}: coordinates must lie in 0..{self.modulus - 1}, got {e!r}")
 
     def generator_tokens(self):
-        x = self._reduce(1, 0, 0)
-        y = self._reduce(0, 1, 0)
+        x, y = (1, 0, 0), (0, 1, 0)
         return {"x": x, "X": self.inv(x), "y": y, "Y": self.inv(y)}
 
     def parse(self, text):
@@ -486,6 +492,19 @@ class HeisenbergGroup(Group):
 
     def format(self, e):
         return "(" + ",".join(str(x) for x in e) + ")"
+
+
+class _ModularHeisenbergGroup(HeisenbergGroup):
+    def mul(self, x, y):
+        a, b, c = x
+        a2, b2, c2 = y
+        m = self.modulus
+        return ((a + a2) % m, (b + b2) % m, (c + c2 + a * b2) % m)
+
+    def inv(self, x):
+        a, b, c = x
+        m = self.modulus
+        return (-a % m, -b % m, (a * b - c) % m)
 
 
 class SymmetricGroup(Group):
@@ -567,29 +586,3 @@ def parse_group(text: str) -> Group:
     if m is None:
         raise ParseError(f"unrecognized group spec {text!r}")
     return _FAMILIES[m.group(1)](int(m.group(2)))
-
-
-# Spec-style functional surface over the method API.
-
-def identity(spec: Group) -> Element:
-    return spec.identity()
-
-
-def multiply(spec: Group, a: Element, b: Element) -> Element:
-    return spec.mul(a, b)
-
-
-def inverse(spec: Group, a: Element) -> Element:
-    return spec.inv(a)
-
-
-def group_order(spec: Group) -> Optional[int]:
-    return spec.order()
-
-
-def parse_element(spec: Group, text: str) -> Element:
-    return spec.parse(text)
-
-
-def format_element(spec: Group, e: Element) -> str:
-    return spec.format(e)

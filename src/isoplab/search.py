@@ -16,10 +16,20 @@ right translation preserves both the size and the outer boundary, since
 S(Dg) = (SD)g.  So every minimiser has a translate through position 0,
 and the lexicographically least minimiser contains position 0.  The
 profile therefore walks only the sets {0} u R, R a set of positions
-1..N-1, depth first in lexicographic order: C(N-1, k-1) sets of each size
-k up to the largest requested.  That walk, anchored_subset_steps, updates
-the outer-boundary size incrementally, one added or removed position per
-step.
+1..N-1, depth first in lexicographic order.  That walk,
+anchored_subset_steps, updates the outer-boundary size incrementally, one
+added or removed position per step.
+
+The walk is a branch-and-bound.  For any q, S(D u {q}) \\ (D u {q})
+contains (SD \\ D) \\ {q}, so each added element lowers the outer boundary
+by at most 1: every superset of size j of a set of size s and boundary b
+has boundary at least b - (j - s).  All sets below a set in the walk are
+its supersets, so the walk descends from a set only while b + s is below
+a ceiling for its size, and the profile keeps that ceiling at the largest
+least[j] + j over the requested sizes j > s.  A pruned subtree holds no
+set of boundary below the least already seen at its size, so the rows
+and witnesses are those of the full walk: cyclic:22 with sizes 1..10
+visits 16,061 of its 695,860 anchored sets (of 4,194,304 subsets).
 """
 
 from __future__ import annotations
@@ -306,18 +316,23 @@ def anchored_subset_steps(
     max_size: int,
     *,
     ground: list[Element],
+    ceiling: list[int],
 ) -> Iterator[tuple[list[int], int, int]]:
     """Walk the subsets of a finite group that contain position 0, in
     lexicographic order of their ascending position tuples.  Position i is
     ground[i], the group's canonically sorted element list.
 
-    Yields (positions, size, outer_boundary_size) for every set {0} u R
-    with R a set of positions 1..N-1 and size at most max_size: depth first
-    in pre-order, sum(C(N-1, j) for j < max_size) steps in all.  Each step
-    adds one position, after removing those it backtracks over, and updates
-    the boundary size incrementally from per-position counts of covering
-    neighbours.  `positions` is the walk's own ascending list, valid until
-    the next step: copy it to keep it.
+    Yields (positions, size, outer_boundary_size) for the sets {0} u R
+    with R a set of positions 1..N-1 and size at most max_size, depth first
+    in pre-order.  It descends from a set of size s and boundary b, to the
+    sets that extend it by larger positions, only while
+    b + s < ceiling[s]; the caller may lower entries of `ceiling` between
+    steps.  A ceiling of N + 1 at every size never prunes, since b + s <= N,
+    and the walk then yields all sum(C(N-1, j) for j < max_size) sets.
+    Each step adds one position, after removing those it backtracks over,
+    and updates the boundary size incrementally from per-position counts of
+    covering neighbours.  `positions` is the walk's own ascending list,
+    valid until the next step: copy it to keep it.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
@@ -343,8 +358,9 @@ def anchored_subset_steps(
                 boundary += 1
             covered[z] += 1
         positions.append(q)
-        yield positions, len(positions), boundary
-        if len(positions) < max_size and q + 1 < n:
+        size = len(positions)
+        yield positions, size, boundary
+        if size < max_size and q + 1 < n and boundary + size < ceiling[size]:
             q += 1
             continue
         # backtrack to the last position that can move right; 0 never moves
@@ -397,8 +413,14 @@ def exhaustive_profile(
     keeps the size and the outer boundary, so that witness contains
     position 0, and the walk of anchored_subset_steps, which visits the
     sets through position 0 of each size in lexicographic order, meets it
-    as the first set of least boundary.  The cost is C(N-1, k-1) sets for
-    each size k up to the largest requested, instead of 2^N.
+    as the first set of least boundary.
+
+    The walk skips every subtree that cannot hold a set of boundary below
+    the least seen at some requested size (see the module docstring).  Ties
+    never replace a witness and the least boundaries only fall, so the
+    skipped sets would not have changed a row.  cyclic:22 with sizes 1..10
+    visits 16,061 sets where the full anchored walk visits 695,860 and
+    2^22 = 4,194,304 subsets exist.
     """
     wanted = sorted(set(sizes))
     if not wanted or wanted[0] < 1:
@@ -411,17 +433,34 @@ def exhaustive_profile(
             f"profile sizes must satisfy n < Card(group)/2 = {order}/2, got n = {wanted[-1]}"
         )
     ground = _ground_set(group, ball_cap=ball_cap)
+    top = wanted[-1]
     # least[k]: the least boundary seen at size k.  A boundary is below the
     # order, so the first set of a wanted size always improves on it; -1
     # marks the sizes not asked for, which no boundary improves on.
-    least = [-1] * (wanted[-1] + 1)
+    least = [-1] * (top + 1)
     for n in wanted:
         least[n] = order
+    # ceiling[s]: the largest least[j] + j over wanted j > s (0 if none).
+    # A set of size s and boundary b has a descendant of size j with
+    # boundary below least[j] only if b + s < least[j] + j.
+    ceiling = [0] * (top + 1)
+
+    def lower_ceiling() -> None:
+        bar = 0
+        for s in range(top, 0, -1):
+            if least[s] >= 0:
+                bar = max(bar, least[s] + s)
+            ceiling[s - 1] = bar
+
+    lower_ceiling()
     witnesses: dict[int, tuple[int, ...]] = {}
-    for positions, size, boundary in anchored_subset_steps(group, wanted[-1], ground=ground):
+    for positions, size, boundary in anchored_subset_steps(
+        group, top, ground=ground, ceiling=ceiling
+    ):
         if boundary < least[size]:
             least[size] = boundary
             witnesses[size] = tuple(positions)
+            lower_ceiling()
     rows = []
     for n in wanted:
         boundary = least[n]

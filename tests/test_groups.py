@@ -1,4 +1,5 @@
 import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +153,33 @@ def test_lattice_mul_matches_coordinatewise_sum(case):
     assert group.rank == rank and group.key == ("z", rank)
     assert group.mul(a, b) == tuple(x + y for x, y in zip(a, b))
     assert copy.deepcopy(group).mul(a, b) == group.mul(a, b)
+
+
+def _heisenberg_by_one_formula(modulus, x, y):
+    """Product and inverse with one reduction step shared by both variants."""
+    def reduce(a, b, c):
+        return (a, b, c) if modulus is None else (a % modulus, b % modulus, c % modulus)
+
+    (a, b, c), (a2, b2, c2) = x, y
+    return reduce(a + a2, b + b2, c + c2 + a * b2), reduce(-a, -b, a * b - c)
+
+
+@pytest.mark.parametrize("modulus", [None, 2, 3, 7])
+def test_heisenberg_variants_match_one_formula(modulus):
+    group = HeisenbergGroup(modulus)
+    assert isinstance(group, HeisenbergGroup)
+    assert (type(group) is HeisenbergGroup) == (modulus is None)
+    strategy = elements_strategy(group)
+
+    @settings(max_examples=100, deadline=None)
+    @given(strategy, strategy)
+    def check(x, y):
+        expected = _heisenberg_by_one_formula(modulus, x, y)
+        for g in (group, copy.deepcopy(group), pickle.loads(pickle.dumps(group))):
+            assert type(g) is type(group) and g == group
+            assert (g.mul(x, y), g.inv(x)) == expected
+
+    check()
 
 
 def test_inverse_examples():

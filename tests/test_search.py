@@ -28,6 +28,7 @@ from isoplab import (
     phi,
     sharpness_of_subsets,
 )
+from isoplab import search
 from isoplab.search import _sample_connected, _sample_uniform_in_ball, anchored_subset_steps
 from oracle_helpers import (
     gray_walk_with_boundaries,
@@ -322,13 +323,20 @@ def test_exhaustive_stream_is_lazy():
 
 # --------------------------------------------------------------- anchored walk
 
+def _full_walk(group, top, ground):
+    """The anchored walk under a ceiling it never reaches: b + s <= N."""
+    return anchored_subset_steps(
+        group, top, ground=ground, ceiling=[len(ground) + 1] * (top + 1)
+    )
+
+
 @pytest.mark.parametrize("spec,top", [("cyclic:8", 3), ("dihedral:4", 3), ("symmetric:3", 2), ("cyclic:9", 9)])
 def test_anchored_walk_matches_direct_recomputation(spec, top):
     group = parse_group(spec)
     ground = enumerate_group(group)
     n = len(ground)
     steps = [(tuple(positions), size, boundary)
-             for positions, size, boundary in anchored_subset_steps(group, top, ground=ground)]
+             for positions, size, boundary in _full_walk(group, top, ground)]
     # the sets {0} u R, |R| < top, in lexicographic order of position tuples
     assert [positions for positions, _, _ in steps] == sorted(
         (0, *rest) for j in range(top) for rest in combinations(range(1, n), j)
@@ -348,7 +356,7 @@ def test_anchored_walk_matches_direct_recomputation(spec, top):
 def test_anchored_walk_work_count(spec, top, visited):
     group = parse_group(spec)
     n = group.order()
-    steps = anchored_subset_steps(group, top, ground=enumerate_group(group))
+    steps = _full_walk(group, top, enumerate_group(group))
     per_size = Counter(size for _, size, _ in steps)
     assert per_size == {k: comb(n - 1, k - 1) for k in range(1, top + 1)}
     assert sum(per_size.values()) == visited == sum(comb(n - 1, j) for j in range(top))
@@ -356,7 +364,54 @@ def test_anchored_walk_work_count(spec, top, visited):
 
 def test_anchored_walk_needs_a_positive_size():
     with pytest.raises(ValueError):
-        next(anchored_subset_steps(C8, 0, ground=enumerate_group(C8)))
+        next(_full_walk(C8, 0, enumerate_group(C8)))
+
+
+def _profile_by_full_walk(group, sizes):
+    """(size, least boundary, witness positions) per wanted size: the first
+    set of least boundary in the walk that never prunes."""
+    wanted = sorted(sizes)
+    best = {}
+    for positions, size, boundary in _full_walk(group, wanted[-1], enumerate_group(group)):
+        if size in wanted and (size not in best or boundary < best[size][0]):
+            best[size] = (boundary, tuple(positions))
+    return [(n, *best[n]) for n in wanted]
+
+
+@pytest.mark.parametrize("spec,sizes", [
+    ("cyclic:20", range(1, 10)),
+    ("dihedral:10", range(1, 10)),
+    ("symmetric:4", range(1, 7)),
+    ("cyclic:21", [3, 9]),
+    ("dihedral:11", [10]),
+])
+def test_pruned_profile_matches_the_full_walk(spec, sizes):
+    group = parse_group(spec)
+    position = {e: i for i, e in enumerate(enumerate_group(group))}
+    rows = [
+        (row.size, row.min_boundary, tuple(position[e] for e in row.witness.elements))
+        for row in exhaustive_profile(group, sizes)
+    ]
+    assert rows == _profile_by_full_walk(group, sizes)
+
+
+# the full walk visits 695,860, 2,842,226 and 41,226 sets
+@pytest.mark.parametrize("spec,top,visited", [
+    ("cyclic:22", 10, 16_061),
+    ("symmetric:4", 11, 158_155),
+    ("dihedral:9", 8, 1_618),
+])
+def test_pruned_profile_work_count(monkeypatch, spec, top, visited):
+    sizes = []
+
+    def counted(*args, **kwargs):
+        for step in anchored_subset_steps(*args, **kwargs):
+            sizes.append(step[1])
+            yield step
+
+    monkeypatch.setattr(search, "anchored_subset_steps", counted)
+    exhaustive_profile(parse_group(spec), range(1, top + 1))
+    assert len(sizes) == visited
 
 
 # --------------------------------------------------------------------- profile
@@ -468,6 +523,18 @@ def test_right_translation_keeps_the_outer_boundary(spec, data):
     Dg = FiniteSubset.from_iterable(group, [group.mul(x, g) for x in members])
     assert len(Dg) == len(D)
     assert len(outer_boundary(group, Dg)) == len(outer_boundary(group, D))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FINITE_FAMILIES), st.data())
+def test_adding_an_element_lowers_the_boundary_by_at_most_one(spec, data):
+    # the bound behind the pruning of exhaustive_profile's walk
+    group = parse_group(spec)
+    ground = enumerate_group(group)
+    members = data.draw(st.sets(st.sampled_from(ground), min_size=1, max_size=len(ground) - 1))
+    q = data.draw(st.sampled_from([e for e in ground if e not in members]))
+    before = len(naive_outer_boundary(group, members))
+    assert len(naive_outer_boundary(group, members | {q})) >= before - 1
 
 
 @settings(max_examples=30, deadline=None)
