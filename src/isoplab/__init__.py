@@ -23,7 +23,6 @@ from .groups import (
 )
 from .isoperimetry import (
     FiniteSubset,
-    SmoothedDensity,
     TransportEntry,
     TransportMapRecord,
     TransportWitness,

@@ -13,7 +13,6 @@ import csv as _csv
 import io
 import json
 import os
-import re
 import sys
 from typing import Optional, Sequence
 
@@ -25,7 +24,7 @@ from .errors import (
     PreconditionViolated,
     Unattainable,
 )
-from .groups import Element, Group, parse_group
+from .groups import parse_group
 from .isoperimetry import (
     boundary_comparison,
     displacement_bound_check,
@@ -54,33 +53,6 @@ EXIT_PRECONDITION = 4
 
 # Namespace entries that are not settings of the run, so never echoed
 _NOT_SETTINGS = {"check", "config_path"}
-
-
-def parse_generator_word(group: Group, text: str) -> Element:
-    """A word in the group's generator tokens, multiplied left to right.
-
-    Each family's `generator_tokens()` table gives its grammar: +i/-i for the
-    lattice families and cyclic groups, letters for free groups (identity
-    "e"), r/R/s for dihedral, x/X/y/Y for the unitriangular family,
-    t1..t(n-1) for symmetric groups.  The longest token matches first.
-    """
-    t = text.strip()
-    if not t:
-        raise ParseError("empty generator word")
-    tokens = group.generator_tokens()
-    token_re = re.compile("|".join(sorted(map(re.escape, tokens), key=len, reverse=True)))
-    acc = group.identity()
-    pos = 0
-    while pos < len(t):
-        m = token_re.match(t, pos)
-        if m is None:
-            raise ParseError(
-                f"bad generator word {text!r} for {group.name} at {t[pos:]!r} "
-                f"(tokens: {' '.join(tokens)})"
-            )
-        acc = group.mul(acc, tokens[m.group()])
-        pos = m.end()
-    return acc
 
 
 def _csv_lines(header: list[str], rows) -> list[str]:
@@ -194,7 +166,7 @@ def _cmd_verify(config: argparse.Namespace, check: str) -> int:
     cap = config.ball_cap
     d = config.d
     if check == "transport":
-        gamma0 = parse_generator_word(group, config.gamma0)
+        gamma0 = group.parse_word(config.gamma0)
         if d is None:
             d = word_length(group, gamma0, ball_cap=cap)
 
@@ -399,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--d", type=int, default=None)
     verify_p.add_argument("--gamma0", default=None)
     verify_p.add_argument("--trials", type=int, default=None)
-    verify_p.add_argument("--seed", type=int, default=None)
     _add_common(verify_p)
 
     profile_p = sub.add_parser("profile", help="exhaustive isoperimetric profile")
@@ -413,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     sharp_p.add_argument("--max-n", dest="max_n", type=int, default=None)
     sharp_p.add_argument("--set", dest="set")
     sharp_p.add_argument("--trials", type=int, default=None)
-    sharp_p.add_argument("--seed", type=int, default=None)
     _add_common(sharp_p)
 
     accept_p = sub.add_parser("accept", help="run the acceptance suite and print a scorecard")

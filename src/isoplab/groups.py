@@ -18,6 +18,14 @@ wherever determinism matters, is the elements' natural order, except that
 free words go by length first (shortlex); `Group.sort_key` is its key.  A
 free word's length is its word length, so elements of equal word length
 are in canonical order when sorted plainly, without a key.
+
+A group's `name` is its spec string, which `parse_group` reads back; it is
+also `Group.key`, by which groups compare and hash.  Elements are written
+in one of two grammars.  `Group.parse`/`Group.format` read and print the
+integer-tuple literal, `(1,-2)` or `[2,1,3]` for permutations, with bare
+ints for `z` and cyclic groups.  `Group.parse_word` reads a word in the
+family's `generator_tokens()`, multiplied left to right; free words parse
+and print in that grammar alone (`aBa`, and `e` for the identity).
 """
 
 from __future__ import annotations
@@ -37,22 +45,6 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 # Free-group letters in rank order; "e" is reserved for the identity.
 FREE_LETTERS = "abcdfghijklmnopqrstuvwxyz"
-
-
-def _parse_int_list(text: str, open_ch: str, close_ch: str, what: str) -> list[int]:
-    text = text.strip()
-    if not (text.startswith(open_ch) and text.endswith(close_ch)):
-        raise ParseError(f"{what}: expected {open_ch}...{close_ch}, got {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        raise ParseError(f"{what}: empty coordinate list in {text!r}")
-    coords = []
-    for part in inner.split(","):
-        part = part.strip()
-        if not _INT_RE.fullmatch(part):
-            raise ParseError(f"{what}: bad integer {part!r} in {text!r}")
-        coords.append(int(part))
-    return coords
 
 
 @dataclass(frozen=True)
@@ -92,7 +84,8 @@ class GeneratingSet:
 class Group:
     """A group family instance: exact arithmetic on canonical encodings."""
 
-    name: str
+    name: str  # the spec string parse_group reads back
+    _brackets = "()"  # of the integer-tuple literal
 
     def identity(self) -> Element:
         raise NotImplementedError
@@ -116,10 +109,46 @@ class Group:
         return e
 
     def parse(self, text: str) -> Element:
-        raise NotImplementedError
+        """The integer-tuple literal: comma-separated ints in `_brackets`."""
+        text = text.strip()
+        open_ch, close_ch = self._brackets
+        if not (text.startswith(open_ch) and text.endswith(close_ch)):
+            raise ParseError(f"{self.name}: expected {open_ch}...{close_ch}, got {text!r}")
+        parts = [part.strip() for part in text[1:-1].split(",")]
+        if not all(_INT_RE.fullmatch(part) for part in parts):
+            raise ParseError(f"{self.name}: bad integer tuple {text!r}")
+        e = tuple(int(part) for part in parts)
+        self.validate(e)
+        return e
 
     def format(self, e: Element) -> str:
-        raise NotImplementedError
+        return self._brackets[0] + ",".join(map(str, e)) + self._brackets[1]
+
+    def parse_word(self, text: str) -> Element:
+        """A word in the `generator_tokens()` table, multiplied left to right.
+
+        The grammar is +i/-i for the lattice families and cyclic groups,
+        letters for free groups (identity "e"), r/R/s for dihedral, x/X/y/Y
+        for the unitriangular family, t1..t(n-1) for symmetric groups.  The
+        longest token matches first.
+        """
+        t = text.strip()
+        if not t:
+            raise ParseError("empty generator word")
+        tokens = self.generator_tokens()
+        token_re = re.compile("|".join(sorted(map(re.escape, tokens), key=len, reverse=True)))
+        acc = self.identity()
+        pos = 0
+        while pos < len(t):
+            m = token_re.match(t, pos)
+            if m is None:
+                raise ParseError(
+                    f"bad generator word {text!r} for {self.name} at {t[pos:]!r} "
+                    f"(tokens: {' '.join(tokens)})"
+                )
+            acc = self.mul(acc, tokens[m.group()])
+            pos = m.end()
+        return acc
 
     def generator_tokens(self) -> dict[str, Element]:
         """Token -> element table of the generator-word grammar.
@@ -138,12 +167,9 @@ class Group:
         )
 
     @property
-    def generators(self) -> tuple[Element, ...]:
-        return self.generating_set.elements
-
-    @property
-    def key(self) -> tuple:
-        raise NotImplementedError
+    def key(self) -> str:
+        """The spec string, which names exactly one group."""
+        return self.name
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Group) and self.key == other.key
@@ -176,10 +202,6 @@ class ZGroup(Group):
         self.rank = rank
         self.name = "z" if rank == 1 else f"zd:{rank}"
 
-    @property
-    def key(self):
-        return ("z", self.rank)
-
     def identity(self):
         return (0,) * self.rank
 
@@ -207,24 +229,21 @@ class ZGroup(Group):
             **{f"-{i + 1}": self.inv(v) for i, v in enumerate(basis)},
         }
 
-    def parse(self, text):
-        text = text.strip()
-        if self.rank == 1 and _INT_RE.fullmatch(text):
-            return (int(text),)
-        coords = _parse_int_list(text, "(", ")", self.name)
-        if len(coords) != self.rank:
-            raise ParseError(f"{self.name}: expected {self.rank} coordinates in {text!r}")
-        return tuple(coords)
-
-    def format(self, e):
-        if self.rank == 1:
-            return str(e[0])
-        return "(" + ",".join(str(x) for x in e) + ")"
-
 
 class _Z1Group(ZGroup):
+    """Z, whose elements also parse and print as bare ints."""
+
     def mul(self, a, b):
         return (a[0] + b[0],)
+
+    def parse(self, text):
+        text = text.strip()
+        if _INT_RE.fullmatch(text):
+            return (int(text),)
+        return super().parse(text)
+
+    def format(self, e):
+        return str(e[0])
 
 
 class _Z2Group(ZGroup):
@@ -243,10 +262,6 @@ class CyclicGroup(Group):
             raise ParseError(f"cyclic order must be >= 2, got {n}")
         self.n = n
         self.name = f"cyclic:{n}"
-
-    @property
-    def key(self):
-        return ("cyclic", self.n)
 
     def identity(self):
         return 0
@@ -293,10 +308,6 @@ class DihedralGroup(Group):
         self.n = n
         self.name = f"dihedral:{n}"
 
-    @property
-    def key(self):
-        return ("dihedral", self.n)
-
     def identity(self):
         return (0, 0)
 
@@ -329,17 +340,6 @@ class DihedralGroup(Group):
     def generator_tokens(self):
         return {"r": (1, 0), "R": (self.n - 1, 0), "s": (0, 1)}
 
-    def parse(self, text):
-        coords = _parse_int_list(text, "(", ")", self.name)
-        if len(coords) != 2:
-            raise ParseError(f"{self.name}: expected (i,j), got {text!r}")
-        e = (coords[0], coords[1])
-        self.validate(e)
-        return e
-
-    def format(self, e):
-        return f"({e[0]},{e[1]})"
-
 
 class FreeGroup(Group):
     """Free group of given rank; elements are reduced words.
@@ -360,10 +360,6 @@ class FreeGroup(Group):
             )
         self.rank = rank
         self.name = f"free:{rank}"
-
-    @property
-    def key(self):
-        return ("free", self.rank)
 
     def identity(self):
         return ()
@@ -407,16 +403,7 @@ class FreeGroup(Group):
         }
 
     def parse(self, text):
-        text = text.strip()
-        tokens = self.generator_tokens()
-        word: tuple = ()
-        for ch in text:
-            if ch not in tokens:
-                if ch.lower() in FREE_LETTERS:
-                    raise ParseError(f"{self.name}: letter {ch!r} exceeds rank {self.rank}")
-                raise ParseError(f"{self.name}: bad character {ch!r} in word {text!r}")
-            word = self.mul(word, tokens[ch])  # reduce as we go
-        return word
+        return self.parse_word(text)  # reduced as it is read
 
     def format(self, e):
         if not e:
@@ -453,10 +440,6 @@ class HeisenbergGroup(Group):
         self.modulus = modulus
         self.name = "heisenberg" if modulus is None else f"heisenberg:{modulus}"
 
-    @property
-    def key(self):
-        return ("heisenberg", self.modulus)
-
     def identity(self):
         return (0, 0, 0)
 
@@ -482,17 +465,6 @@ class HeisenbergGroup(Group):
         x, y = (1, 0, 0), (0, 1, 0)
         return {"x": x, "X": self.inv(x), "y": y, "Y": self.inv(y)}
 
-    def parse(self, text):
-        coords = _parse_int_list(text, "(", ")", self.name)
-        if len(coords) != 3:
-            raise ParseError(f"{self.name}: expected (a,b,c), got {text!r}")
-        e = tuple(coords)
-        self.validate(e)
-        return e
-
-    def format(self, e):
-        return "(" + ",".join(str(x) for x in e) + ")"
-
 
 class _ModularHeisenbergGroup(HeisenbergGroup):
     def mul(self, x, y):
@@ -514,15 +486,13 @@ class SymmetricGroup(Group):
     factor first: (a * b)(x) = a(b(x)).
     """
 
+    _brackets = "[]"
+
     def __init__(self, n: int):
         if n < 3:
             raise ParseError(f"symmetric parameter must be >= 3, got {n}")
         self.n = n
         self.name = f"symmetric:{n}"
-
-    @property
-    def key(self):
-        return ("symmetric", self.n)
 
     def identity(self):
         return tuple(range(1, self.n + 1))
@@ -552,15 +522,6 @@ class SymmetricGroup(Group):
             images[i], images[i + 1] = images[i + 1], images[i]
             tokens[f"t{i + 1}"] = tuple(images)
         return tokens
-
-    def parse(self, text):
-        coords = _parse_int_list(text, "[", "]", self.name)
-        e = tuple(coords)
-        self.validate(e)
-        return e
-
-    def format(self, e):
-        return "[" + ",".join(str(x) for x in e) + "]"
 
 
 _FAMILIES = {

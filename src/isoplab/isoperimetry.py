@@ -29,7 +29,7 @@ from typing import Iterable, Optional
 
 from .errors import InternalContradiction, PreconditionViolated
 from .groups import Element, Group
-from .metric import DEFAULT_BALL_CAP, BallTable, ball, geodesic_word, minimal_d, phi
+from .metric import DEFAULT_BALL_CAP, ball, geodesic_word, minimal_d, phi
 
 @dataclass(frozen=True, eq=False)
 class FiniteSubset:
@@ -252,47 +252,22 @@ def displacement(group: Group, x: Element, D: FiniteSubset) -> int:
     return sum(1 for d in D.elements if mul(x, d) not in members)
 
 
-class SmoothedDensity:
-    """Ball-average of the indicator of D: value(y) = |D n B(y, d)| / |B(e, d)|.
+def smoothed_density(
+    group: Group, D: FiniteSubset, d: int, y: Element, *, ball_cap: int = DEFAULT_BALL_CAP
+) -> Fraction:
+    """Ball-average of the indicator of D at y: |D n B(y, d)| / |B(e, d)|.
 
     B(y, d) is enumerated as {x*y : x in B(e, d)} (right-invariance of the
     metric); the averaging kernel vanishes outside the ball, so restricting
     the defining sum to B(y, d) is an identity, not an approximation.
     """
-
-    def __init__(
-        self,
-        group: Group,
-        D: FiniteSubset,
-        d: int,
-        *,
-        ball_cap: int = DEFAULT_BALL_CAP,
-        table: Optional[BallTable] = None,
-    ):
-        if d < 0:
-            raise ValueError("smoothing radius must be non-negative")
-        self.group = group
-        self.D = D
-        self.d = d
-        self.table = table if table is not None and table.radius == d else ball(group, d, ball_cap=ball_cap)
-        self.ball_size = self.table.size
-
-    def count(self, y: Element) -> int:
-        """|D n B(y, d)| = |{x in B(e, d) : x*y in D}|, which is value(y) * |B(e, d)|."""
-        mul = self.group.mul
-        members = self.D.member_set
-        return sum(1 for x in self.table.elements() if mul(x, y) in members)
-
-    def value(self, y: Element) -> Fraction:
-        return Fraction(self.count(y), self.ball_size)
-
-
-def smoothed_density(
-    group: Group, D: FiniteSubset, d: int, y: Element, *, ball_cap: int = DEFAULT_BALL_CAP
-) -> Fraction:
     _require_non_empty(D)
     group.validate(y)
-    return SmoothedDensity(group, D, d, ball_cap=ball_cap).value(y)
+    table = ball(group, d, ball_cap=ball_cap)
+    mul = group.mul
+    members = D.member_set
+    count = sum(1 for x in table.elements() if mul(x, y) in members)
+    return Fraction(count, table.size)
 
 
 def lemma31_check(
@@ -315,8 +290,10 @@ def lemma31_check(
     mul = group.mul
     members = D.member_set
 
-    density = SmoothedDensity(group, D, d, table=table)
-    a_value = table.size * len(D) - sum(density.count(y) for y in D.elements)
+    # count(y) = |D n B(y, d)|, the smoothed density at y times |B(e, d)|
+    a_value = table.size * len(D) - sum(
+        sum(1 for x in table.elements() if mul(x, y) in members) for y in D.elements
+    )
 
     b_value = sum(
         sum(1 for x in table.elements() if mul(x, y) not in members) for y in D.elements

@@ -150,9 +150,6 @@ class BallTable:
             values.append(total)
         return tuple(values)
 
-    def gamma(self, k: int) -> int:
-        return self.growth_values[k]
-
     def __contains__(self, e: Element) -> bool:
         k = self._depth.get(e)
         return k is not None and k <= self.radius
@@ -202,10 +199,6 @@ class GrowthTable:
 
     group: Group
     values: tuple[int, ...]
-
-    @property
-    def r_max(self) -> int:
-        return len(self.values) - 1
 
     def csv_rows(self) -> list[tuple[int, int]]:
         return [(r, v) for r, v in enumerate(self.values)]

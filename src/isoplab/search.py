@@ -161,8 +161,6 @@ def default_uniform_radius(group: Group, size: int, ball_cap: int) -> int:
 
 def _sample_uniform_in_ball(group: Group, desc: SetDescriptor, *, ball_cap: int) -> FiniteSubset:
     radius = desc.mode_radius
-    if radius is None:
-        radius = default_uniform_radius(group, desc.size, ball_cap)
     table = ball(group, radius, ball_cap=ball_cap)
     pool = list(table.elements())
     if desc.size > len(pool):

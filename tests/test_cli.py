@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from isoplab.cli import _resolve_config, build_parser, main, parse_generator_word
+from isoplab.cli import _resolve_config, build_parser, main
 from isoplab import VerificationReport, parse_group
 
 
@@ -210,6 +210,13 @@ def test_bad_values_from_config_file_exit_2(tmp_path, capsys):
     cfg.write_text("group=z\nfamily=intervals\nmax_n=-1\n")
     code, _, err = run(capsys, "sharpness", "--config", str(cfg))
     assert code == 2 and "max-n" in err
+    # --seed is read by accept alone, so verify and sharpness have no such flag
+    for command in (
+        ("verify", "theorem", "--set", "random:5:7"),
+        ("sharpness", "--family", "intervals"),
+    ):
+        code, out, err = run(capsys, *command, "--group", "z", "--seed", "99")
+        assert code == 2 and out == "" and "--seed" in err
     # unknown keys and unrecognised boolean spellings are not ignored
     for command, text, needle in [
         (("accept",), "quick=banana\n", "quick"),
@@ -222,6 +229,8 @@ def test_bad_values_from_config_file_exit_2(tmp_path, capsys):
         (("growth",), "group=z\nmax_radius=2\nsizes=1..3\n", "sizes"),
         (("accept",), "quick=1\nset=ball:2\n", "set"),
         (("profile",), "group=cyclic:8\nsizes=1..3\nseed=7\n", "seed"),
+        (("verify", "theorem"), "group=z\nset=random:5:7\nseed=99\n", "seed"),
+        (("sharpness",), "group=z\nfamily=intervals\nseed=99\n", "seed"),
         (("verify", "theorem"), "group=z\nset=ball:2\nmax_n=3\n", "max_n"),
         # values are typed and checked by the same parser as the flags
         (("verify", "theorem"), "group=z\nset=ball:2\ntrials=abc\n", "trials"),
@@ -319,17 +328,17 @@ def test_out_writes_file(tmp_path, capsys):
 
 def test_generator_word_parsing():
     z2 = parse_group("zd:2")
-    assert parse_generator_word(z2, "+1-2+1") == (2, -1)
+    assert z2.parse_word("+1-2+1") == (2, -1)
     f2 = parse_group("free:2")
-    assert parse_generator_word(f2, "abA") == f2.parse("abA")
+    assert f2.parse_word("abA") == f2.parse("abA")
     d6 = parse_group("dihedral:6")
-    assert parse_generator_word(d6, "rrs") == (2, 1)
+    assert d6.parse_word("rrs") == (2, 1)
     h = parse_group("heisenberg")
-    assert parse_generator_word(h, "xy") == (1, 1, 1)
+    assert h.parse_word("xy") == (1, 1, 1)
     s3 = parse_group("symmetric:3")
-    assert parse_generator_word(s3, "t1t2") == s3.mul((2, 1, 3), (1, 3, 2))
+    assert s3.parse_word("t1t2") == s3.mul((2, 1, 3), (1, 3, 2))
     c12 = parse_group("cyclic:12")
-    assert parse_generator_word(c12, "+1+1-1") == 1
+    assert c12.parse_word("+1+1-1") == 1
 
 
 def test_generator_word_errors():
@@ -337,17 +346,17 @@ def test_generator_word_errors():
     z = parse_group("z")
     for bad in ("", "+2", "q", "+1x", "+01", "+1 +1"):
         with pytest.raises(ParseError):
-            parse_generator_word(z, bad)
+            z.parse_word(bad)
 
 
 def test_generator_word_longest_token_first():
     z12 = parse_group("zd:12")
-    assert parse_generator_word(z12, "+12+1-10") == (1,) + (0,) * 8 + (-1, 0, 1)
+    assert z12.parse_word("+12+1-10") == (1,) + (0,) * 8 + (-1, 0, 1)
     s12 = parse_group("symmetric:12")
-    assert parse_generator_word(s12, "t11") == s12.generator_tokens()["t11"]
+    assert s12.parse_word("t11") == s12.generator_tokens()["t11"]
     f5 = parse_group("free:5")
-    assert parse_generator_word(f5, "e") == ()
-    assert parse_generator_word(f5, "fF") == ()
+    assert f5.parse_word("e") == ()
+    assert f5.parse_word("fF") == ()
 
 
 # --------------------------------------------------------------------- accept

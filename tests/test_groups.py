@@ -15,6 +15,7 @@ from isoplab import (
     ZGroup,
     parse_group,
 )
+from isoplab.groups import FREE_LETTERS
 from oracle_helpers import free_mul_by_loop, unitriangular_matmul
 
 ALL_SPECS = [
@@ -150,7 +151,7 @@ def test_heisenberg_matches_matrix_multiplication(p, q):
 def test_lattice_mul_matches_coordinatewise_sum(case):
     rank, a, b = case
     group = ZGroup(rank)
-    assert group.rank == rank and group.key == ("z", rank)
+    assert group.rank == rank and group.key == group.name
     assert group.mul(a, b) == tuple(x + y for x, y in zip(a, b))
     assert copy.deepcopy(group).mul(a, b) == group.mul(a, b)
 
@@ -251,6 +252,31 @@ def test_generator_tokens_name_the_generating_set(spec):
     # the generating set is the table's non-identity values, in table order
     expected = list(dict.fromkeys(e for e in tokens.values() if e != identity))
     assert list(group.generating_set.elements) == expected
+
+
+def test_key_is_the_spec_string():
+    specs = ALL_SPECS + ["zd:12", "dihedral:5", "free:5", "free:25", "symmetric:12"]
+    groups = [parse_group(spec) for spec in specs]
+    assert [group.key for group in groups] == specs
+    assert len(set(groups)) == len(specs)
+    assert parse_group("zd:1") == parse_group("z") and parse_group("zd:1").key == "z"
+    assert parse_group("heisenberg") != parse_group("heisenberg:3")
+
+
+@pytest.mark.parametrize("rank", [1, 5, 25])
+def test_free_words_have_one_grammar(rank):
+    from isoplab import ball
+
+    group = FreeGroup(rank)
+    for w in ball(group, 2).elements():
+        text = group.format(w)
+        assert group.parse(text) == w == group.parse_word(text)
+    bad = ["", " ", "a1", "a b", "E", "?"]
+    if rank < len(FREE_LETTERS):
+        bad += [FREE_LETTERS[rank], FREE_LETTERS[rank].upper()]  # letters above the rank
+    for text in bad:
+        with pytest.raises(ParseError):
+            group.parse(text)
 
 
 @pytest.mark.parametrize("rank", [2, 5, 25])

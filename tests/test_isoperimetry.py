@@ -11,7 +11,6 @@ from isoplab import (
     Group,
     ParseError,
     PreconditionViolated,
-    SmoothedDensity,
     SplitMix64,
     ball,
     boundary_comparison,
@@ -171,12 +170,12 @@ def test_smoothed_density_examples():
 def test_smoothed_density_bounds_and_extremes():
     group = parse_group("dihedral:6")
     subset = generate_set(group, parse_set_descriptor("random:4:3"))
-    density = SmoothedDensity(group, subset, 2)
     members = set(subset.elements)
+    smoothing_ball = list(ball(group, 2).elements())
     for y in ball(group, 3).elements():
-        value = density.value(y)
+        value = smoothed_density(group, subset, 2, y)
         assert 0 <= value <= 1
-        ball_of_y = {group.mul(x, y) for x in density.table.elements()}
+        ball_of_y = {group.mul(x, y) for x in smoothing_ball}
         assert (value == 0) == (not (ball_of_y & members))
         assert (value == 1) == (ball_of_y <= members)
 
@@ -188,9 +187,8 @@ def test_smoothing_is_strictly_below_half_at_minimal_d():
         size = 4 if group.order() is not None else 9
         subset = generate_set(group, parse_set_descriptor(f"random:{size}:{seed}"))
         d, _ = minimal_d(group, 2 * len(subset))
-        density = SmoothedDensity(group, subset, d)
         for y in subset.elements:
-            assert density.value(y) < Fraction(1, 2)
+            assert smoothed_density(group, subset, d, y) < Fraction(1, 2)
 
 
 # -------------------------------------------------------- smoothing identity

@@ -35,7 +35,7 @@ def test_growth_closed_forms():
 def test_ball_layer_sizes_on_z():
     table = ball(parse_group("z"), 3)
     assert [len(layer) for layer in table.layers] == [1, 2, 2, 2]
-    assert table.gamma(3) == 7
+    assert table.growth_values[3] == 7
 
 
 def test_ball_saturates_on_finite_groups():
