@@ -11,9 +11,8 @@ every comparison is exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InternalContradiction
 from .groups import Element, Group, parse_group
@@ -44,15 +43,13 @@ FAMILIES = ("z", "zd:2", "free:2", "cyclic:12", "dihedral:6", "heisenberg")
 DEFAULT_SEED = 0
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     group: Group
     subset: FiniteSubset
     d: int
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     index: int
     name: str
     passed: bool
@@ -73,8 +70,7 @@ class CriterionResult:
         }
 
 
-@dataclass
-class AcceptanceOutcome:
+class AcceptanceOutcome(NamedTuple):
     seed: int
     quick: bool
     results: list[CriterionResult]

@@ -31,7 +31,6 @@ and print in that grammar alone (`aBa`, and `e` for the identity).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
 from operator import add
@@ -47,16 +46,26 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 FREE_LETTERS = "abcdfghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
 class GeneratingSet:
-    """Ordered symmetric generating set with an explicit inverse pairing.
+    """Ordered symmetric generating set with an explicit inverse pairing,
+    compared by value.
 
     inverse_pairing[i] is the index of the inverse of elements[i];
     involutions pair with themselves.
     """
 
-    elements: tuple[Element, ...]
-    inverse_pairing: tuple[int, ...]
+    __slots__ = ("elements", "inverse_pairing")
+
+    def __init__(self, elements: tuple[Element, ...], inverse_pairing: tuple[int, ...]):
+        self.elements, self.inverse_pairing = elements, inverse_pairing
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GeneratingSet):
+            return NotImplemented
+        return (self.elements, self.inverse_pairing) == (other.elements, other.inverse_pairing)
+
+    def __hash__(self) -> int:
+        return hash((self.elements, self.inverse_pairing))
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -20,24 +20,20 @@ guessing which convention a consumer wants.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import InternalContradiction, PreconditionViolated
 from .groups import Element, Group
 from .metric import DEFAULT_BALL_CAP, ball, geodesic_word, minimal_d, phi
 
-@dataclass(frozen=True, eq=False)
 class FiniteSubset:
     """A finite set D of canonical elements, sorted and duplicate-free."""
 
-    group: Group
-    elements: tuple[Element, ...]
-    provenance: str
+    def __init__(self, group: Group, elements: tuple[Element, ...], provenance: str):
+        self.group, self.elements, self.provenance = group, elements, provenance
 
     @classmethod
     def from_iterable(
@@ -51,6 +47,8 @@ class FiniteSubset:
             if len(formatted) <= 12:
                 provenance = "explicit:" + ",".join(formatted)
             else:
+                import hashlib  # only here: it is slow to import
+
                 digest = hashlib.sha1(";".join(formatted).encode()).hexdigest()[:12]
                 provenance = f"set:n={len(formatted)}:sha1={digest}"
         return cls._from_sorted(group, unique, provenance)
@@ -78,22 +76,19 @@ class FiniteSubset:
         return e in self.member_set
 
 
-@dataclass(frozen=True, eq=False)
 class VerificationReport:
     """Exact record of one check: both sides, the relation the check asks of
     them ("=", ">", ">=" or "<="), the verdict, and enough extra integers to
     recompute the verdict from the report alone."""
 
-    kind: str
-    group: str
-    set_descriptor: str
-    lhs: Fraction
-    rhs: Fraction
-    verdict: bool
-    relation: str
-    d: Optional[int] = None
-    gamma0: Optional[str] = None
-    extra: dict = field(default_factory=dict)
+    def __init__(
+        self, kind: str, group: str, set_descriptor: str, lhs: Fraction, rhs: Fraction,
+        verdict: bool, relation: str, d: Optional[int] = None, gamma0: Optional[str] = None,
+        extra: Optional[dict] = None,
+    ):
+        self.kind, self.group, self.set_descriptor = kind, group, set_descriptor
+        self.lhs, self.rhs, self.verdict, self.relation = lhs, rhs, verdict, relation
+        self.d, self.gamma0, self.extra = d, gamma0, {} if extra is None else extra
 
     @property
     def strict(self) -> bool:
@@ -132,8 +127,7 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class TransportWitness:
+class TransportWitness(NamedTuple):
     """A translation x in B(e, d) moving more than half of D out of itself."""
 
     d: int
@@ -142,8 +136,7 @@ class TransportWitness:
     threshold: Fraction
 
 
-@dataclass(frozen=True)
-class TransportEntry:
+class TransportEntry(NamedTuple):
     """One moved point x with its origin in D and its boundary image."""
 
     moved: Element      # x in gD \ D
@@ -152,17 +145,16 @@ class TransportEntry:
     image: Element      # f(x) = s_{hit_index}...s_1*origin
 
 
-@dataclass(frozen=True, eq=False)
 class TransportMapRecord:
     """The geodesic transport map f : gD \\ D -> outer boundary of D."""
 
-    group: Group
-    gamma0: Element
-    word: tuple[int, ...]
-    subset: FiniteSubset
-    entries: tuple[TransportEntry, ...]
-    preimage_counts: dict
-    boundary_size: int  # Card(outer boundary of D)
+    def __init__(
+        self, group: Group, gamma0: Element, word: tuple[int, ...], subset: FiniteSubset,
+        entries: tuple[TransportEntry, ...], preimage_counts: dict, boundary_size: int,
+    ):
+        self.group, self.gamma0, self.word, self.subset = group, gamma0, word, subset
+        self.entries, self.preimage_counts = entries, preimage_counts
+        self.boundary_size = boundary_size  # Card(outer boundary of D)
 
     @property
     def length(self) -> int:

@@ -23,7 +23,6 @@ whose prefix exceeds its cap raises even when a larger table is cached.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Callable, Iterator
@@ -122,7 +121,6 @@ def _prefix(group: Group, done: Callable[[int, int, dict], bool], ball_cap: int)
         return BallTable(group, len(layers) - 1, tuple(layers), len(depth), depth)
 
 
-@dataclass(frozen=True, eq=False)
 class BallTable:
     """Read-only view of the layers 0..radius of a group's BFS table.
 
@@ -131,11 +129,12 @@ class BallTable:
     word-length lookup over their union, a read-only mapping.
     """
 
-    group: Group
-    radius: int
-    layers: tuple[tuple[Element, ...], ...]
-    size: int
-    _depth: dict = field(repr=False)  # the whole table's, which may reach past radius
+    def __init__(
+        self, group: Group, radius: int, layers: tuple[tuple[Element, ...], ...], size: int,
+        _depth: dict,
+    ):
+        self.group, self.radius, self.layers, self.size = group, radius, layers, size
+        self._depth = _depth  # the whole table's, which may reach past radius
 
     @cached_property
     def depth(self) -> MappingProxyType:
@@ -193,12 +192,11 @@ def ball(group: Group, radius: int, *, ball_cap: int = DEFAULT_BALL_CAP) -> Ball
     return BallTable(group, radius, layers, table.size, table._depth)
 
 
-@dataclass(frozen=True, eq=False)
 class GrowthTable:
     """Cumulative ball sizes gamma(0..r_max)."""
 
-    group: Group
-    values: tuple[int, ...]
+    def __init__(self, group: Group, values: tuple[int, ...]):
+        self.group, self.values = group, values
 
     def csv_rows(self) -> list[tuple[int, int]]:
         return [(r, v) for r, v in enumerate(self.values)]

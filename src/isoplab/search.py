@@ -36,11 +36,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from statistics import median
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import BudgetExceeded, ParseError, PreconditionViolated
 from .groups import Element, Group, ZGroup
@@ -77,8 +75,7 @@ def split_top_level(text: str, sep: str = ",") -> list[str]:
     return parts
 
 
-@dataclass(frozen=True)
-class SetDescriptor:
+class SetDescriptor(NamedTuple):
     """How to build a finite subset; identical descriptor + seed gives the
     identical set."""
 
@@ -94,7 +91,7 @@ class SetDescriptor:
     size_hi: Optional[int] = None
 
     def reseeded(self, seed: int, label: str) -> "SetDescriptor":
-        return replace(self, seed=seed, text=f"{self.text}#{label}")
+        return self._replace(seed=seed, text=f"{self.text}#{label}")
 
 
 def parse_set_descriptor(text: str) -> SetDescriptor:
@@ -375,15 +372,15 @@ def anchored_subset_steps(
                 break
 
 
-@dataclass(frozen=True, eq=False)
 class ProfileRow:
     """Minimum outer-boundary size over all subsets of one cardinality."""
 
-    size: int
-    min_boundary: int
-    witness: FiniteSubset
-    bound: Fraction  # size / (2 * phi(2 * size)): strict lower bound
-    gap: Fraction
+    def __init__(
+        self, size: int, min_boundary: int, witness: FiniteSubset, bound: Fraction, gap: Fraction
+    ):
+        self.size, self.min_boundary, self.witness = size, min_boundary, witness
+        self.bound = bound  # size / (2 * phi(2 * size)): strict lower bound
+        self.gap = gap
 
     def to_json_dict(self) -> dict:
         return {
@@ -480,12 +477,12 @@ def exhaustive_profile(
     return rows
 
 
-@dataclass(frozen=True, eq=False)
 class SharpnessSummary:
     """Per-set sharpness factors (lhs/rhs of the strict bound) and their
     minimum and median, all exact."""
 
-    reports: tuple[VerificationReport, ...]
+    def __init__(self, reports: tuple[VerificationReport, ...]):
+        self.reports = reports
 
     @cached_property
     def entries(self) -> tuple[tuple[str, Fraction], ...]:
@@ -497,7 +494,9 @@ class SharpnessSummary:
 
     @property
     def median_factor(self) -> Fraction:
-        return median(f for _, f in self.entries)
+        factors = sorted(f for _, f in self.entries)
+        mid = len(factors) // 2
+        return factors[mid] if len(factors) % 2 else (factors[mid - 1] + factors[mid]) / 2
 
     def to_json_dict(self) -> dict:
         mn, md = self.min_factor, self.median_factor

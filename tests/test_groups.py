@@ -9,6 +9,7 @@ from isoplab import (
     CyclicGroup,
     DihedralGroup,
     FreeGroup,
+    GeneratingSet,
     HeisenbergGroup,
     ParseError,
     SymmetricGroup,
@@ -115,6 +116,17 @@ def test_generating_set_sizes():
     assert len(parse_group("heisenberg").generating_set) == 4
     assert len(parse_group("heisenberg:2").generating_set) == 2  # X, Y self-inverse mod 2
     assert len(parse_group("symmetric:4").generating_set) == 3
+
+
+def test_generating_set_is_a_value():
+    a = parse_group("dihedral:6").generating_set
+    b = GeneratingSet.from_candidates(parse_group("dihedral:6"), list(a.elements))
+    assert a is not b
+    assert a == b and hash(a) == hash(b) and len(a) == len(b) == 3
+    assert GeneratingSet(a.elements, a.inverse_pairing) == a
+    assert a != GeneratingSet(a.elements[:2], a.inverse_pairing[:2])
+    assert a != (a.elements, a.inverse_pairing)  # not a tuple
+    assert len({a, b, parse_group("cyclic:12").generating_set}) == 2
 
 
 def test_identity_examples():

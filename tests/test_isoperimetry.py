@@ -12,6 +12,8 @@ from isoplab import (
     ParseError,
     PreconditionViolated,
     SplitMix64,
+    TransportEntry,
+    TransportWitness,
     ball,
     boundary_comparison,
     displacement,
@@ -445,6 +447,27 @@ def test_transport_map_hand_example():
     assert len(single.entries) == 1
     assert single.entries[0].moved == (5,) and single.entries[0].origin == (4,)
     assert single.entries[0].hit_index == 1 and single.entries[0].image == (5,)
+
+
+def test_transport_records_are_values():
+    witness, _ = half_mass_witness(Z, interval(5))
+    assert witness == half_mass_witness(Z, interval(5))[0]
+    assert witness == TransportWitness(d=5, x=(-5,), displacement=5, threshold=Fraction(5, 2))
+    assert hash(witness) == hash(TransportWitness(5, (-5,), 5, Fraction(5, 2)))
+    assert witness != TransportWitness(d=5, x=(5,), displacement=5, threshold=Fraction(5, 2))
+    entries = transport_map(Z, (3,), interval(5)).entries
+    assert entries == transport_map(Z, (3,), interval(5)).entries
+    assert entries[0] == TransportEntry(moved=(5,), origin=(2,), hit_index=3, image=(5,))
+    assert entries[0] != entries[1]
+
+
+def test_sets_and_reports_compare_by_identity():
+    a, b = interval(3), interval(3)
+    assert a.elements == b.elements and a.provenance == b.provenance
+    assert a == a and a != b and len({a, b}) == 2
+    r, s = verify_theorem(Z, a), verify_theorem(Z, a)
+    assert r.to_json_line() == s.to_json_line()
+    assert r == r and r != s and len({r, s}) == 2
 
 
 def test_transport_map_free_group_example():

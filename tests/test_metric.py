@@ -38,6 +38,12 @@ def test_ball_layer_sizes_on_z():
     assert table.growth_values[3] == 7
 
 
+def test_ball_tables_compare_by_identity():
+    a, b = ball(parse_group("z"), 3), ball(parse_group("z"), 3)
+    assert a.layers == b.layers and a.size == b.size == 7
+    assert a == a and a != b and len({a, b}) == 2
+
+
 def test_ball_saturates_on_finite_groups():
     c12 = parse_group("cyclic:12")
     assert ball(c12, 6).size == 12

@@ -1,11 +1,12 @@
 import hashlib
+import statistics
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isoplab import (
@@ -13,6 +14,8 @@ from isoplab import (
     FiniteSubset,
     ParseError,
     PreconditionViolated,
+    SharpnessSummary,
+    VerificationReport,
     ball,
     enumerate_group,
     exhaustive_profile,
@@ -57,6 +60,17 @@ def test_parse_set_descriptor_forms():
     assert d.kind == "explicit" and d.element_texts == ("(1,0)", "(0,1)")
     d = parse_set_descriptor("exhaustive:1..3")
     assert d.kind == "exhaustive" and (d.size_lo, d.size_hi) == (1, 3)
+
+
+def test_set_descriptor_is_a_value():
+    d = parse_set_descriptor("random:6:42:ball=3")
+    again = parse_set_descriptor(" random:6:42:ball=3 ")
+    assert d is not again and d == again and hash(d) == hash(again)
+    assert d != parse_set_descriptor("random:6:43:ball=3")
+    child = d.reseeded(99, "trial=0")
+    assert (child.seed, child.text) == (99, "random:6:42:ball=3#trial=0")
+    assert child._replace(seed=d.seed, text=d.text) == d  # nothing else changed
+    assert d.seed == 42 and d.text == "random:6:42:ball=3"  # the original is untouched
 
 
 def test_parse_set_descriptor_errors():
@@ -583,6 +597,24 @@ def test_sharpness_scan_over_descriptors():
     assert payload["min_num"] / payload["min_den"] <= payload["median_num"] / payload["median_den"]
 
 
+def fraction_reports(factors):
+    return tuple(
+        VerificationReport("theorem", "z", f"explicit:{i}", f, Fraction(1), True, ">")
+        for i, f in enumerate(factors)
+    )
+
+
+@given(st.lists(st.fractions(), min_size=1, max_size=40))
+@example([Fraction(7, 3)])
+@example([Fraction(1), Fraction(2)])
+@example([Fraction(5), Fraction(1, 2), Fraction(5)])
+@settings(max_examples=300, deadline=None)
+def test_median_factor_is_the_exact_median(factors):
+    median = SharpnessSummary(fraction_reports(factors)).median_factor
+    assert type(median) is Fraction
+    assert median == statistics.median(factors)
+
+
 def test_interval_subsets_only_on_z():
     with pytest.raises(PreconditionViolated):
         interval_subsets(parse_group("zd:2"), 3)
@@ -595,4 +627,10 @@ def test_finite_subset_provenance_is_stable():
     b = FiniteSubset.from_iterable(Z, [(1,), (0,)])
     assert a.provenance == b.provenance == "explicit:0,1"
     big = FiniteSubset.from_iterable(Z, [(i,) for i in range(40)])
-    assert big.provenance.startswith("set:n=40:sha1=")
+    assert big.provenance == "set:n=40:sha1=e8ecbd6713d0"
+    thirteen = FiniteSubset.from_iterable(Z, [(i,) for i in range(13)])
+    assert thirteen.provenance == "set:n=13:sha1=57b067fe1199"
+    words = FiniteSubset.from_iterable(F2, [(1,) * k for k in range(13)])
+    assert words.provenance == "set:n=13:sha1=ec97529e4b9f"
+    twelve = FiniteSubset.from_iterable(Z, [(i,) for i in range(12)])
+    assert twelve.provenance == "explicit:" + ",".join(str(i) for i in range(12))
