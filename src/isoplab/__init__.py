@@ -25,7 +25,6 @@ from .isoperimetry import (
     FiniteSubset,
     TransportEntry,
     TransportMapRecord,
-    TransportWitness,
     VerificationReport,
     boundary_comparison,
     displacement,
@@ -45,7 +44,6 @@ from .isoperimetry import (
 from .metric import (
     DEFAULT_BALL_CAP,
     BallTable,
-    GrowthTable,
     ball,
     distance,
     enumerate_group,
@@ -62,7 +60,6 @@ from .search import (
     SetDescriptor,
     SharpnessSummary,
     exhaustive_profile,
-    expand_trials,
     generate_set,
     generate_sets,
     gray_subset_steps,

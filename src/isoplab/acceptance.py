@@ -10,7 +10,6 @@ every comparison is exact.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -20,6 +19,7 @@ from .isoperimetry import (
     FiniteSubset,
     VerificationReport,
     boundary_comparison,
+    canonical_json,
     displacement_bound_check,
     half_mass_witness,
     lemma31_check,
@@ -136,10 +136,10 @@ def _criterion_half_mass(instances, reports, ball_cap) -> CriterionResult:
     for ins in instances:
         if not _admissible(ins):
             continue
-        witness, rep = half_mass_witness(ins.group, ins.subset, ball_cap=ball_cap)
+        _, rep = half_mass_witness(ins.group, ins.subset, ball_cap=ball_cap)
         reports.append(rep)
         checked += 1
-        if not (rep.verdict and Fraction(witness.displacement) > witness.threshold):
+        if not rep.verdict:
             failures += 1
     detail = f"{checked} admissible instances, strict witness failures: {failures}"
     return CriterionResult(2, "half-mass witness", checked > 0 and failures == 0, detail)
@@ -289,7 +289,8 @@ def _distance_one_oracle(group: Group, subset: FiniteSubset, b2) -> frozenset:
             region.add(mul(x, delta))
     out = set()
     for a in region:
-        dist = min(b2.depth.get(mul(a, inv(delta)), 3) for delta in subset.elements)
+        steps = [mul(a, inv(delta)) for delta in subset.elements]
+        dist = min((b2.layer_of(g) for g in steps if g in b2), default=3)
         if dist == 1:
             out.add(a)
     return frozenset(out)
@@ -337,9 +338,9 @@ def _criterion_oracles(seed, quick, ball_cap) -> CriterionResult:
             checked_b += 1
 
     # growth closed forms for r <= 8
-    z_vals = growth(parse_group("z"), 8, ball_cap=ball_cap).values
-    z2_vals = growth(parse_group("zd:2"), 8, ball_cap=ball_cap).values
-    f2_vals = growth(parse_group("free:2"), 8, ball_cap=ball_cap).values
+    z_vals = growth(parse_group("z"), 8, ball_cap=ball_cap)
+    z2_vals = growth(parse_group("zd:2"), 8, ball_cap=ball_cap)
+    f2_vals = growth(parse_group("free:2"), 8, ball_cap=ball_cap)
     if z_vals != tuple(2 * r + 1 for r in range(9)):
         failures.append("z growth differs from 2r+1")
     if z2_vals != tuple(2 * r * r + 2 * r + 1 for r in range(9)):
@@ -375,9 +376,9 @@ def _run_criteria(seed, quick, ball_cap):
 def serialize_run(results, report_dicts) -> bytes:
     """Canonical machine serialization of a run from its criterion results
     and its reports' JSON dicts, used for the determinism criterion."""
-    lines = [json.dumps(d, sort_keys=True, separators=(",", ":")) for d in report_dicts]
+    lines = [canonical_json(d) for d in report_dicts]
     for res in results:
-        lines.append(json.dumps(res.to_json_dict(), sort_keys=True, separators=(",", ":")))
+        lines.append(canonical_json(res.to_json_dict()))
     return ("\n".join(lines) + "\n").encode()
 
 

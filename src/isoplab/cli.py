@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv as _csv
 import io
-import json
 import os
 import sys
 from typing import Optional, Sequence
@@ -27,6 +26,7 @@ from .errors import (
 from .groups import parse_group
 from .isoperimetry import (
     boundary_comparison,
+    canonical_json,
     displacement_bound_check,
     half_mass_witness,
     lemma31_check,
@@ -38,7 +38,7 @@ from .isoperimetry import (
 from .metric import DEFAULT_BALL_CAP, growth, phi, word_length
 from .search import (
     exhaustive_profile,
-    expand_trials,
+    generate_sets,
     interval_subsets,
     parse_set_descriptor,
     parse_size_range,
@@ -76,12 +76,9 @@ def _emit(config: argparse.Namespace, records, header: list[str], rows, human) -
         if value is not None and key not in _NOT_SETTINGS
     }
     if config.format == "jsonl":
-        lines = [
-            json.dumps({**rec, "run_config": run_config}, sort_keys=True, separators=(",", ":"))
-            for rec in records()
-        ]
+        lines = [canonical_json({**rec, "run_config": run_config}) for rec in records()]
     else:
-        echo = json.dumps(run_config, sort_keys=True, separators=(",", ":"))
+        echo = canonical_json(run_config)
         if config.format == "csv":
             lines = [f"# config: {echo}", *_csv_lines(header, rows())]
         else:
@@ -143,7 +140,7 @@ def _cmd_growth(config: argparse.Namespace) -> int:
         return EXIT_OK
     if config.max_radius is None:
         raise ParseError("growth needs --max-radius or --phi")
-    rows = growth(group, config.max_radius, ball_cap=config.ball_cap).csv_rows()
+    rows = list(enumerate(growth(group, config.max_radius, ball_cap=config.ball_cap)))
     _emit(
         config,
         lambda: ({"r": r, "gamma": v} for r, v in rows),
@@ -185,7 +182,7 @@ def _cmd_verify(config: argparse.Namespace, check: str) -> int:
     trials = config.trials if config.trials is not None else 1
     reports = [
         rep
-        for subset in expand_trials(group, desc, trials, ball_cap=cap)
+        for subset in generate_sets(group, desc, trials, ball_cap=cap)
         for rep in verifiers[check](subset)
     ]
     _emit(
@@ -229,7 +226,7 @@ def _cmd_sharpness(config: argparse.Namespace) -> int:
     elif config.set is not None:
         desc = parse_set_descriptor(config.set)
         trials = config.trials if config.trials is not None else 1
-        subsets = list(expand_trials(group, desc, trials, ball_cap=config.ball_cap))
+        subsets = generate_sets(group, desc, trials, ball_cap=config.ball_cap)
     else:
         raise ParseError("sharpness needs --family intervals or --set")
     summary = sharpness_of_subsets(group, subsets, ball_cap=config.ball_cap)

@@ -124,16 +124,14 @@ class VerificationReport:
         return out
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json_dict())
 
 
-class TransportWitness(NamedTuple):
-    """A translation x in B(e, d) moving more than half of D out of itself."""
-
-    d: int
-    x: Element
-    displacement: int
-    threshold: Fraction
+def canonical_json(obj) -> str:
+    """The one JSON encoding of every machine-readable line: sorted keys,
+    no spaces.  Report lines, the CLI's records and the determinism stream
+    all use it, so their bytes agree."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 class TransportEntry(NamedTuple):
@@ -308,9 +306,10 @@ def lemma31_check(
 
 def half_mass_witness(
     group: Group, D: FiniteSubset, *, ball_cap: int = DEFAULT_BALL_CAP
-) -> tuple[TransportWitness, VerificationReport]:
+) -> tuple[Element, VerificationReport]:
     """Find x in B(e, d) with Card(xD \\ D) > Card(D)/2, for the least d with
-    gamma(d) > 2 Card(D).
+    gamma(d) > 2 Card(D).  Returns x and the report, whose d, lhs and rhs
+    are d, Card(xD \\ D) and Card(D)/2.
 
     The witness maximizes displacement, with ties broken by minimal word
     length and then minimal canonical order: the ball is scanned in layer
@@ -344,7 +343,6 @@ def half_mass_witness(
             if best_disp == n:
                 break
     threshold = Fraction(n, 2)
-    witness = TransportWitness(d=d, x=best_x, displacement=best_disp, threshold=threshold)
     report = VerificationReport(
         kind="half_mass",
         group=group.name,
@@ -361,7 +359,7 @@ def half_mass_witness(
             "set_size": n,
         },
     )
-    return witness, report
+    return best_x, report
 
 
 def transport_map(

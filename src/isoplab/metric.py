@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import threading
 from functools import cached_property
-from types import MappingProxyType
 from typing import Callable, Iterator
 
 from .errors import BudgetExceeded, InternalContradiction, Unattainable
@@ -125,8 +124,8 @@ class BallTable:
     """Read-only view of the layers 0..radius of a group's BFS table.
 
     layers[k] holds the elements of word length exactly k, sorted by the
-    canonical order (empty beyond saturation); depth is the exact
-    word-length lookup over their union, a read-only mapping.
+    canonical order (empty beyond saturation).  `in` and layer_of answer
+    membership and word length over their union.
     """
 
     def __init__(
@@ -135,10 +134,6 @@ class BallTable:
     ):
         self.group, self.radius, self.layers, self.size = group, radius, layers, size
         self._depth = _depth  # the whole table's, which may reach past radius
-
-    @cached_property
-    def depth(self) -> MappingProxyType:
-        return MappingProxyType({e: k for k, layer in enumerate(self.layers) for e in layer})
 
     @cached_property
     def growth_values(self) -> tuple[int, ...]:
@@ -192,21 +187,11 @@ def ball(group: Group, radius: int, *, ball_cap: int = DEFAULT_BALL_CAP) -> Ball
     return BallTable(group, radius, layers, table.size, table._depth)
 
 
-class GrowthTable:
+def growth(group: Group, r_max: int, *, ball_cap: int = DEFAULT_BALL_CAP) -> tuple[int, ...]:
     """Cumulative ball sizes gamma(0..r_max)."""
-
-    def __init__(self, group: Group, values: tuple[int, ...]):
-        self.group, self.values = group, values
-
-    def csv_rows(self) -> list[tuple[int, int]]:
-        return [(r, v) for r, v in enumerate(self.values)]
-
-
-def growth(group: Group, r_max: int, *, ball_cap: int = DEFAULT_BALL_CAP) -> GrowthTable:
     if r_max < 0:
         raise ValueError("r_max must be non-negative")
-    table = ball(group, r_max, ball_cap=ball_cap)
-    return GrowthTable(group=group, values=table.growth_values)
+    return ball(group, r_max, ball_cap=ball_cap).growth_values
 
 
 def phi(group: Group, v: int, *, ball_cap: int = DEFAULT_BALL_CAP) -> int:

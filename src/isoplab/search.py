@@ -80,12 +80,10 @@ class SetDescriptor(NamedTuple):
     identical set."""
 
     text: str
-    kind: str  # ball | random | explicit | exhaustive
-    radius: Optional[int] = None
+    kind: str  # ball | connected | uniform | explicit | exhaustive
+    radius: Optional[int] = None  # of ball:R, and of the ball a uniform draw is from
     size: Optional[int] = None
     seed: Optional[int] = None
-    mode: Optional[str] = None  # uniform_in_ball | bfs_connected
-    mode_radius: Optional[int] = None
     element_texts: tuple[str, ...] = ()
     size_lo: Optional[int] = None
     size_hi: Optional[int] = None
@@ -114,14 +112,9 @@ def parse_set_descriptor(text: str) -> SetDescriptor:
         suffix = m.group(3)
         if suffix is None or suffix == "connected":
             # connected growth is the default sampling mode
-            return SetDescriptor(text=t, kind="random", size=size, seed=seed, mode="bfs_connected")
+            return SetDescriptor(text=t, kind="connected", size=size, seed=seed)
         return SetDescriptor(
-            text=t,
-            kind="random",
-            size=size,
-            seed=seed,
-            mode="uniform_in_ball",
-            mode_radius=int(suffix[len("ball="):]),
+            text=t, kind="uniform", radius=int(suffix[len("ball="):]), size=size, seed=seed
         )
     if t.startswith("explicit:"):
         body = t[len("explicit:"):]
@@ -157,7 +150,7 @@ def default_uniform_radius(group: Group, size: int, ball_cap: int) -> int:
 
 
 def _sample_uniform_in_ball(group: Group, desc: SetDescriptor, *, ball_cap: int) -> FiniteSubset:
-    radius = desc.mode_radius
+    radius = desc.radius
     table = ball(group, radius, ball_cap=ball_cap)
     pool = list(table.elements())
     if desc.size > len(pool):
@@ -220,11 +213,26 @@ def _sample_connected(group: Group, desc: SetDescriptor, *, ball_cap: int) -> Fi
 def generate_sets(
     group: Group,
     desc: SetDescriptor,
+    trials: int = 1,
     *,
     ball_cap: int = DEFAULT_BALL_CAP,
 ) -> Iterator[FiniteSubset]:
-    """Stream the subsets a descriptor denotes (a single one except for
-    exhaustive descriptors)."""
+    """Stream the subsets a descriptor denotes: every subset in the size
+    range of an exhaustive descriptor, a single set for the others.
+
+    A random descriptor with trials > 1 runs that many independent draws,
+    trial t seeded with child t of the descriptor seed; otherwise it draws
+    once with its own seed.  The other kinds ignore the trial count.
+    """
+    if desc.kind in ("connected", "uniform"):
+        sample = _sample_connected if desc.kind == "connected" else _sample_uniform_in_ball
+        if trials <= 1:
+            yield sample(group, desc, ball_cap=ball_cap)
+            return
+        rng = SplitMix64(desc.seed)
+        for t in range(trials):
+            yield sample(group, desc.reseeded(rng.child_seed(t), f"trial={t}"), ball_cap=ball_cap)
+        return
     if desc.kind == "ball":
         table = ball(group, desc.radius, ball_cap=ball_cap)
         yield FiniteSubset.from_iterable(group, table.elements(), provenance=desc.text)
@@ -232,14 +240,6 @@ def generate_sets(
     if desc.kind == "explicit":
         elems = [group.parse(t) for t in desc.element_texts]
         yield FiniteSubset.from_iterable(group, elems, provenance=desc.text)
-        return
-    if desc.kind == "random":
-        if desc.seed is None:
-            raise ParseError("random descriptor needs a seed")
-        if desc.mode == "uniform_in_ball":
-            yield _sample_uniform_in_ball(group, desc, ball_cap=ball_cap)
-        else:
-            yield _sample_connected(group, desc, ball_cap=ball_cap)
         return
     if desc.kind == "exhaustive":
         ground = _ground_set(group, ball_cap=ball_cap)
@@ -512,28 +512,6 @@ class SharpnessSummary:
         }
 
 
-def expand_trials(
-    group: Group,
-    desc: SetDescriptor,
-    trials: int = 1,
-    *,
-    ball_cap: int = DEFAULT_BALL_CAP,
-) -> Iterator[FiniteSubset]:
-    """Expand a descriptor into the subsets of a run.
-
-    Random descriptors run `trials` independent draws, trial t seeded with
-    child t of the descriptor seed; deterministic descriptors ignore the
-    trial count (exhaustive ones stream every subset once).
-    """
-    if desc.kind == "random" and trials > 1:
-        rng = SplitMix64(desc.seed)
-        for t in range(trials):
-            child = desc.reseeded(rng.child_seed(t), f"trial={t}")
-            yield generate_set(group, child, ball_cap=ball_cap)
-        return
-    yield from generate_sets(group, desc, ball_cap=ball_cap)
-
-
 def sharpness_of_subsets(
     group: Group,
     subsets: Iterable[FiniteSubset],
@@ -547,15 +525,14 @@ def sharpness_of_subsets(
     return SharpnessSummary(reports=reports)
 
 
-def interval_subsets(group: Group, n_max: int) -> list[FiniteSubset]:
-    """The intervals {0, ..., n-1} in the rank-1 integer lattice."""
+def interval_subsets(group: Group, n_max: int) -> Iterator[FiniteSubset]:
+    """Stream the intervals {0, ..., n-1}, n = 1..n_max, in the rank-1
+    integer lattice; the arguments are checked at the call."""
     if not (isinstance(group, ZGroup) and group.rank == 1):
         raise PreconditionViolated("interval family is defined on the group z only")
     if n_max < 1:
         raise PreconditionViolated("n_max must be >= 1")
-    return [
-        FiniteSubset.from_iterable(
-            group, [(i,) for i in range(n)], provenance=f"interval:{n}"
-        )
+    return (
+        FiniteSubset.from_iterable(group, [(i,) for i in range(n)], provenance=f"interval:{n}")
         for n in range(1, n_max + 1)
-    ]
+    )

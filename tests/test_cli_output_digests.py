@@ -18,6 +18,10 @@ COMMANDS = {
     "growth": ("growth", "--group", "zd:2", "--max-radius", "3"),
     "growth-phi": ("growth", "--group", "heisenberg", "--phi", "20"),
     "theorem": ("verify", "theorem", "--group", "heisenberg", "--set", "random:12:7", "--trials", "3"),
+    # ROADMAP golden: 200 reseeded connected draws
+    "theorem-trials": (
+        "verify", "theorem", "--group", "heisenberg", "--set", "random:50:7", "--trials", "200",
+    ),
     "transport": (
         "verify", "transport", "--group", "zd:2", "--set", "random:10:3",
         "--gamma0", "+1+2", "--trials", "2",
@@ -61,6 +65,7 @@ DIGESTS = {
     ("theorem", "jsonl"): "7ed1180ebc7f52ea",
     ("theorem", "csv"): "ae2b4c49807664b9",
     ("theorem", "human"): "9825c0c7bb28f0a5",
+    ("theorem-trials", "jsonl"): "5d70a4b6291ae087",
     ("transport", "jsonl"): "7d9e7cc7ed25d75a",
     ("transport", "csv"): "9b64ceb5d5249b07",
     ("transport", "human"): "b190406aa63ebbaa",

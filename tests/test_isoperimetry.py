@@ -13,7 +13,6 @@ from isoplab import (
     PreconditionViolated,
     SplitMix64,
     TransportEntry,
-    TransportWitness,
     ball,
     boundary_comparison,
     displacement,
@@ -275,20 +274,20 @@ def test_translation_ball_duality(spec, seed):
 # ------------------------------------------------------------------ half mass
 
 def test_half_mass_witness_examples():
-    witness, rep = half_mass_witness(Z, interval(5))
-    assert witness.d == 5
-    assert witness.x == (-5,)  # canonical tie-break between -5 and 5
-    assert witness.displacement == 5
+    x, rep = half_mass_witness(Z, interval(5))
+    assert rep.d == 5
+    assert x == (-5,)  # canonical tie-break between -5 and 5
+    assert (rep.lhs, rep.rhs) == (5, Fraction(5, 2))
     assert rep.verdict and rep.strict
 
-    witness, rep = half_mass_witness(Z, zset(0))
-    assert witness.d == 1
-    assert witness.displacement == 1
+    x, rep = half_mass_witness(Z, zset(0))
+    assert rep.d == 1
+    assert rep.lhs == 1
     assert rep.verdict
 
-    witness, rep = half_mass_witness(C12, FiniteSubset.from_iterable(C12, [0, 1, 2, 3, 4]))
-    assert witness.d == 5
-    assert witness.displacement >= 3
+    x, rep = half_mass_witness(C12, FiniteSubset.from_iterable(C12, [0, 1, 2, 3, 4]))
+    assert rep.d == 5
+    assert rep.lhs >= 3
     assert rep.verdict
 
 
@@ -309,10 +308,12 @@ def test_half_mass_never_fails_on_admissible_sets(spec):
         cap = 15 if order is None else (order - 1) // 2
         size = 1 + rng.below(cap)
         subset = generate_set(group, parse_set_descriptor(f"random:{size}:{rng.child_seed(t)}"))
-        witness, rep = half_mass_witness(group, subset)
+        x, rep = half_mass_witness(group, subset)
         assert rep.verdict
-        assert Fraction(witness.displacement) > Fraction(len(subset), 2)
-        assert word_length(group, witness.x) <= witness.d
+        assert rep.lhs == displacement(group, x, subset) and rep.rhs == Fraction(len(subset), 2)
+        assert rep.lhs > rep.rhs
+        assert word_length(group, x) <= rep.d
+        assert rep.extra["witness"] == group.format(x)
 
 
 class CountingGroup(Group):
@@ -392,9 +393,9 @@ def test_half_mass_pruned_scan_matches_full_scan(spec, size, seed, radius):
             half_mass_by_full_scan(group, D)
         assert str(new_exc.value) == str(old_exc.value)
         return
-    (witness, report), pruned_calls = scan_mul_calls(half_mass_witness, group, D)
-    (old_witness, old_report), full_calls = scan_mul_calls(half_mass_by_full_scan, group, D)
-    assert witness == old_witness
+    (x, report), pruned_calls = scan_mul_calls(half_mass_witness, group, D)
+    (old_x, old_report), full_calls = scan_mul_calls(half_mass_by_full_scan, group, D)
+    assert x == old_x
     assert report.to_json_dict() == old_report.to_json_dict()
     assert pruned_calls <= full_calls
 
@@ -411,7 +412,7 @@ def test_half_mass_first_of_tied_translates_wins(spec, elems, x, disp):
     group = parse_group(spec)
     D = FiniteSubset.from_iterable(group, elems)
     witness, report = half_mass_witness(group, D)
-    assert (witness.x, witness.displacement) == (x, disp)
+    assert (witness, report.lhs) == (x, disp)
     old_witness, old_report = half_mass_by_full_scan(group, D)
     assert witness == old_witness
     assert report.to_json_dict() == old_report.to_json_dict()
@@ -421,11 +422,11 @@ def test_half_mass_scan_stops_at_a_full_move():
     group = parse_group("free:2")
     D = generate_set(group, parse_set_descriptor("random:300:845294:ball=7"))
     n = len(D)
-    (witness, _), pruned_calls = scan_mul_calls(half_mass_witness, group, D)
+    (x, report), pruned_calls = scan_mul_calls(half_mass_witness, group, D)
     _, full_calls = scan_mul_calls(half_mass_by_full_scan, group, D)
-    assert witness.displacement == n == 300
+    assert report.lhs == n == 300
     scan = list(minimal_d(group, 2 * n)[1].elements())
-    position = scan.index(witness.x)
+    position = scan.index(x)
     assert full_calls == len(scan) * n
     # the witness itself is counted in full; no translate after it adds a call
     assert n <= pruned_calls <= (position + 1) * n < len(scan) * n
@@ -450,11 +451,6 @@ def test_transport_map_hand_example():
 
 
 def test_transport_records_are_values():
-    witness, _ = half_mass_witness(Z, interval(5))
-    assert witness == half_mass_witness(Z, interval(5))[0]
-    assert witness == TransportWitness(d=5, x=(-5,), displacement=5, threshold=Fraction(5, 2))
-    assert hash(witness) == hash(TransportWitness(5, (-5,), 5, Fraction(5, 2)))
-    assert witness != TransportWitness(d=5, x=(5,), displacement=5, threshold=Fraction(5, 2))
     entries = transport_map(Z, (3,), interval(5)).entries
     assert entries == transport_map(Z, (3,), interval(5)).entries
     assert entries[0] == TransportEntry(moved=(5,), origin=(2,), hit_index=3, image=(5,))

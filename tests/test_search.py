@@ -15,11 +15,11 @@ from isoplab import (
     ParseError,
     PreconditionViolated,
     SharpnessSummary,
+    SplitMix64,
     VerificationReport,
     ball,
     enumerate_group,
     exhaustive_profile,
-    expand_trials,
     generate_set,
     generate_sets,
     gray_subset_steps,
@@ -51,11 +51,11 @@ def test_parse_set_descriptor_forms():
     d = parse_set_descriptor("ball:3")
     assert d.kind == "ball" and d.radius == 3
     d = parse_set_descriptor("random:6:42")
-    assert d.kind == "random" and d.size == 6 and d.seed == 42 and d.mode == "bfs_connected"
+    assert d.kind == "connected" and d.size == 6 and d.seed == 42 and d.radius is None
     d = parse_set_descriptor("random:6:42:ball=3")
-    assert d.mode == "uniform_in_ball" and d.mode_radius == 3
+    assert d.kind == "uniform" and (d.size, d.seed, d.radius) == (6, 42, 3)
     d = parse_set_descriptor("random:6:42:connected")
-    assert d.mode == "bfs_connected"
+    assert d == parse_set_descriptor("random:6:42")._replace(text="random:6:42:connected")
     d = parse_set_descriptor("explicit:(1,0),(0,1)")
     assert d.kind == "explicit" and d.element_texts == ("(1,0)", "(0,1)")
     d = parse_set_descriptor("exhaustive:1..3")
@@ -295,15 +295,29 @@ def test_ball_cap_below_one_is_exceeded_by_the_identity(text, cap):
     assert (info.value.size, info.value.cap) == (1, cap)
 
 
-def test_expand_trials_reseeds_random_descriptors():
-    desc = parse_set_descriptor("random:5:77")
-    subsets = list(expand_trials(Z, desc, 4))
-    assert len(subsets) == 4
+@pytest.mark.parametrize("text", ["random:5:77", "random:5:77:ball=3"])
+def test_trials_reseed_random_descriptors(text):
+    desc = parse_set_descriptor(text)
+    subsets = list(generate_sets(Z, desc, 4))
+    assert [s.provenance for s in subsets] == [f"{text}#trial={t}" for t in range(4)]
     assert len({s.elements for s in subsets}) > 1  # trials differ
-    again = list(expand_trials(Z, desc, 4))
+    again = list(generate_sets(Z, desc, 4))
     assert [s.elements for s in again] == [s.elements for s in subsets]
-    # non-random descriptors ignore the trial count
-    assert len(list(expand_trials(Z, parse_set_descriptor("ball:2"), 4))) == 1
+    # trial t is the draw of child seed t of the descriptor seed
+    rng = SplitMix64(77)
+    for t, subset in enumerate(subsets):
+        child = generate_set(Z, desc.reseeded(rng.child_seed(t), f"trial={t}"))
+        assert (child.elements, child.provenance) == (subset.elements, subset.provenance)
+    # a single trial is the descriptor's own draw
+    (single,) = generate_sets(Z, desc, 1)
+    assert single.elements == generate_set(Z, desc).elements and single.provenance == text
+
+
+def test_deterministic_descriptors_ignore_trials():
+    assert len(list(generate_sets(Z, parse_set_descriptor("ball:2"), 4))) == 1
+    assert len(list(generate_sets(Z, parse_set_descriptor("explicit:1,2"), 4))) == 1
+    desc = parse_set_descriptor("exhaustive:1..2")
+    assert len(list(generate_sets(C8, desc, 4))) == len(list(generate_sets(C8, desc))) == 36
 
 
 # ------------------------------------------------------------------- gray scan
@@ -590,7 +604,7 @@ def test_sharpness_on_z2_balls_exceeds_one():
 
 
 def test_sharpness_scan_over_descriptors():
-    summary = sharpness_of_subsets(Z, expand_trials(Z, parse_set_descriptor("random:5:9"), 5))
+    summary = sharpness_of_subsets(Z, generate_sets(Z, parse_set_descriptor("random:5:9"), 5))
     assert len(summary.entries) == 5
     assert all(f > 1 for _, f in summary.entries)
     payload = summary.to_json_dict()
@@ -618,6 +632,14 @@ def test_median_factor_is_the_exact_median(factors):
 def test_interval_subsets_only_on_z():
     with pytest.raises(PreconditionViolated):
         interval_subsets(parse_group("zd:2"), 3)
+    with pytest.raises(PreconditionViolated):
+        interval_subsets(Z, 0)
+
+
+def test_interval_stream_is_lazy():
+    # a billion intervals; the first must not wait for them
+    first = next(interval_subsets(Z, 10**9))
+    assert first.provenance == "interval:1" and first.elements == ((0,),)
 
 
 # ------------------------------------------------------------------ provenance
