@@ -14,7 +14,6 @@ from .groups import (
     DihedralGroup,
     Element,
     FreeGroup,
-    GeneratingSet,
     Group,
     HeisenbergGroup,
     SymmetricGroup,

@@ -265,7 +265,7 @@ def _word_levels(group: Group, max_depth: int) -> list[set]:
     """The level sets L_0 = {e}, L_n = {s*x : x in L_(n-1), s in S} for
     n <= max_depth: L_n holds exactly the products of n generators.  Built
     by plain multiplication, wholly independent of the BFS tables."""
-    gens = group.generating_set.elements
+    gens = group.generating_set
     mul = group.mul
     levels = [{group.identity()}]
     for _ in range(max_depth):

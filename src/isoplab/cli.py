@@ -221,6 +221,8 @@ def _cmd_sharpness(config: argparse.Namespace) -> int:
     if config.group is None:
         raise ParseError("sharpness needs --group")
     group = parse_group(config.group)
+    if config.family is not None and config.set is not None:
+        raise ParseError("sharpness takes --family or --set, not both")
     if config.family is not None:
         subsets = interval_subsets(group, config.max_n if config.max_n is not None else 50)
     elif config.set is not None:
@@ -246,6 +248,8 @@ def _cmd_sharpness(config: argparse.Namespace) -> int:
 
 def _cmd_accept(config: argparse.Namespace) -> int:
     seed = config.seed if config.seed is not None else DEFAULT_SEED
+    if not 0 <= seed < 1 << 64:  # SplitMix64 would reduce it mod 2^64: another seed's run
+        raise ParseError(f"seed must lie in 0..2^64-1, got {seed}")
     outcome = run_acceptance(
         seed, bool(config.quick), check_determinism=True, ball_cap=config.ball_cap
     )

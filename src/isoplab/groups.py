@@ -46,50 +46,6 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 FREE_LETTERS = "abcdfghijklmnopqrstuvwxyz"
 
 
-class GeneratingSet:
-    """Ordered symmetric generating set with an explicit inverse pairing,
-    compared by value.
-
-    inverse_pairing[i] is the index of the inverse of elements[i];
-    involutions pair with themselves.
-    """
-
-    __slots__ = ("elements", "inverse_pairing")
-
-    def __init__(self, elements: tuple[Element, ...], inverse_pairing: tuple[int, ...]):
-        self.elements, self.inverse_pairing = elements, inverse_pairing
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GeneratingSet):
-            return NotImplemented
-        return (self.elements, self.inverse_pairing) == (other.elements, other.inverse_pairing)
-
-    def __hash__(self) -> int:
-        return hash((self.elements, self.inverse_pairing))
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    @classmethod
-    def from_candidates(cls, group: "Group", candidates) -> "GeneratingSet":
-        seen: list[Element] = []
-        identity = group.identity()
-        for c in candidates:
-            if c == identity:
-                raise ValueError("generating set must not contain the identity")
-            if c not in seen:
-                seen.append(c)
-        if not seen:
-            raise ValueError("generating set must be non-empty")
-        pairing = []
-        for c in seen:
-            inv = group.inv(c)
-            if inv not in seen:
-                raise ValueError("generating set is not closed under inverses")
-            pairing.append(seen.index(inv))
-        return cls(tuple(seen), tuple(pairing))
-
-
 class Group:
     """A group family instance: exact arithmetic on canonical encodings."""
 
@@ -169,11 +125,16 @@ class Group:
         raise NotImplementedError
 
     @cached_property
-    def generating_set(self) -> GeneratingSet:
+    def generating_set(self) -> tuple[Element, ...]:
+        """S in `generator_tokens()` order; ValueError unless it is non-empty
+        and closed under inverses."""
         identity = self.identity()
-        return GeneratingSet.from_candidates(
-            self, [g for g in self.generator_tokens().values() if g != identity]
-        )
+        gens = tuple(dict.fromkeys(g for g in self.generator_tokens().values() if g != identity))
+        if not gens:
+            raise ValueError("generating set must be non-empty")
+        if any(self.inv(g) not in gens for g in gens):
+            raise ValueError("generating set is not closed under inverses")
+        return gens
 
     @property
     def key(self) -> str:

@@ -21,6 +21,7 @@ guessing which convention a consumer wants.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
@@ -30,7 +31,11 @@ from .groups import Element, Group
 from .metric import DEFAULT_BALL_CAP, ball, geodesic_word, minimal_d, phi
 
 class FiniteSubset:
-    """A finite set D of canonical elements, sorted and duplicate-free."""
+    """A finite set D of canonical elements, sorted and duplicate-free.
+
+    The constructor trusts that `elements` is a tuple of valid, distinct
+    elements in `group.sort_key` order; `from_iterable` validates, dedups
+    and sorts input from outside."""
 
     def __init__(self, group: Group, elements: tuple[Element, ...], provenance: str):
         self.group, self.elements, self.provenance = group, elements, provenance
@@ -51,16 +56,7 @@ class FiniteSubset:
 
                 digest = hashlib.sha1(";".join(formatted).encode()).hexdigest()[:12]
                 provenance = f"set:n={len(formatted)}:sha1={digest}"
-        return cls._from_sorted(group, unique, provenance)
-
-    @classmethod
-    def _from_sorted(
-        cls, group: Group, elements: Iterable[Element], provenance: str
-    ) -> "FiniteSubset":
-        """A set the library computed from valid elements: `elements` are
-        distinct and in `group.sort_key` order, so nothing is validated or
-        sorted.  Text input goes through `from_iterable` instead."""
-        return cls(group=group, elements=tuple(elements), provenance=provenance)
+        return cls(group, tuple(unique), provenance)
 
     @cached_property
     def member_set(self) -> frozenset:
@@ -148,10 +144,10 @@ class TransportMapRecord:
 
     def __init__(
         self, group: Group, gamma0: Element, word: tuple[int, ...], subset: FiniteSubset,
-        entries: tuple[TransportEntry, ...], preimage_counts: dict, boundary_size: int,
+        entries: tuple[TransportEntry, ...], boundary_size: int,
     ):
         self.group, self.gamma0, self.word, self.subset = group, gamma0, word, subset
-        self.entries, self.preimage_counts = entries, preimage_counts
+        self.entries = entries
         self.boundary_size = boundary_size  # Card(outer boundary of D)
 
     @property
@@ -159,16 +155,20 @@ class TransportMapRecord:
         return len(self.word)
 
     def max_preimage(self) -> int:
-        return max(self.preimage_counts.values(), default=0)
+        """The most entries that share one boundary image."""
+        return max(Counter(entry.image for entry in self.entries).values(), default=0)
 
 
-def _require_non_empty(D: FiniteSubset) -> None:
+def _require_non_empty(group: Group, D: FiniteSubset) -> None:
+    """Every verifier's entry check: D is a non-empty subset of this group."""
+    if D.group is not group and D.group != group:  # `is`: no __eq__ call on the usual path
+        raise PreconditionViolated(f"D is a subset of {D.group.name}, not of {group.name}")
     if not D.elements:
         raise PreconditionViolated("D must be non-empty")
 
 
 def _require_admissible(group: Group, D: FiniteSubset) -> None:
-    _require_non_empty(D)
+    _require_non_empty(group, D)
     order = group.order()
     if order is not None and 2 * len(D) >= order:
         raise PreconditionViolated(
@@ -181,7 +181,7 @@ def _outer_boundary_set(group: Group, D: FiniteSubset) -> set:
     mul = group.mul
     members = D.member_set
     out = set()
-    for s in group.generating_set.elements:
+    for s in group.generating_set:
         for x in D.elements:
             h = mul(s, x)
             if h not in members:
@@ -193,7 +193,7 @@ def _inner_right(group: Group, D: FiniteSubset) -> list:
     """{x in D : some x*s lies outside D}, in the order of D."""
     mul = group.mul
     members = D.member_set
-    gens = group.generating_set.elements
+    gens = group.generating_set
     return [x for x in D.elements if any(mul(x, s) not in members for s in gens)]
 
 
@@ -201,27 +201,27 @@ def _inner_left(group: Group, D: FiniteSubset) -> list:
     """{x in D : some s*x lies outside D}, in the order of D."""
     mul = group.mul
     members = D.member_set
-    gens = group.generating_set.elements
+    gens = group.generating_set
     return [x for x in D.elements if any(mul(s, x) not in members for s in gens)]
 
 
 def outer_boundary(group: Group, D: FiniteSubset) -> FiniteSubset:
     """(S*D) \\ D: the elements at distance exactly 1 from D."""
-    _require_non_empty(D)
-    out = sorted(_outer_boundary_set(group, D), key=group.sort_key)
-    return FiniteSubset._from_sorted(group, out, f"outer({D.provenance})")
+    _require_non_empty(group, D)
+    out = tuple(sorted(_outer_boundary_set(group, D), key=group.sort_key))
+    return FiniteSubset(group, out, f"outer({D.provenance})")
 
 
 def inner_boundary_right(group: Group, D: FiniteSubset) -> FiniteSubset:
     """{x in D : some x*s lies outside D}."""
-    _require_non_empty(D)
-    return FiniteSubset._from_sorted(group, _inner_right(group, D), f"inner_r({D.provenance})")
+    _require_non_empty(group, D)
+    return FiniteSubset(group, tuple(_inner_right(group, D)), f"inner_r({D.provenance})")
 
 
 def inner_boundary_left(group: Group, D: FiniteSubset) -> FiniteSubset:
     """{x in D : some s*x lies outside D}."""
-    _require_non_empty(D)
-    return FiniteSubset._from_sorted(group, _inner_left(group, D), f"inner_l({D.provenance})")
+    _require_non_empty(group, D)
+    return FiniteSubset(group, tuple(_inner_left(group, D)), f"inner_l({D.provenance})")
 
 
 def translate(group: Group, x: Element, D: FiniteSubset) -> FiniteSubset:
@@ -251,7 +251,7 @@ def smoothed_density(
     metric); the averaging kernel vanishes outside the ball, so restricting
     the defining sum to B(y, d) is an identity, not an approximation.
     """
-    _require_non_empty(D)
+    _require_non_empty(group, D)
     group.validate(y)
     table = ball(group, d, ball_cap=ball_cap)
     mul = group.mul
@@ -273,7 +273,7 @@ def lemma31_check(
 
     and reports whether A = B = C as integers; A's terms are |B(e,d)| - count(y).
     """
-    _require_non_empty(D)
+    _require_non_empty(group, D)
     if d < 0:
         raise ValueError("d must be non-negative")
     table = ball(group, d, ball_cap=ball_cap)
@@ -370,16 +370,16 @@ def transport_map(
 
     The path points are p_n = s_n...s_1*origin for a fixed geodesic word
     (s_1, ..., s_k) of gamma0; the hit index is the maximal n with p_n on
-    the outer boundary, found by scanning n = k down to 1.  Totality (some
-    p_n lies on the boundary) is asserted, not assumed.
+    the outer boundary, the last hit of one forward walk n = 1..k.  That
+    p_k = x and totality (some p_n lies on the boundary) are asserted, not
+    assumed.
     """
     group.validate(gamma0)
-    _require_non_empty(D)
+    _require_non_empty(group, D)
     if gamma0 == group.identity():
         raise PreconditionViolated("gamma0 must have word length >= 1")
     word = geodesic_word(group, gamma0, ball_cap=ball_cap)
-    k = len(word)
-    gens = group.generating_set.elements
+    gens = group.generating_set
     mul = group.mul
     members = D.member_set
     boundary = _outer_boundary_set(group, D)
@@ -390,37 +390,29 @@ def transport_map(
         key=group.sort_key,
     )
     entries = []
-    counts: dict = {}
     for x in moved:
         origin = mul(gamma0_inv, x)
         if origin not in members:
             raise InternalContradiction("moved point does not come from D")
-        path = []
         p = origin
-        for i in word:
-            p = mul(gens[i], p)
-            path.append(p)
-        if path[-1] != x:
-            raise InternalContradiction("geodesic word does not reproduce gamma0")
         hit = 0
-        for n in range(k, 0, -1):
-            if path[n - 1] in boundary:
-                hit = n
-                break
+        for n, i in enumerate(word, 1):
+            p = mul(gens[i], p)
+            if p in boundary:
+                hit, image = n, p
+        if p != x:
+            raise InternalContradiction("geodesic word does not reproduce gamma0")
         if hit == 0:
             raise InternalContradiction(
                 f"no path point from {group.format(x)} lies on the outer boundary"
             )
-        image = path[hit - 1]
         entries.append(TransportEntry(moved=x, origin=origin, hit_index=hit, image=image))
-        counts[image] = counts.get(image, 0) + 1
     return TransportMapRecord(
         group=group,
         gamma0=gamma0,
         word=word,
         subset=D,
         entries=tuple(entries),
-        preimage_counts=counts,
         boundary_size=len(boundary),
     )
 
@@ -538,7 +530,7 @@ def boundary_comparison(group: Group, D: FiniteSubset) -> VerificationReport:
     the right-convention comparison is recorded in extra so violations can
     be surfaced as findings without failing a run.
     """
-    _require_non_empty(D)
+    _require_non_empty(group, D)
     outer_size = len(_outer_boundary_set(group, D))
     left_size = len(_inner_left(group, D))
     right_size = len(_inner_right(group, D))

@@ -73,7 +73,7 @@ def _grow(
         e = group.identity()
         depth[e] = 0
         layers.append((e,))
-    gens = group.generating_set.elements
+    gens = group.generating_set
     mul = group.mul
     while not done(len(layers) - 1, len(depth), depth):
         frontier = []
@@ -164,12 +164,11 @@ class BallTable:
         k = self.layer_of(h)
         if k == 0:
             raise ValueError("the identity has no parent")
-        gens = self.group.generating_set
-        mul = self.group.mul
+        group = self.group
         depth = self._depth
         preds = []
-        for i, j in enumerate(gens.inverse_pairing):
-            pred = mul(gens.elements[j], h)
+        for i, s in enumerate(group.generating_set):
+            pred = group.mul(group.inv(s), h)
             if depth.get(pred) == k - 1:
                 preds.append((pred, i))
         pred, i = min(preds)  # one word length: the canonical order (see groups)

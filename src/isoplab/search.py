@@ -109,6 +109,9 @@ def parse_set_descriptor(text: str) -> SetDescriptor:
         size, seed = int(m.group(1)), int(m.group(2))
         if size < 1:
             raise ParseError("random size must be >= 1")
+        if seed >= 1 << 64:
+            # SplitMix64 would reduce it mod 2^64 and draw another seed's set
+            raise ParseError(f"random seed must lie in 0..2^64-1, got {seed}")
         suffix = m.group(3)
         if suffix is None or suffix == "connected":
             # connected growth is the default sampling mode
@@ -161,7 +164,7 @@ def _sample_uniform_in_ball(group: Group, desc: SetDescriptor, *, ball_cap: int)
     chosen: set = set()
     while len(chosen) < desc.size:
         chosen.add(pool[rng.below(len(pool))])
-    return FiniteSubset._from_sorted(group, sorted(chosen, key=group.sort_key), desc.text)
+    return FiniteSubset(group, tuple(sorted(chosen, key=group.sort_key)), desc.text)
 
 
 def _sample_connected(group: Group, desc: SetDescriptor, *, ball_cap: int) -> FiniteSubset:
@@ -171,7 +174,7 @@ def _sample_connected(group: Group, desc: SetDescriptor, *, ball_cap: int) -> Fi
         )
     mul = group.mul
     sort_key = group.sort_key
-    gens = group.generating_set.elements
+    gens = group.generating_set
     rng = SplitMix64(desc.seed)
     members = {group.identity()}
     # frontier: every s*m outside members, in the canonical order; keys[i]
@@ -207,7 +210,7 @@ def _sample_connected(group: Group, desc: SetDescriptor, *, ball_cap: int) -> Fi
                 size=len(members) + len(frontier),
                 cap=ball_cap,
             )
-    return FiniteSubset._from_sorted(group, sorted(members, key=sort_key), desc.text)
+    return FiniteSubset(group, tuple(sorted(members, key=sort_key)), desc.text)
 
 
 def generate_sets(
@@ -249,8 +252,8 @@ def generate_sets(
             )
         for mask, _ in gray_subset_steps(len(ground), desc.size_lo, desc.size_hi):
             # ground is sorted and distinct, so every subsequence is too
-            elems = [e for i, e in enumerate(ground) if mask >> i & 1]
-            yield FiniteSubset._from_sorted(group, elems, f"{desc.text}:mask={mask}")
+            elems = tuple([e for i, e in enumerate(ground) if mask >> i & 1])
+            yield FiniteSubset(group, elems, f"{desc.text}:mask={mask}")
         return
     raise ParseError(f"unknown descriptor kind {desc.kind!r}")
 
@@ -335,7 +338,7 @@ def anchored_subset_steps(
     index = {e: i for i, e in enumerate(ground)}
     mul = group.mul
     # neighbors[i] = positions of s * ground[i] for s in the generating set
-    neighbors = [[index[mul(s, e)] for s in group.generating_set.elements] for e in ground]
+    neighbors = [[index[mul(s, e)] for s in group.generating_set] for e in ground]
 
     covered = [0] * n  # covered[z] = number of members y of D with z = s*y
     in_d = [False] * n
@@ -375,12 +378,13 @@ def anchored_subset_steps(
 class ProfileRow:
     """Minimum outer-boundary size over all subsets of one cardinality."""
 
-    def __init__(
-        self, size: int, min_boundary: int, witness: FiniteSubset, bound: Fraction, gap: Fraction
-    ):
+    def __init__(self, size: int, min_boundary: int, witness: FiniteSubset, bound: Fraction):
         self.size, self.min_boundary, self.witness = size, min_boundary, witness
         self.bound = bound  # size / (2 * phi(2 * size)): strict lower bound
-        self.gap = gap
+
+    @property
+    def gap(self) -> Fraction:
+        return self.min_boundary - self.bound
 
     def to_json_dict(self) -> dict:
         return {
@@ -465,15 +469,7 @@ def exhaustive_profile(
             provenance=f"profile:{group.name}:n={n}",
         )
         bound = Fraction(n, 2 * phi(group, 2 * n, ball_cap=ball_cap))
-        rows.append(
-            ProfileRow(
-                size=n,
-                min_boundary=boundary,
-                witness=witness,
-                bound=bound,
-                gap=Fraction(boundary) - bound,
-            )
-        )
+        rows.append(ProfileRow(size=n, min_boundary=boundary, witness=witness, bound=bound))
     return rows
 
 

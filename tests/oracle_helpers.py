@@ -55,7 +55,7 @@ def encoding_order_key(group):
 
 def word_ball(group, radius):
     """All products of at most `radius` generators, by brute word enumeration."""
-    gens = group.generating_set.elements
+    gens = group.generating_set
     seen = {group.identity()}
     for n in range(1, radius + 1):
         for word in product(gens, repeat=n):
@@ -71,7 +71,7 @@ def word_length_by_enumeration(group, g, max_depth):
     nothing within max_depth reaches it."""
     if g == group.identity():
         return 0
-    gens = group.generating_set.elements
+    gens = group.generating_set
     mul = group.mul
 
     def reaches(cur, remaining):
@@ -99,7 +99,7 @@ def free_mul_by_loop(a, b):
 def naive_outer_boundary(group, members):
     """(S*D) \\ D computed from scratch on a plain set."""
     out = set()
-    for s in group.generating_set.elements:
+    for s in group.generating_set:
         for x in members:
             h = group.mul(s, x)
             if h not in members:
@@ -109,7 +109,7 @@ def naive_outer_boundary(group, members):
 
 def naive_inner_boundary(group, members, side):
     """Inner boundary on a plain set; side is "left" (s*x) or "right" (x*s)."""
-    gens = group.generating_set.elements
+    gens = group.generating_set
     out = set()
     for x in members:
         for s in gens:
@@ -134,7 +134,7 @@ def sample_connected_by_resort(group, desc, *, ball_cap):
     """The connected random set of a `random:<size>:<seed>` descriptor,
     re-sorting the whole frontier after every pick."""
     mul = group.mul
-    gens = group.generating_set.elements
+    gens = group.generating_set
     rng = SplitMix64(desc.seed)
     members = {group.identity()}
     frontier = sorted(
@@ -167,7 +167,7 @@ def gray_walk_with_boundaries(group, ground):
     covered[z], the number of members y with z = s*y."""
     n = len(ground)
     index = {e: i for i, e in enumerate(ground)}
-    neighbors = [[index[group.mul(s, e)] for s in group.generating_set.elements] for e in ground]
+    neighbors = [[index[group.mul(s, e)] for s in group.generating_set] for e in ground]
     covered = [0] * n
     in_d = [False] * n
     size = 0
@@ -221,10 +221,7 @@ def profile_by_gray_walk(group, sizes):
             group, [ground[i] for i in positions(mask)], provenance=f"profile:{group.name}:n={n}"
         )
         bound = Fraction(n, 2 * phi(group, 2 * n))
-        rows.append(ProfileRow(
-            size=n, min_boundary=boundary, witness=witness, bound=bound,
-            gap=Fraction(boundary) - bound,
-        ))
+        rows.append(ProfileRow(size=n, min_boundary=boundary, witness=witness, bound=bound))
     return rows
 
 
@@ -305,7 +302,7 @@ def grow_with_parents(group, done, *, ball_cap):
     BudgetExceeded as soon as the ball holds ball_cap + 1 elements (at once
     for a ball_cap below 1).
     """
-    gens = group.generating_set.elements
+    gens = group.generating_set
     mul = group.mul
     e = group.identity()
     depth = {e: 0}

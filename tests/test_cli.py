@@ -245,6 +245,37 @@ def test_bad_values_from_config_file_exit_2(tmp_path, capsys):
         assert code == 2 and out == "" and needle in err and "isoplab: error:" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_accept_seed_outside_splitmix64_range_exits_2(tmp_path, capsys, seed):
+    # SplitMix64 reduces seeds mod 2^64: -1 and 2^64 - 1 would run the same stream
+    code, out, err = run(capsys, "accept", "--quick", "--seed", seed)
+    assert code == 2 and out == "" and "isoplab: error: seed must lie in 0..2^64-1" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"quick=1\nseed={seed}\n")
+    code, out, err = run(capsys, "accept", "--config", str(cfg))
+    assert code == 2 and out == "" and "isoplab: error: seed must lie in 0..2^64-1" in err
+
+
+def test_random_descriptor_seed_outside_splitmix64_range_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "theorem", "--group", "z", "--set", f"random:20:{2**64}")
+    assert code == 2 and out == "" and "0..2^64-1" in err
+
+
+def test_sharpness_refuses_family_with_set(tmp_path, capsys):
+    code, out, err = run(
+        capsys, "sharpness", "--group", "z", "--family", "intervals", "--set", "random:5:1"
+    )
+    assert code == 2 and out == "" and "not both" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("group=z\nfamily=intervals\nset=random:5:1\n")
+    code, out, err = run(capsys, "sharpness", "--config", str(cfg))
+    assert code == 2 and out == "" and "not both" in err
+    # a flag and a file setting conflict as much as two flags do
+    cfg.write_text("group=z\nset=random:5:1\n")
+    code, out, err = run(capsys, "sharpness", "--config", str(cfg), "--family", "intervals")
+    assert code == 2 and out == "" and "not both" in err
+
+
 @pytest.mark.parametrize("raw,value", [
     ("1", True), ("TRUE", True), ("yes", True), ("on", True),
     ("0", False), ("false", False), ("No", False), ("off", False),

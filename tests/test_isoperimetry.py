@@ -34,7 +34,7 @@ from isoplab import (
     verify_theorem,
     word_length,
 )
-from isoplab.acceptance import FAMILIES
+from isoplab.acceptance import FAMILIES, acceptance_instances
 from oracle_helpers import (
     displacement_bound_by_direct_count,
     half_mass_by_full_scan,
@@ -442,7 +442,7 @@ def test_transport_map_hand_example():
     assert by_moved[(5,)].hit_index == 3 and by_moved[(5,)].image == (5,)
     assert by_moved[(6,)].hit_index == 2 and by_moved[(6,)].image == (5,)
     assert by_moved[(7,)].hit_index == 1 and by_moved[(7,)].image == (5,)
-    assert record.preimage_counts == {(5,): 3}
+    assert [e.image for e in record.entries] == [(5,)] * 3 and record.max_preimage() == 3
 
     single = transport_map(Z, (1,), d5)
     assert len(single.entries) == 1
@@ -609,6 +609,24 @@ def test_theorem_precondition():
         verify_theorem(C12, FiniteSubset.from_iterable(C12, list(range(6))))
 
 
+@pytest.mark.parametrize(
+    "spec, other, elements",
+    # zd:2's pairs would pass for z's elements; cyclic residues are no dihedral pairs
+    [("z", "zd:2", [(0, 0), (1, 0)]), ("dihedral:6", "cyclic:12", [0, 1, 2])],
+)
+def test_verifiers_refuse_a_set_of_another_group(spec, other, elements):
+    group = parse_group(spec)
+    D = FiniteSubset.from_iterable(parse_group(other), elements)
+    gamma0 = group.generating_set[0]
+    for check in (
+        verify_theorem, verify_csc, boundary_comparison, outer_boundary, inner_boundary_left,
+        inner_boundary_right, half_mass_witness, lambda g, D: lemma31_check(g, D, 1),
+        lambda g, D: smoothed_density(g, D, 1, gamma0), lambda g, D: transport_map(g, gamma0, D),
+    ):
+        with pytest.raises(PreconditionViolated, match="not of " + spec):
+            check(group, D)
+
+
 def test_csc_examples():
     rep = verify_csc(Z, interval(10))
     assert rep.lhs == Fraction(2, 10) and rep.rhs == Fraction(1, 80)
@@ -709,6 +727,27 @@ def test_every_verdict_is_its_reported_relation(fam, size, seed, pick, slack):
         assert r.strict == (r.relation == ">")
     # lemma31 holds only when all three routes agree
     assert lemma.verdict == (lemma.lhs == lemma.rhs == lemma.extra["mid_b"])
+
+
+def test_acceptance_reports_of_every_kind_keep_the_verdict_contract():
+    reports = []
+    for group, D, d in acceptance_instances(7, quick=True):
+        reports += [lemma31_check(group, D, d), boundary_comparison(group, D)]
+        order = group.order()
+        if order is None or 2 * len(D) < order:
+            reports += [half_mass_witness(group, D)[1], verify_theorem(group, D), verify_csc(group, D)]
+        if d >= 1:
+            # the last element of the ball has word length at most d
+            record = transport_map(group, list(ball(group, d).elements())[-1], D)
+            reports += [preimage_bound_check(record, d), displacement_bound_check(record, d)]
+    assert {r.kind for r in reports} == {
+        "lemma31", "boundary_cmp", "half_mass", "theorem", "csc", "preimage_bound",
+        "displacement_bound",
+    }
+    for r in reports:
+        assert r.verdict == RELATIONS[r.relation](r.lhs, r.rhs), r.kind
+        if r.kind == "lemma31":
+            assert r.extra["mid_b"] == r.lhs
 
 
 def test_report_line_is_deterministic():

@@ -78,7 +78,7 @@ def test_layers_are_disjoint_sorted_and_parented(spec, radius):
             assert table.layer_of(g) == k
             if k > 0:
                 i, pred = table.parent(g)
-                s = group.generating_set.elements[i]
+                s = group.generating_set[i]
                 assert group.mul(s, pred) == g
                 assert table.layer_of(pred) == k - 1
 
@@ -146,7 +146,7 @@ def test_geodesic_word_examples():
     # re-multiplying the word (first index applied first) reproduces the element
     acc = h.identity()
     for i in word:
-        acc = h.mul(h.generating_set.elements[i], acc)
+        acc = h.mul(h.generating_set[i], acc)
     assert acc == (1, 1, 1)
 
 
@@ -159,7 +159,7 @@ def test_geodesic_reproduces_and_is_deterministic(spec):
         assert len(word) == table.layer_of(g) == word_length(group, g)
         acc = group.identity()
         for i in word:
-            acc = group.mul(group.generating_set.elements[i], acc)
+            acc = group.mul(group.generating_set[i], acc)
         assert acc == g
         assert geodesic_word(group, g) == word
 

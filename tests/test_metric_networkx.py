@@ -38,7 +38,7 @@ def oracle_distances(group, radius):
     graph = nx.DiGraph()
     graph.add_nodes_from(vertices)
     for g in vertices:
-        for s in group.generating_set.elements:
+        for s in group.generating_set:
             h = group.mul(s, g)
             if h in vertices:
                 graph.add_edge(g, h)
@@ -69,7 +69,7 @@ def test_ball_depth_matches_cayley_graph(case):
 
 def test_word_length_and_geodesic_word_match_cayley_graph(case):
     group, _, dist, _ = case
-    gens = group.generating_set.elements
+    gens = group.generating_set
     for g, k in dist.items():
         assert word_length(group, g, ball_cap=CAP) == k
         word = geodesic_word(group, g, ball_cap=CAP)

@@ -79,6 +79,14 @@ def test_parse_set_descriptor_errors():
             parse_set_descriptor(bad)
 
 
+def test_random_seeds_outside_splitmix64_range_are_refused():
+    # SplitMix64 reduces seeds mod 2^64, so 2^64 would draw seed 0's set
+    assert parse_set_descriptor(f"random:6:{2**64 - 1}").seed == 2**64 - 1
+    for text in (f"random:6:{2**64}", f"random:6:{2**64}:ball=3", f"random:6:{2**65 + 1}:connected"):
+        with pytest.raises(ParseError, match="0..2"):
+            parse_set_descriptor(text)
+
+
 def test_parse_size_range():
     assert parse_size_range("1..5") == (1, 5)
     assert parse_size_range("4") == (4, 4)
@@ -161,7 +169,7 @@ def test_random_connected_is_connected_and_deterministic():
     reached = {F2.identity()}
     while frontier:
         cur = frontier.pop()
-        for s in F2.generating_set.elements:
+        for s in F2.generating_set:
             nxt = F2.mul(s, cur)
             if nxt in members and nxt not in reached:
                 reached.add(nxt)
