@@ -18,6 +18,7 @@ from .groups import Element, Group, parse_group
 from .isoperimetry import (
     FiniteSubset,
     VerificationReport,
+    admissible,
     boundary_comparison,
     canonical_json,
     displacement_bound_check,
@@ -109,11 +110,6 @@ def acceptance_instances(seed: int, quick: bool, *, ball_cap: int = DEFAULT_BALL
     return instances
 
 
-def _admissible(ins: Instance) -> bool:
-    order = ins.group.order()
-    return order is None or 2 * len(ins.subset) < order
-
-
 def _criterion_lemma31(instances, reports, quick, ball_cap) -> CriterionResult:
     failures = 0
     for ins in instances:
@@ -134,7 +130,7 @@ def _criterion_half_mass(instances, reports, ball_cap) -> CriterionResult:
     checked = 0
     failures = 0
     for ins in instances:
-        if not _admissible(ins):
+        if not admissible(ins.group, len(ins.subset)):
             continue
         _, rep = half_mass_witness(ins.group, ins.subset, ball_cap=ball_cap)
         reports.append(rep)
@@ -244,7 +240,7 @@ def _criterion_csc_boundary(instances, reports, ball_cap) -> CriterionResult:
                 f"{ins.subset.provenance}: outer={cmp_rep.extra['outer_size']} > "
                 f"{cmp_rep.extra['rhs_right']}"
             )
-        if _admissible(ins):
+        if admissible(ins.group, len(ins.subset)):
             csc_rep = verify_csc(ins.group, ins.subset, ball_cap=ball_cap)
             reports.append(csc_rep)
             csc_checked += 1

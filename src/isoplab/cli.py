@@ -35,7 +35,7 @@ from .isoperimetry import (
     verify_csc,
     verify_theorem,
 )
-from .metric import DEFAULT_BALL_CAP, growth, phi, word_length
+from .metric import DEFAULT_BALL_CAP, growth, phi
 from .search import (
     exhaustive_profile,
     generate_sets,
@@ -126,6 +126,8 @@ def _report_lines(reports) -> list[str]:
 def _cmd_growth(config: argparse.Namespace) -> int:
     if config.group is None:
         raise ParseError("growth needs --group")
+    if config.phi is not None and config.max_radius is not None:
+        raise ParseError("growth takes --phi or --max-radius, not both")
     group = parse_group(config.group)
     if config.phi is not None:
         v = config.phi
@@ -158,18 +160,21 @@ def _cmd_verify(config: argparse.Namespace, check: str) -> int:
         raise ParseError("verify lemma31 needs --d")
     if check == "transport" and config.gamma0 is None:
         raise ParseError("verify transport needs --gamma0")
+    if config.d is not None and check not in ("lemma31", "transport"):
+        raise ParseError(f"verify {check} takes no --d")
+    if config.gamma0 is not None and check != "transport":
+        raise ParseError(f"verify {check} takes no --gamma0")
     group = parse_group(config.group)
     desc = parse_set_descriptor(config.set)
     cap = config.ball_cap
     d = config.d
     if check == "transport":
         gamma0 = group.parse_word(config.gamma0)
-        if d is None:
-            d = word_length(group, gamma0, ball_cap=cap)
 
     def transport(s):
         record = transport_map(group, gamma0, s, ball_cap=cap)
-        return [preimage_bound_check(record, d), displacement_bound_check(record, d)]
+        k = record.length if d is None else d  # --d defaults to the word length of gamma0
+        return [preimage_bound_check(record, k), displacement_bound_check(record, k)]
 
     verifiers = {
         "lemma31": lambda s: [lemma31_check(group, s, d, ball_cap=cap)],
@@ -223,6 +228,8 @@ def _cmd_sharpness(config: argparse.Namespace) -> int:
     group = parse_group(config.group)
     if config.family is not None and config.set is not None:
         raise ParseError("sharpness takes --family or --set, not both")
+    if config.set is not None and config.max_n is not None:
+        raise ParseError("sharpness --set takes no --max-n; it bounds --family intervals")
     if config.family is not None:
         subsets = interval_subsets(group, config.max_n if config.max_n is not None else 50)
     elif config.set is not None:
@@ -248,8 +255,6 @@ def _cmd_sharpness(config: argparse.Namespace) -> int:
 
 def _cmd_accept(config: argparse.Namespace) -> int:
     seed = config.seed if config.seed is not None else DEFAULT_SEED
-    if not 0 <= seed < 1 << 64:  # SplitMix64 would reduce it mod 2^64: another seed's run
-        raise ParseError(f"seed must lie in 0..2^64-1, got {seed}")
     outcome = run_acceptance(
         seed, bool(config.quick), check_determinism=True, ball_cap=config.ball_cap
     )

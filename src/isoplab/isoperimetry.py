@@ -167,12 +167,17 @@ def _require_non_empty(group: Group, D: FiniteSubset) -> None:
         raise PreconditionViolated("D must be non-empty")
 
 
+def admissible(group: Group, n: int) -> bool:
+    """Whether sets of n elements are admissible for the strict bound: 2n < Card(group)."""
+    order = group.order()
+    return order is None or 2 * n < order
+
+
 def _require_admissible(group: Group, D: FiniteSubset) -> None:
     _require_non_empty(group, D)
-    order = group.order()
-    if order is not None and 2 * len(D) >= order:
+    if not admissible(group, len(D)):
         raise PreconditionViolated(
-            f"need Card(D) < Card(group)/2: Card(D)={len(D)}, Card(group)={order}"
+            f"need Card(D) < Card(group)/2: Card(D)={len(D)}, Card(group)={group.order()}"
         )
 
 

@@ -15,6 +15,8 @@ independent of how much of the parent stream has been drawn.
 
 from __future__ import annotations
 
+from .errors import ParseError
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -31,8 +33,9 @@ class SplitMix64:
     """SplitMix64 stream with unbiased bounded draws and seed splitting."""
 
     def __init__(self, seed: int):
-        self.seed = seed & _MASK64
-        self._state = self.seed
+        if not 0 <= seed <= _MASK64:  # reduced mod 2^64, it would rerun another seed's stream
+            raise ParseError(f"seed must lie in 0..2^64-1, got {seed}")
+        self.seed = self._state = seed
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64

@@ -3,8 +3,8 @@
 Random sets come from the documented SplitMix64 stream, so a descriptor
 plus seed reproduces the identical set on any machine.  Subsets of a
 finite group are read as sets of positions in its canonically sorted
-element list, which only _ground_set builds: it alone applies the
-exhaustive order cap DEFAULT_SUBSET_CAP.
+element list, which only _ground_set builds: it alone refuses an infinite
+group and applies the exhaustive order cap DEFAULT_SUBSET_CAP.
 
 The `exhaustive:` descriptor streams the subsets in its size range in
 binary-reflected Gray-code order of their bitmasks.  gray_subset_steps
@@ -27,9 +27,10 @@ has boundary at least b - (j - s).  All sets below a set in the walk are
 its supersets, so the walk descends from a set only while b + s is below
 a ceiling for its size, and the profile keeps that ceiling at the largest
 least[j] + j over the requested sizes j > s.  A pruned subtree holds no
-set of boundary below the least already seen at its size, so the rows
-and witnesses are those of the full walk: cyclic:22 with sizes 1..10
-visits 16,061 of its 695,860 anchored sets (of 4,194,304 subsets).
+set of boundary below the least already seen at its size; ties never
+replace a witness and the least boundaries only fall, so the rows and
+witnesses are those of the full walk: cyclic:22 with sizes 1..10 visits
+16,061 of its 695,860 anchored sets (of 4,194,304 subsets).
 """
 
 from __future__ import annotations
@@ -42,12 +43,13 @@ from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import BudgetExceeded, ParseError, PreconditionViolated
 from .groups import Element, Group, ZGroup
-from .isoperimetry import FiniteSubset, VerificationReport, verify_theorem
+from .isoperimetry import FiniteSubset, VerificationReport, admissible, verify_theorem
 from .metric import DEFAULT_BALL_CAP, ball, enumerate_group, minimal_d, phi
 from .rng import SplitMix64
 
 DEFAULT_SUBSET_CAP = 24
 
+_BALL_RE = re.compile(r"ball:([0-9]+)")
 _RANDOM_RE = re.compile(r"random:([0-9]+):([0-9]+)(?::(connected|ball=[0-9]+))?")
 _RANGE_RE = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
 
@@ -95,10 +97,10 @@ class SetDescriptor(NamedTuple):
 def parse_set_descriptor(text: str) -> SetDescriptor:
     t = text.strip()
     if t.startswith("ball:"):
-        body = t[len("ball:"):]
-        if not body.isdigit():
-            raise ParseError(f"bad ball descriptor {text!r}")
-        return SetDescriptor(text=t, kind="ball", radius=int(body))
+        m = _BALL_RE.fullmatch(t)
+        if m is None:
+            raise ParseError(f"bad ball descriptor {text!r} (expected ball:<radius>)")
+        return SetDescriptor(text=t, kind="ball", radius=int(m.group(1)))
     if t.startswith("random:"):
         m = _RANDOM_RE.fullmatch(t)
         if m is None:
@@ -109,9 +111,6 @@ def parse_set_descriptor(text: str) -> SetDescriptor:
         size, seed = int(m.group(1)), int(m.group(2))
         if size < 1:
             raise ParseError("random size must be >= 1")
-        if seed >= 1 << 64:
-            # SplitMix64 would reduce it mod 2^64 and draw another seed's set
-            raise ParseError(f"random seed must lie in 0..2^64-1, got {seed}")
         suffix = m.group(3)
         if suffix is None or suffix == "connected":
             # connected growth is the default sampling mode
@@ -153,6 +152,7 @@ def default_uniform_radius(group: Group, size: int, ball_cap: int) -> int:
 
 
 def _sample_uniform_in_ball(group: Group, desc: SetDescriptor, *, ball_cap: int) -> FiniteSubset:
+    rng = SplitMix64(desc.seed)  # first: a bad seed is refused before the ball is built
     radius = desc.radius
     table = ball(group, radius, ball_cap=ball_cap)
     pool = list(table.elements())
@@ -160,7 +160,6 @@ def _sample_uniform_in_ball(group: Group, desc: SetDescriptor, *, ball_cap: int)
         raise PreconditionViolated(
             f"random size {desc.size} exceeds ball size {len(pool)} at radius {radius}"
         )
-    rng = SplitMix64(desc.seed)
     chosen: set = set()
     while len(chosen) < desc.size:
         chosen.add(pool[rng.below(len(pool))])
@@ -168,6 +167,7 @@ def _sample_uniform_in_ball(group: Group, desc: SetDescriptor, *, ball_cap: int)
 
 
 def _sample_connected(group: Group, desc: SetDescriptor, *, ball_cap: int) -> FiniteSubset:
+    rng = SplitMix64(desc.seed)
     if ball_cap < 1:
         raise BudgetExceeded(
             f"{group.name}: connected sample outgrew cap {ball_cap}", size=1, cap=ball_cap
@@ -175,7 +175,6 @@ def _sample_connected(group: Group, desc: SetDescriptor, *, ball_cap: int) -> Fi
     mul = group.mul
     sort_key = group.sort_key
     gens = group.generating_set
-    rng = SplitMix64(desc.seed)
     members = {group.identity()}
     # frontier: every s*m outside members, in the canonical order; keys[i]
     # is sort_key(frontier[i]).  Distinct elements have distinct keys, so one
@@ -412,33 +411,24 @@ def exhaustive_profile(
     keeps the size and the outer boundary, so that witness contains
     position 0, and the walk of anchored_subset_steps, which visits the
     sets through position 0 of each size in lexicographic order, meets it
-    as the first set of least boundary.
-
-    The walk skips every subtree that cannot hold a set of boundary below
-    the least seen at some requested size (see the module docstring).  Ties
-    never replace a witness and the least boundaries only fall, so the
-    skipped sets would not have changed a row.  cyclic:22 with sizes 1..10
-    visits 16,061 sets where the full anchored walk visits 695,860 and
-    2^22 = 4,194,304 subsets exist.
+    as the first set of least boundary.  The walk is the branch-and-bound
+    of the module docstring.
     """
     wanted = sorted(set(sizes))
     if not wanted or wanted[0] < 1:
         raise PreconditionViolated("profile sizes must be >= 1")
-    order = group.order()
-    if order is None:
-        raise PreconditionViolated(f"{group.name} is infinite; profile needs a finite group")
-    if 2 * wanted[-1] >= order:
-        raise PreconditionViolated(
-            f"profile sizes must satisfy n < Card(group)/2 = {order}/2, got n = {wanted[-1]}"
-        )
     ground = _ground_set(group, ball_cap=ball_cap)
     top = wanted[-1]
+    if not admissible(group, top):
+        raise PreconditionViolated(
+            f"profile sizes must satisfy n < Card(group)/2 = {len(ground)}/2, got n = {top}"
+        )
     # least[k]: the least boundary seen at size k.  A boundary is below the
     # order, so the first set of a wanted size always improves on it; -1
     # marks the sizes not asked for, which no boundary improves on.
     least = [-1] * (top + 1)
     for n in wanted:
-        least[n] = order
+        least[n] = len(ground)
     # ceiling[s]: the largest least[j] + j over wanted j > s (0 if none).
     # A set of size s and boundary b has a descendant of size j with
     # boundary below least[j] only if b + s < least[j] + j.
@@ -523,12 +513,12 @@ def sharpness_of_subsets(
 
 def interval_subsets(group: Group, n_max: int) -> Iterator[FiniteSubset]:
     """Stream the intervals {0, ..., n-1}, n = 1..n_max, in the rank-1
-    integer lattice; the arguments are checked at the call."""
+    integer lattice (sorted, so trusted); the arguments are checked at the call."""
     if not (isinstance(group, ZGroup) and group.rank == 1):
         raise PreconditionViolated("interval family is defined on the group z only")
     if n_max < 1:
         raise PreconditionViolated("n_max must be >= 1")
     return (
-        FiniteSubset.from_iterable(group, [(i,) for i in range(n)], provenance=f"interval:{n}")
+        FiniteSubset(group, tuple((i,) for i in range(n)), f"interval:{n}")
         for n in range(1, n_max + 1)
     )

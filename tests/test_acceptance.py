@@ -1,9 +1,12 @@
 """Acceptance gate: one test per criterion, full instance counts, zero
 tolerance everywhere.  Each test prints its scorecard line."""
 
+import hashlib
+
 import pytest
 
-from isoplab.acceptance import _run_criteria
+from isoplab import ParseError
+from isoplab.acceptance import _run_criteria, acceptance_instances, run_acceptance
 from isoplab.cli import main
 
 ACCEPT_SEED = 20260809
@@ -69,4 +72,14 @@ def test_criterion_8_determinism(capsys):
     out2 = capsys.readouterr().out
     assert code1 == code2 == 0
     assert out1.encode() == out2.encode()
+    # the golden digest of this command, as recorded in ROADMAP.md
+    assert hashlib.sha256(out1.encode()).hexdigest()[:16] == "a901649a67abd457"
     print("criterion 8 [determinism]: PASS (two accept runs with seed 7 are byte-identical)")
+
+
+def test_library_runs_refuse_seeds_outside_the_64_bit_range():
+    # the CLI's refusal, now in the stream itself: 2^64 would rerun seed 0
+    with pytest.raises(ParseError, match="seed must lie in 0..2"):
+        acceptance_instances(2**64, True)
+    with pytest.raises(ParseError, match="seed must lie in 0..2"):
+        run_acceptance(-1, quick=True, check_determinism=False)

@@ -261,6 +261,15 @@ def test_random_descriptor_seed_outside_splitmix64_range_exits_2(capsys):
     assert code == 2 and out == "" and "0..2^64-1" in err
 
 
+def test_random_seed_is_refused_before_the_transport_word_is_measured(capsys):
+    # without --d, the word length of gamma0 comes from the transport map, after the draw
+    code, out, err = run(
+        capsys, "verify", "transport", "--group", "free:2", "--set", f"random:5:{2**64}",
+        "--gamma0", "aaaa", "--ball-cap", "3",
+    )
+    assert code == 2 and out == "" and "0..2^64-1" in err
+
+
 def test_sharpness_refuses_family_with_set(tmp_path, capsys):
     code, out, err = run(
         capsys, "sharpness", "--group", "z", "--family", "intervals", "--set", "random:5:1"
@@ -285,6 +294,37 @@ def test_config_boolean_spellings(tmp_path, raw, value):
     cfg.write_text(f"quick={raw}\n")
     args = build_parser().parse_args(["accept", "--config", str(cfg)])
     assert _resolve_config(args).quick is value
+
+
+@pytest.mark.parametrize("radius", ["\u00b2", "\u0663"])
+def test_ball_radius_outside_ascii_digits_exits_2(capsys, radius):
+    code, out, err = run(capsys, "verify", "theorem", "--group", "z", "--set", f"ball:{radius}")
+    assert code == 2 and out == ""
+    assert err.startswith("isoplab: error: bad ball descriptor") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, settings, needle", [
+    (("growth",), {"group": "z", "phi": "3", "max_radius": "2"}, "not both"),
+    (("verify", "theorem"), {"group": "z", "set": "ball:2", "d": "1"}, "no --d"),
+    (("verify", "halfmass"), {"group": "z", "set": "ball:2", "d": "1"}, "no --d"),
+    (("verify", "lemma31"), {"group": "z", "set": "ball:2", "d": "1", "gamma0": "a"}, "no --gamma0"),
+    (("verify", "csc"), {"group": "z", "set": "ball:2", "gamma0": "a"}, "no --gamma0"),
+    (("sharpness",), {"group": "z", "set": "ball:2", "max_n": "3"}, "no --max-n"),
+])
+def test_flags_the_mode_never_reads_exit_2(tmp_path, capsys, command, settings, needle):
+    flags = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
+    code, out, err = run(capsys, *command, *flags)
+    assert code == 2 and out == "" and needle in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
+    code, out, err = run(capsys, *command, "--config", str(cfg))
+    assert code == 2 and out == "" and needle in err
+
+
+def test_profile_over_the_cap_exits_3_before_the_size_check(capsys):
+    # dihedral:13 has 26 elements, above the exhaustive cap, and 13 is not < 26/2
+    code, out, err = run(capsys, "profile", "--group", "dihedral:13", "--sizes", "13")
+    assert code == 3 and out == "" and "above the exhaustive cap 24" in err
 
 
 def test_word_flags_checked_before_sets_are_generated(capsys):

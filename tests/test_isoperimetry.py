@@ -17,6 +17,7 @@ from isoplab import (
     boundary_comparison,
     displacement,
     displacement_bound_check,
+    exhaustive_profile,
     half_mass_witness,
     inner_boundary_left,
     inner_boundary_right,
@@ -35,6 +36,7 @@ from isoplab import (
     word_length,
 )
 from isoplab.acceptance import FAMILIES, acceptance_instances
+from isoplab.isoperimetry import _require_admissible, admissible
 from oracle_helpers import (
     displacement_bound_by_direct_count,
     half_mass_by_full_scan,
@@ -607,6 +609,32 @@ def test_theorem_examples():
 def test_theorem_precondition():
     with pytest.raises(PreconditionViolated):
         verify_theorem(C12, FiniteSubset.from_iterable(C12, list(range(6))))
+
+
+@pytest.mark.parametrize("spec, n, expected", [
+    ("cyclic:12", 5, True), ("cyclic:12", 6, False),
+    ("heisenberg:2", 3, True), ("heisenberg:2", 4, False),
+    ("z", 1, True), ("z", 40, True), ("free:2", 1, True), ("free:2", 40, True),
+])
+def test_admissible_boundary(spec, n, expected):
+    # 2n < Card(group); the verifiers and the profile refuse exactly the rest
+    group = parse_group(spec)
+    assert admissible(group, n) is expected
+    D = generate_set(group, parse_set_descriptor(f"random:{n}:1"))
+    if expected:
+        _require_admissible(group, D)
+    else:
+        with pytest.raises(PreconditionViolated, match="need Card"):
+            _require_admissible(group, D)
+    if group.order() is None:
+        assert admissible(group, 10**9)
+        with pytest.raises(PreconditionViolated, match="is infinite"):
+            exhaustive_profile(group, [n])
+    elif expected:
+        assert [row.size for row in exhaustive_profile(group, [n])] == [n]
+    else:
+        with pytest.raises(PreconditionViolated, match="profile sizes must satisfy"):
+            exhaustive_profile(group, [n])
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from isoplab import SplitMix64, mix64
+from isoplab import ParseError, SplitMix64, mix64
 
 
 def test_reference_stream_for_seed_zero():
@@ -68,3 +68,17 @@ def test_child_streams_diverge():
     a = parent.child(0)
     b = parent.child(1)
     assert [a.next_u64() for _ in range(5)] != [b.next_u64() for _ in range(5)]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**65 + 1])
+def test_seeds_outside_the_64_bit_range_are_refused(seed):
+    # reduced mod 2^64, 2^64 would rerun seed 0's stream and -1 seed 2^64 - 1's
+    with pytest.raises(ParseError, match=rf"seed must lie in 0\.\.2\^64-1, got {seed}$"):
+        SplitMix64(seed)
+
+
+def test_the_largest_seed_draws():
+    rng = SplitMix64(2**64 - 1)
+    assert rng.seed == 2**64 - 1
+    assert rng.next_u64() == mix64(0x9E3779B97F4A7C15 - 1)
+    assert 0 <= rng.below(10) < 10 and rng.child(0).seed == rng.child_seed(0)

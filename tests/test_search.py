@@ -79,12 +79,38 @@ def test_parse_set_descriptor_errors():
             parse_set_descriptor(bad)
 
 
+def test_ball_radius_is_ascii_digits():
+    # str.isdigit takes a superscript two, which int() rejects, and an
+    # Arabic-Indic three, which int() reads as 3
+    assert parse_set_descriptor("ball:007").radius == 7
+    for bad in ("ball:\u00b2", "ball:\u0663", "ball:", "ball:+2", "ball:2:3"):
+        with pytest.raises(ParseError, match="expected ball:<radius>"):
+            parse_set_descriptor(bad)
+
+
 def test_random_seeds_outside_splitmix64_range_are_refused():
-    # SplitMix64 reduces seeds mod 2^64, so 2^64 would draw seed 0's set
-    assert parse_set_descriptor(f"random:6:{2**64 - 1}").seed == 2**64 - 1
-    for text in (f"random:6:{2**64}", f"random:6:{2**64}:ball=3", f"random:6:{2**65 + 1}:connected"):
-        with pytest.raises(ParseError, match="0..2"):
-            parse_set_descriptor(text)
+    # the stream refuses them: reduced mod 2^64, 2^64 would draw seed 0's set
+    top = f"random:6:{2**64 - 1}"
+    assert len(generate_set(F2, parse_set_descriptor(top))) == 6
+    assert len(generate_set(F2, parse_set_descriptor(top + ":ball=3"))) == 6
+    for text, trials in [
+        (f"random:6:{2**64}", 1),
+        (f"random:6:{2**64}:ball=3", 1),
+        (f"random:6:{2**65 + 1}:connected", 1),
+        (f"random:6:{2**64}", 3),
+        (f"random:6:{2**64}:ball=3", 3),
+    ]:
+        desc = parse_set_descriptor(text)
+        with pytest.raises(ParseError, match=r"seed must lie in 0\.\.2\^64-1"):
+            list(generate_sets(F2, desc, trials))
+        if trials == 1:
+            with pytest.raises(ParseError, match=r"seed must lie in 0\.\.2\^64-1"):
+                generate_set(F2, desc)
+    # a uniform draw refuses the seed before it builds a ball over the cap
+    with pytest.raises(ParseError):
+        generate_set(F2, parse_set_descriptor(f"random:6:{2**64}:ball=3"), ball_cap=2)
+    with pytest.raises(BudgetExceeded):
+        generate_set(F2, parse_set_descriptor(top + ":ball=3"), ball_cap=2)
 
 
 def test_parse_size_range():
@@ -591,6 +617,13 @@ def test_profile_preconditions():
         exhaustive_profile(Z, [1])
 
 
+def test_profile_takes_its_ground_before_it_checks_sizes():
+    # _ground_set refuses a group above the order cap before any size is checked
+    with pytest.raises(BudgetExceeded) as exc:
+        exhaustive_profile(parse_group("dihedral:13"), [13])  # 2 * 13 is not < 26
+    assert (exc.value.size, exc.value.cap) == (26, 24)
+
+
 # ------------------------------------------------------------------- sharpness
 
 def test_interval_sharpness_is_exactly_four():
@@ -642,6 +675,18 @@ def test_interval_subsets_only_on_z():
         interval_subsets(parse_group("zd:2"), 3)
     with pytest.raises(PreconditionViolated):
         interval_subsets(Z, 0)
+
+
+def test_intervals_take_the_trusted_constructor(monkeypatch):
+    calls = []
+    validate = type(Z).validate
+    monkeypatch.setattr(type(Z), "validate", lambda self, e: calls.append(e) or validate(self, e))
+    intervals = list(interval_subsets(Z, 300))
+    assert calls == []
+    for n, subset in enumerate(intervals, 1):
+        checked = FiniteSubset.from_iterable(Z, [(i,) for i in range(n)], provenance=f"interval:{n}")
+        assert (subset.elements, subset.provenance) == (checked.elements, checked.provenance)
+    assert len(calls) == 300 * 301 // 2  # the counter sees the validating path
 
 
 def test_interval_stream_is_lazy():
