@@ -230,6 +230,8 @@ def _cmd_sharpness(config: argparse.Namespace) -> int:
         raise ParseError("sharpness takes --family or --set, not both")
     if config.set is not None and config.max_n is not None:
         raise ParseError("sharpness --set takes no --max-n; it bounds --family intervals")
+    if config.family is not None and config.trials is not None:
+        raise ParseError("sharpness --family takes no --trials; it counts --set draws")
     if config.family is not None:
         subsets = interval_subsets(group, config.max_n if config.max_n is not None else 50)
     elif config.set is not None:

@@ -321,21 +321,38 @@ def half_mass_witness(
     order, canonical within each layer, and only a strictly greater
     displacement replaces the best so far.  The scan is an exact
     branch-and-bound on that rule.  It counts the points y of D with x*y
-    still in D and drops x as soon as that count reaches n - best, since x
-    can then no longer beat the best strictly; it stops at the first x
-    that moves all of D.  Averaging guarantees a strict witness exists
-    whenever Card(D) < Card(group)/2.
+    still in D and drops x as soon as that count shows x cannot be the
+    witness; it stops at the first x that moves all of D.  Two facts make
+    the drops exact:
+
+    - Card(xD \\ D) = Card(x^-1 D \\ D), since y -> x*y maps D \\ x^-1 D onto
+      xD \\ D and x^-1 D has Card(D) points; and x^-1 has the word length
+      of x, since S is symmetric.  Within one layer the canonical order
+      is plain order (see groups), so when x^-1 < x the scan has already
+      counted x^-1, and x cannot beat it strictly: x is skipped unread.
+    - Before the scan, one translate of the outermost layer is counted in
+      full; call its displacement b0.  The maximum is at least b0, so an x
+      that moves fewer than b0 points is not the witness, and neither is
+      one that moves no more than the best so far.  So x is dropped once
+      n - max(best, b0 - 1) of its points stay.
+
+    Neither drop ever discards the first maximizer.  Averaging guarantees
+    a strict witness exists whenever Card(D) < Card(group)/2.
     """
     _require_admissible(group, D)
     n = len(D)
     d, table = minimal_d(group, 2 * n, ball_cap=ball_cap)
     mul = group.mul
+    inv = group.inv
     members = D.member_set
     elements = D.elements
+    floor = displacement(group, table.layers[-1][0], D) - 1
     best_x = None
     best_disp = -1
     for x in table.elements():  # layer order, canonical within each layer
-        stay_limit = n - best_disp
+        if inv(x) < x:
+            continue
+        stay_limit = n - max(best_disp, floor)
         stay = 0
         for y in elements:
             if mul(x, y) in members:

@@ -310,6 +310,10 @@ def test_ball_radius_outside_ascii_digits_exits_2(capsys, radius):
     (("verify", "lemma31"), {"group": "z", "set": "ball:2", "d": "1", "gamma0": "a"}, "no --gamma0"),
     (("verify", "csc"), {"group": "z", "set": "ball:2", "gamma0": "a"}, "no --gamma0"),
     (("sharpness",), {"group": "z", "set": "ball:2", "max_n": "3"}, "no --max-n"),
+    (
+        ("sharpness",), {"group": "z", "family": "intervals", "max_n": "2", "trials": "3"},
+        "error: sharpness --family takes no --trials; it counts --set draws",
+    ),
 ])
 def test_flags_the_mode_never_reads_exit_2(tmp_path, capsys, command, settings, needle):
     flags = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]

@@ -44,6 +44,10 @@ COMMANDS = {
     "halfmass-cyclic:12": ("verify", "halfmass", "--group", "cyclic:12", "--set", "explicit:0,1,2,3,5"),
     "halfmass-heisenberg:3": ("verify", "halfmass", "--group", "heisenberg:3", "--set", "random:9:4"),
     "halfmass-symmetric:4": ("verify", "halfmass", "--group", "symmetric:4", "--set", "random:7:2"),
+    # uniform ball draws whose scans skip translates after their inverses and
+    # drop those that move fewer points than a translate of the outer layer
+    "halfmass-zd:2": ("verify", "halfmass", "--group", "zd:2", "--set", "random:40:1:ball=6"),
+    "halfmass-heisenberg": ("verify", "halfmass", "--group", "heisenberg", "--set", "random:60:1:ball=4"),
     "transport-free:2": (
         "verify", "transport", "--group", "free:2", "--set", "random:20:4", "--gamma0", "abA",
     ),
@@ -88,6 +92,8 @@ DIGESTS = {
     ("halfmass-cyclic:12", "jsonl"): "5c540913e1deb1ae",
     ("halfmass-heisenberg:3", "jsonl"): "783cd3dff39fc029",
     ("halfmass-symmetric:4", "jsonl"): "6bc747845a2e7962",
+    ("halfmass-zd:2", "jsonl"): "32bbb2402e105d4d",
+    ("halfmass-heisenberg", "jsonl"): "081db116346f3f69",
     ("transport-free:2", "jsonl"): "13d1c0ad0de4076d",
     ("csc", "jsonl"): "5c03ede6e714ad30",
     ("csc", "csv"): "e0dcf67b53a9e933",

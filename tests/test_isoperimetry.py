@@ -420,6 +420,67 @@ def test_half_mass_first_of_tied_translates_wins(spec, elems, x, disp):
     assert report.to_json_dict() == old_report.to_json_dict()
 
 
+@pytest.mark.parametrize("spec,elems,case", [
+    ("dihedral:6", [(1, 1), (2, 0), (4, 0), (5, 0), (5, 1)], "probe is the only maximizer"),
+    ("symmetric:4", [(1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 4, 2), (2, 1, 3, 4), (2, 3, 1, 4)],
+     "probe is the only maximizer"),
+    # both tie below Card(D), where only the probe's floor b0 - 1 keeps the earlier one
+    ("zd:2", [(-1, -1), (-1, 1), (0, 1), (0, 2), (1, 1)], "an earlier translate ties the probe"),
+    ("heisenberg", [(-1, -1, 0), (-1, 0, 0), (-1, 1, -1), (0, 0, 0), (0, 2, 0), (1, 1, 1)],
+     "an earlier translate ties the probe"),
+    # an involution is its own inverse: it is never skipped in favour of it
+    ("dihedral:6", [(0, 1), (2, 0)], "the witness is an involution"),
+    ("symmetric:4", [(1, 2, 4, 3), (1, 3, 2, 4)], "the witness is an involution"),
+])
+def test_half_mass_pruning_keeps_the_first_maximizer(spec, elems, case):
+    # the probe is the first translate of the outermost layer, counted before the scan
+    group = parse_group(spec)
+    D = FiniteSubset.from_iterable(group, elems)
+    witness, report = half_mass_witness(group, D)
+    old_witness, old_report = half_mass_by_full_scan(group, D)
+    assert witness == old_witness
+    assert report.to_json_dict() == old_report.to_json_dict()
+    table = minimal_d(group, 2 * len(D))[1]
+    probe = table.layers[-1][0]
+    maximizers = [x for x in table.elements() if displacement(group, x, D) == report.lhs]
+    assert maximizers[0] == witness
+    if case == "probe is the only maximizer":
+        assert maximizers == [probe]
+    elif case == "an earlier translate ties the probe":
+        assert probe in maximizers[1:] and report.lhs < len(D)
+    else:
+        assert group.inv(witness) == witness != group.identity()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(HALF_MASS_FAMILIES),
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=30),
+    st.integers(0, 10**6),
+)
+def test_inverse_translate_moves_as_much_at_the_same_length(spec, picks, pick):
+    # the two facts behind skipping x when x^-1 precedes it in the scan
+    group = parse_group(spec)
+    pool = list(ball(group, 4).elements())
+    D = FiniteSubset.from_iterable(group, [pool[i % len(pool)] for i in picks])
+    x = pool[pick % len(pool)]
+    assert displacement(group, x, D) == displacement(group, group.inv(x), D)
+    assert word_length(group, group.inv(x)) == word_length(group, x)
+
+
+@pytest.mark.parametrize("spec,text,calls", [
+    # the scan without the inverse skip and the probe made 2,356 and 3,592
+    ("zd:2", "random:40:1:ball=6", 1189),
+    ("heisenberg", "random:60:1:ball=4", 2023),
+])
+def test_half_mass_scan_work_is_pinned(spec, text, calls):
+    group = parse_group(spec)
+    D = generate_set(group, parse_set_descriptor(text))
+    (_, report), pruned_calls = scan_mul_calls(half_mass_witness, group, D)
+    assert report.extra["witness_length"] == report.d  # the witness is in the outer layer
+    assert pruned_calls == calls
+
+
 def test_half_mass_scan_stops_at_a_full_move():
     group = parse_group("free:2")
     D = generate_set(group, parse_set_descriptor("random:300:845294:ball=7"))
