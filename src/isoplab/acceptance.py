@@ -30,7 +30,7 @@ from .isoperimetry import (
     verify_csc,
     verify_theorem,
 )
-from .metric import DEFAULT_BALL_CAP, ball, growth, word_length
+from .metric import ball, growth, word_length
 from .rng import SplitMix64
 from .search import (
     default_uniform_radius,
@@ -82,18 +82,18 @@ class AcceptanceOutcome(NamedTuple):
         return all(r.passed for r in self.results)
 
 
-def _random_subset(group, rng, size_cap, uniform, ball_cap) -> FiniteSubset:
+def _random_subset(group, rng, size_cap, uniform) -> FiniteSubset:
     """A random set of 1..size_cap points (at most the group's order): drawn
     uniformly from a ball when `uniform`, else a connected sample."""
     order = group.order()
     size = 1 + rng.below(size_cap if order is None else min(size_cap, order))
     text = f"random:{size}:{rng.child_seed(1)}"
     if uniform:
-        text += f":ball={default_uniform_radius(group, size, ball_cap)}"
-    return generate_set(group, parse_set_descriptor(text), ball_cap=ball_cap)
+        text += f":ball={default_uniform_radius(group, size)}"
+    return generate_set(group, parse_set_descriptor(text))
 
 
-def acceptance_instances(seed: int, quick: bool, *, ball_cap: int = DEFAULT_BALL_CAP):
+def acceptance_instances(seed: int, quick: bool):
     """The shared randomized instance pool: (group, D, d) triples spanning
     all six families, sizes 1..60 (or up to the group order), d in 0..4."""
     per_family = 10 if quick else 84
@@ -105,15 +105,15 @@ def acceptance_instances(seed: int, quick: bool, *, ball_cap: int = DEFAULT_BALL
         for j in range(per_family):
             rng = master.child(seq)
             seq += 1
-            subset = _random_subset(group, rng, 60, uniform=(j % 2 == 1), ball_cap=ball_cap)
+            subset = _random_subset(group, rng, 60, uniform=(j % 2 == 1))
             instances.append(Instance(group=group, subset=subset, d=rng.below(5)))
     return instances
 
 
-def _criterion_lemma31(instances, reports, quick, ball_cap) -> CriterionResult:
+def _criterion_lemma31(instances, reports, quick) -> CriterionResult:
     failures = 0
     for ins in instances:
-        rep = lemma31_check(ins.group, ins.subset, ins.d, ball_cap=ball_cap)
+        rep = lemma31_check(ins.group, ins.subset, ins.d)
         reports.append(rep)
         if not rep.verdict:
             failures += 1
@@ -126,13 +126,13 @@ def _criterion_lemma31(instances, reports, quick, ball_cap) -> CriterionResult:
     return CriterionResult(1, "smoothing identity exactness", failures == 0 and enough, detail)
 
 
-def _criterion_half_mass(instances, reports, ball_cap) -> CriterionResult:
+def _criterion_half_mass(instances, reports) -> CriterionResult:
     checked = 0
     failures = 0
     for ins in instances:
         if not admissible(ins.group, len(ins.subset)):
             continue
-        _, rep = half_mass_witness(ins.group, ins.subset, ball_cap=ball_cap)
+        _, rep = half_mass_witness(ins.group, ins.subset)
         reports.append(rep)
         checked += 1
         if not rep.verdict:
@@ -141,21 +141,21 @@ def _criterion_half_mass(instances, reports, ball_cap) -> CriterionResult:
     return CriterionResult(2, "half-mass witness", checked > 0 and failures == 0, detail)
 
 
-def _criterion_transport(seed, quick, reports, ball_cap) -> CriterionResult:
+def _criterion_transport(seed, quick, reports) -> CriterionResult:
     per_family = 5 if quick else 34
     master = SplitMix64(seed)
     failures = []
     checked = 0
     for fi, fam in enumerate(FAMILIES):
         group = parse_group(fam)
-        table = ball(group, 5, ball_cap=ball_cap)
+        table = ball(group, 5)
         candidates = [g for layer in table.layers[1:] for g in layer]
         for j in range(per_family):
             rng = master.child(10_000 + fi * 1000 + j)
-            subset = _random_subset(group, rng, 40, uniform=(j % 2 == 1), ball_cap=ball_cap)
+            subset = _random_subset(group, rng, 40, uniform=(j % 2 == 1))
             gamma0 = candidates[rng.below(len(candidates))]
             try:
-                record = transport_map(group, gamma0, subset, ball_cap=ball_cap)
+                record = transport_map(group, gamma0, subset)
             except InternalContradiction as exc:
                 failures.append(f"{fam}: transport construction failed: {exc}")
                 continue
@@ -182,15 +182,15 @@ def _criterion_transport(seed, quick, reports, ball_cap) -> CriterionResult:
     return CriterionResult(3, "geodesic transport map", enough and not failures, detail)
 
 
-def _criterion_theorem_exhaustive(reports, ball_cap) -> CriterionResult:
+def _criterion_theorem_exhaustive(reports) -> CriterionResult:
     expected = 1585  # sum of C(12, n) for n = 1..5
     failures = 0
     counts = {}
     for fam in ("cyclic:12", "dihedral:6"):
         group = parse_group(fam)
         count = 0
-        for subset in generate_sets(group, parse_set_descriptor("exhaustive:1..5"), ball_cap=ball_cap):
-            rep = verify_theorem(group, subset, ball_cap=ball_cap)
+        for subset in generate_sets(group, parse_set_descriptor("exhaustive:1..5")):
+            rep = verify_theorem(group, subset)
             reports.append(rep)
             if not rep.verdict:
                 failures += 1
@@ -204,11 +204,11 @@ def _criterion_theorem_exhaustive(reports, ball_cap) -> CriterionResult:
     return CriterionResult(4, "strict bound, exhaustive sweep", failures == 0 and complete, detail)
 
 
-def _criterion_interval_sharpness(reports, ball_cap) -> CriterionResult:
+def _criterion_interval_sharpness(reports) -> CriterionResult:
     group = parse_group("z")
     bad = []
     for subset in interval_subsets(group, 50):
-        rep = verify_theorem(group, subset, ball_cap=ball_cap)
+        rep = verify_theorem(group, subset)
         reports.append(rep)
         n = len(subset)
         exact = (
@@ -223,7 +223,7 @@ def _criterion_interval_sharpness(reports, ball_cap) -> CriterionResult:
     return CriterionResult(5, "factor-4 sharpness on z intervals", not bad, detail)
 
 
-def _criterion_csc_boundary(instances, reports, ball_cap) -> CriterionResult:
+def _criterion_csc_boundary(instances, reports) -> CriterionResult:
     failures = []
     findings = []
     csc_checked = 0
@@ -241,7 +241,7 @@ def _criterion_csc_boundary(instances, reports, ball_cap) -> CriterionResult:
                 f"{cmp_rep.extra['rhs_right']}"
             )
         if admissible(ins.group, len(ins.subset)):
-            csc_rep = verify_csc(ins.group, ins.subset, ball_cap=ball_cap)
+            csc_rep = verify_csc(ins.group, ins.subset)
             reports.append(csc_rep)
             csc_checked += 1
             if not csc_rep.verdict:
@@ -295,7 +295,7 @@ def _distance_one_oracle(group: Group, subset: FiniteSubset, b2) -> frozenset:
 _ORACLE_RADII = {"z": 12, "zd:2": 6, "free:2": 5, "cyclic:12": 6, "dihedral:6": 6, "heisenberg": 4}
 
 
-def _criterion_oracles(seed, quick, ball_cap) -> CriterionResult:
+def _criterion_oracles(seed, quick) -> CriterionResult:
     failures = []
     master = SplitMix64(seed)
 
@@ -304,10 +304,10 @@ def _criterion_oracles(seed, quick, ball_cap) -> CriterionResult:
     checked_a = 0
     for fi, fam in enumerate(FAMILIES):
         group = parse_group(fam)
-        b2 = ball(group, 2, ball_cap=ball_cap)
+        b2 = ball(group, 2)
         for j in range(per_family_a):
             rng = master.child(20_000 + fi * 1000 + j)
-            subset = _random_subset(group, rng, 12, uniform=(j % 2 == 1), ball_cap=ball_cap)
+            subset = _random_subset(group, rng, 12, uniform=(j % 2 == 1))
             lib = outer_boundary(group, subset).member_set
             oracle = _distance_one_oracle(group, subset, b2)
             if lib != oracle:
@@ -320,23 +320,23 @@ def _criterion_oracles(seed, quick, ball_cap) -> CriterionResult:
     for fi, fam in enumerate(FAMILIES):
         group = parse_group(fam)
         radius = _ORACLE_RADII[fam]
-        table = ball(group, radius, ball_cap=ball_cap)
+        table = ball(group, radius)
         levels = _word_levels(group, radius)
         pool = list(table.elements())
         rng = master.child(30_000 + fi)
         for _ in range(per_family_b):
             g = pool[rng.below(len(pool))]
             expected = table.layer_of(g)
-            if word_length(group, g, ball_cap=ball_cap) != expected:
+            if word_length(group, g) != expected:
                 failures.append(f"{fam}: BFS word length disagrees with layer of {group.format(g)}")
             if _oracle_word_length(levels, g) != expected:
                 failures.append(f"{fam}: word enumeration disagrees with layer of {group.format(g)}")
             checked_b += 1
 
     # growth closed forms for r <= 8
-    z_vals = growth(parse_group("z"), 8, ball_cap=ball_cap)
-    z2_vals = growth(parse_group("zd:2"), 8, ball_cap=ball_cap)
-    f2_vals = growth(parse_group("free:2"), 8, ball_cap=ball_cap)
+    z_vals = growth(parse_group("z"), 8)
+    z2_vals = growth(parse_group("zd:2"), 8)
+    f2_vals = growth(parse_group("free:2"), 8)
     if z_vals != tuple(2 * r + 1 for r in range(9)):
         failures.append("z growth differs from 2r+1")
     if z2_vals != tuple(2 * r * r + 2 * r + 1 for r in range(9)):
@@ -354,17 +354,17 @@ def _criterion_oracles(seed, quick, ball_cap) -> CriterionResult:
     return CriterionResult(7, "independent oracle agreement", enough and not failures, detail)
 
 
-def _run_criteria(seed, quick, ball_cap):
+def _run_criteria(seed, quick):
     reports: list[VerificationReport] = []
-    instances = acceptance_instances(seed, quick, ball_cap=ball_cap)
+    instances = acceptance_instances(seed, quick)
     results = [
-        _criterion_lemma31(instances, reports, quick, ball_cap),
-        _criterion_half_mass(instances, reports, ball_cap),
-        _criterion_transport(seed, quick, reports, ball_cap),
-        _criterion_theorem_exhaustive(reports, ball_cap),
-        _criterion_interval_sharpness(reports, ball_cap),
-        _criterion_csc_boundary(instances, reports, ball_cap),
-        _criterion_oracles(seed, quick, ball_cap),
+        _criterion_lemma31(instances, reports, quick),
+        _criterion_half_mass(instances, reports),
+        _criterion_transport(seed, quick, reports),
+        _criterion_theorem_exhaustive(reports),
+        _criterion_interval_sharpness(reports),
+        _criterion_csc_boundary(instances, reports),
+        _criterion_oracles(seed, quick),
     ]
     return results, [rep.to_json_dict() for rep in reports]  # each report encoded once
 
@@ -375,26 +375,20 @@ def serialize_run(results, report_dicts) -> bytes:
     lines = [canonical_json(d) for d in report_dicts]
     for res in results:
         lines.append(canonical_json(res.to_json_dict()))
-    return ("\n".join(lines) + "\n").encode()
+    lines.append("")  # the final newline, without a second copy of the joined stream
+    return "\n".join(lines).encode()
 
 
-def run_acceptance(
-    seed: int = DEFAULT_SEED,
-    quick: bool = False,
-    *,
-    check_determinism: bool = True,
-    ball_cap: int = DEFAULT_BALL_CAP,
-) -> AcceptanceOutcome:
+def run_acceptance(seed: int = DEFAULT_SEED, quick: bool = False) -> AcceptanceOutcome:
     # The reference pass runs first, so only its bytes are alive during the reported pass.
-    reference = serialize_run(*_run_criteria(seed, quick, ball_cap)) if check_determinism else None
-    results, report_dicts = _run_criteria(seed, quick, ball_cap)
-    if check_determinism:
-        identical = serialize_run(results, report_dicts) == reference
-        detail = (
-            "re-running the pipeline with the same seed reproduced the machine "
-            "report stream byte for byte"
-            if identical
-            else "second run with the same seed produced a different report stream"
-        )
-        results.append(CriterionResult(8, "determinism", identical, detail))
+    reference = serialize_run(*_run_criteria(seed, quick))
+    results, report_dicts = _run_criteria(seed, quick)
+    identical = serialize_run(results, report_dicts) == reference
+    detail = (
+        "re-running the pipeline with the same seed reproduced the machine "
+        "report stream byte for byte"
+        if identical
+        else "second run with the same seed produced a different report stream"
+    )
+    results.append(CriterionResult(8, "determinism", identical, detail))
     return AcceptanceOutcome(seed=seed, quick=quick, results=results, report_dicts=report_dicts)

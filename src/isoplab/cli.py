@@ -153,6 +153,18 @@ def _cmd_growth(config: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _drawn_sets(group, config: argparse.Namespace):
+    """The sets of --set, drawn --trials times (once by default) for a random:
+    descriptor; --trials with a set that is not drawn exits 2."""
+    desc = parse_set_descriptor(config.set)
+    if config.trials is not None and desc.kind not in ("connected", "uniform"):
+        raise ParseError(
+            f"{config.command} --trials counts random: draws; {desc.text} is not drawn"
+        )
+    trials = config.trials if config.trials is not None else 1
+    return generate_sets(group, desc, trials, ball_cap=config.ball_cap)
+
+
 def _cmd_verify(config: argparse.Namespace, check: str) -> int:
     if config.group is None or config.set is None:
         raise ParseError("verify needs --group and --set")
@@ -165,7 +177,7 @@ def _cmd_verify(config: argparse.Namespace, check: str) -> int:
     if config.gamma0 is not None and check != "transport":
         raise ParseError(f"verify {check} takes no --gamma0")
     group = parse_group(config.group)
-    desc = parse_set_descriptor(config.set)
+    subsets = _drawn_sets(group, config)
     cap = config.ball_cap
     d = config.d
     if check == "transport":
@@ -184,12 +196,7 @@ def _cmd_verify(config: argparse.Namespace, check: str) -> int:
         "csc": lambda s: [verify_csc(group, s, ball_cap=cap)],
         "boundary-cmp": lambda s: [boundary_comparison(group, s)],
     }
-    trials = config.trials if config.trials is not None else 1
-    reports = [
-        rep
-        for subset in generate_sets(group, desc, trials, ball_cap=cap)
-        for rep in verifiers[check](subset)
-    ]
+    reports = [rep for subset in subsets for rep in verifiers[check](subset)]
     _emit(
         config,
         lambda: (r.to_json_dict() for r in reports),
@@ -235,9 +242,7 @@ def _cmd_sharpness(config: argparse.Namespace) -> int:
     if config.family is not None:
         subsets = interval_subsets(group, config.max_n if config.max_n is not None else 50)
     elif config.set is not None:
-        desc = parse_set_descriptor(config.set)
-        trials = config.trials if config.trials is not None else 1
-        subsets = generate_sets(group, desc, trials, ball_cap=config.ball_cap)
+        subsets = _drawn_sets(group, config)
     else:
         raise ParseError("sharpness needs --family intervals or --set")
     summary = sharpness_of_subsets(group, subsets, ball_cap=config.ball_cap)
@@ -257,9 +262,7 @@ def _cmd_sharpness(config: argparse.Namespace) -> int:
 
 def _cmd_accept(config: argparse.Namespace) -> int:
     seed = config.seed if config.seed is not None else DEFAULT_SEED
-    outcome = run_acceptance(
-        seed, bool(config.quick), check_determinism=True, ball_cap=config.ball_cap
-    )
+    outcome = run_acceptance(seed, bool(config.quick))
     results = outcome.results
 
     def records():
@@ -350,7 +353,6 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=["jsonl", "csv", "human"], default=None)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--ball-cap", dest="ball_cap", type=int, default=None)
     sp.add_argument("--config", dest="config_path", default=None,
                     help="flat key=value config file; flags take precedence")
 
@@ -399,6 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     accept_p.add_argument("--seed", type=int, default=None)
     _add_common(accept_p)
 
+    # accept runs fixed instances under the default cap, which its echo records
+    for sp in (growth_p, verify_p, profile_p, sharp_p):
+        sp.add_argument("--ball-cap", dest="ball_cap", type=int, default=None)
     return parser
 
 

@@ -279,8 +279,6 @@ def lemma31_check(
     and reports whether A = B = C as integers; A's terms are |B(e,d)| - count(y).
     """
     _require_non_empty(group, D)
-    if d < 0:
-        raise ValueError("d must be non-negative")
     table = ball(group, d, ball_cap=ball_cap)
     mul = group.mul
     members = D.member_set

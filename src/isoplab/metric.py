@@ -23,7 +23,7 @@ whose prefix exceeds its cap raises even when a larger table is cached.
 from __future__ import annotations
 
 import threading
-from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Iterator
 
 from .errors import BudgetExceeded, InternalContradiction, Unattainable
@@ -135,15 +135,6 @@ class BallTable:
         self.group, self.radius, self.layers, self.size = group, radius, layers, size
         self._depth = _depth  # the whole table's, which may reach past radius
 
-    @cached_property
-    def growth_values(self) -> tuple[int, ...]:
-        values = []
-        total = 0
-        for layer in self.layers:
-            total += len(layer)
-            values.append(total)
-        return tuple(values)
-
     def __contains__(self, e: Element) -> bool:
         k = self._depth.get(e)
         return k is not None and k <= self.radius
@@ -188,9 +179,7 @@ def ball(group: Group, radius: int, *, ball_cap: int = DEFAULT_BALL_CAP) -> Ball
 
 def growth(group: Group, r_max: int, *, ball_cap: int = DEFAULT_BALL_CAP) -> tuple[int, ...]:
     """Cumulative ball sizes gamma(0..r_max)."""
-    if r_max < 0:
-        raise ValueError("r_max must be non-negative")
-    return ball(group, r_max, ball_cap=ball_cap).growth_values
+    return tuple(accumulate(map(len, ball(group, r_max, ball_cap=ball_cap).layers)))
 
 
 def phi(group: Group, v: int, *, ball_cap: int = DEFAULT_BALL_CAP) -> int:

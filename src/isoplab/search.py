@@ -52,29 +52,10 @@ DEFAULT_SUBSET_CAP = 24
 _BALL_RE = re.compile(r"ball:([0-9]+)")
 _RANDOM_RE = re.compile(r"random:([0-9]+):([0-9]+)(?::(connected|ball=[0-9]+))?")
 _RANGE_RE = re.compile(r"([0-9]+)(?:\.\.([0-9]+))?")
-
-
-def split_top_level(text: str, sep: str = ",") -> list[str]:
-    """Split on sep outside (...) and [...] nesting."""
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError(f"unbalanced brackets in {text!r}")
-        if ch == sep and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    if depth != 0:
-        raise ParseError(f"unbalanced brackets in {text!r}")
-    parts.append("".join(current))
-    return parts
+# Element literals never nest (int tuples, permutations, free words), so a
+# comma that meets a closing bracket before an opening one lies inside a
+# literal.  Each piece's own parser rejects whatever else is malformed.
+_ELEMENT_SEP_RE = re.compile(r",(?![^()\[\]]*[)\]])")
 
 
 class SetDescriptor(NamedTuple):
@@ -120,7 +101,7 @@ def parse_set_descriptor(text: str) -> SetDescriptor:
         )
     if t.startswith("explicit:"):
         body = t[len("explicit:"):]
-        parts = [p.strip() for p in split_top_level(body) if p.strip()]
+        parts = [p.strip() for p in _ELEMENT_SEP_RE.split(body) if p.strip()]
         if not parts:
             raise ParseError(f"empty explicit descriptor {text!r}")
         return SetDescriptor(text=t, kind="explicit", element_texts=tuple(parts))
@@ -141,7 +122,7 @@ def parse_size_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def default_uniform_radius(group: Group, size: int, ball_cap: int) -> int:
+def default_uniform_radius(group: Group, size: int, ball_cap: int = DEFAULT_BALL_CAP) -> int:
     """Smallest R with gamma(R) >= 2*size (the whole group once saturated)."""
     order = group.order()
     saturated = order is not None and order < 2 * size

@@ -10,12 +10,11 @@ from isoplab.acceptance import _run_criteria, acceptance_instances, run_acceptan
 from isoplab.cli import main
 
 ACCEPT_SEED = 20260809
-BALL_CAP = 5_000_000
 
 
 @pytest.fixture(scope="module")
 def full_run():
-    results, reports = _run_criteria(ACCEPT_SEED, quick=False, ball_cap=BALL_CAP)
+    results, reports = _run_criteria(ACCEPT_SEED, quick=False)
     return {res.index: res for res in results}, reports
 
 
@@ -82,4 +81,4 @@ def test_library_runs_refuse_seeds_outside_the_64_bit_range():
     with pytest.raises(ParseError, match="seed must lie in 0..2"):
         acceptance_instances(2**64, True)
     with pytest.raises(ParseError, match="seed must lie in 0..2"):
-        run_acceptance(-1, quick=True, check_determinism=False)
+        run_acceptance(-1, quick=True)

@@ -188,6 +188,11 @@ def test_bad_values_exit_2(capsys, argv):
     ("verify", "theorem", "--group", "z", "--set", "explicit:(0),(1,2)"),
     ("verify", "theorem", "--group", "free:2", "--set", "explicit:a,c"),
     ("verify", "theorem", "--group", "heisenberg:3", "--set", "explicit:(0,0,0),(0,0,3)"),
+    # malformed lists: each piece's own parser rejects what the split lets through
+    ("verify", "theorem", "--group", "zd:2", "--set", "explicit:(1,2),(3"),
+    ("verify", "theorem", "--group", "zd:2", "--set", "explicit:(1,2)),(3)"),
+    ("verify", "theorem", "--group", "zd:2", "--set", "explicit:1,2)"),
+    ("verify", "theorem", "--group", "symmetric:3", "--set", "explicit:[1,2,3],[2,1"),
     ("verify", "transport", "--group", "free:2", "--set", "ball:2", "--gamma0", "c"),
     ("verify", "transport", "--group", "z", "--set", "ball:2", "--gamma0", "+2"),
 ])
@@ -314,6 +319,19 @@ def test_ball_radius_outside_ascii_digits_exits_2(capsys, radius):
         ("sharpness",), {"group": "z", "family": "intervals", "max_n": "2", "trials": "3"},
         "error: sharpness --family takes no --trials; it counts --set draws",
     ),
+    # only random: sets are drawn, so no other set reads --trials
+    (
+        ("verify", "theorem"), {"group": "z", "set": "explicit:0,1", "trials": "4"},
+        "error: verify --trials counts random: draws; explicit:0,1 is not drawn",
+    ),
+    (
+        ("verify", "halfmass"), {"group": "cyclic:8", "set": "exhaustive:1..2", "trials": "2"},
+        "error: verify --trials counts random: draws; exhaustive:1..2 is not drawn",
+    ),
+    (
+        ("sharpness",), {"group": "z", "set": "ball:2", "trials": "3"},
+        "error: sharpness --trials counts random: draws; ball:2 is not drawn",
+    ),
 ])
 def test_flags_the_mode_never_reads_exit_2(tmp_path, capsys, command, settings, needle):
     flags = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
@@ -323,6 +341,16 @@ def test_flags_the_mode_never_reads_exit_2(tmp_path, capsys, command, settings, 
     cfg.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
     code, out, err = run(capsys, *command, "--config", str(cfg))
     assert code == 2 and out == "" and needle in err
+
+
+def test_accept_takes_no_ball_cap(tmp_path, capsys):
+    # accept runs fixed instances, so a cap could only abort it
+    code, out, err = run(capsys, "accept", "--quick", "--ball-cap", "13121")
+    assert code == 2 and out == "" and "unrecognized arguments: --ball-cap 13121" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("quick=1\nball_cap=13121\n")
+    code, out, err = run(capsys, "accept", "--config", str(cfg))
+    assert code == 2 and out == "" and "unknown config key 'ball_cap' for accept" in err
 
 
 def test_profile_over_the_cap_exits_3_before_the_size_check(capsys):

@@ -11,7 +11,7 @@ import hashlib
 import pytest
 
 import isoplab.cli
-from isoplab.acceptance import run_acceptance
+from isoplab.acceptance import AcceptanceOutcome, _run_criteria
 from isoplab.cli import main
 
 COMMANDS = {
@@ -115,8 +115,9 @@ DIGESTS = {
 
 @pytest.fixture(scope="module")
 def quick_outcome():
-    """One real quick acceptance run, shared by the three accept formats."""
-    return run_acceptance(7, quick=True, check_determinism=False)
+    """One real quick pass of the seven criteria (no determinism rerun),
+    shared by the three accept formats."""
+    return AcceptanceOutcome(7, True, *_run_criteria(7, True))
 
 
 @pytest.mark.parametrize("name,fmt", sorted(DIGESTS))

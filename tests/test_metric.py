@@ -1,3 +1,6 @@
+from itertools import accumulate
+from math import comb
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,10 +35,47 @@ def test_growth_closed_forms():
     )
 
 
+def _mahonian_growth(n):
+    """gamma(r) on symmetric:n: the permutations with at most r inversions,
+    since word length in adjacent transpositions is the inversion count."""
+    counts = [1]
+    for m in range(2, n + 1):  # times 1 + q + ... + q^(m-1)
+        counts = [sum(counts[max(0, i - m + 1): i + 1]) for i in range(len(counts) + m - 1)]
+    return list(accumulate(counts))
+
+
+# spec -> gamma(0), gamma(1), ... from a closed form, one radius past the
+# checked range for infinite groups and up to saturation for finite ones
+CLOSED_GROWTH = {
+    **{f"zd:{k}": [sum(2**i * comb(k, i) * comb(r, i) for i in range(k + 1)) for r in range(10)]
+       for k in range(1, 5)},
+    **{f"free:{k}": [1 + k * ((2 * k - 1) ** r - 1) // (k - 1) for r in range(7)]
+       for k in range(2, 5)},
+    **{f"cyclic:{n}": [min(2 * r + 1, n) for r in range(n // 2 + 1)] for n in range(2, 13)},
+    **{f"symmetric:{n}": _mahonian_growth(n) for n in range(3, 6)},
+}
+
+
+@pytest.mark.parametrize("spec", sorted(CLOSED_GROWTH))
+def test_growth_and_phi_match_closed_forms(spec):
+    group = parse_group(spec)
+    values = CLOSED_GROWTH[spec]
+    order = group.order()
+    assert order in (None, values[-1])  # a finite group's form runs to saturation
+    checked = len(values) - (order is None)
+    assert growth(group, checked - 1) == tuple(values[:checked])
+    # phi(v) is the least r with gamma(r) > v; probe both sides of each gamma(r)
+    for r in range(checked):
+        for v in (values[r] - 1, values[r]):
+            if order is not None and v >= order:
+                continue  # no ball exceeds the whole group
+            assert phi(group, v) == next(k for k, g in enumerate(values) if g > v), (spec, v)
+
+
 def test_ball_layer_sizes_on_z():
     table = ball(parse_group("z"), 3)
     assert [len(layer) for layer in table.layers] == [1, 2, 2, 2]
-    assert table.growth_values[3] == 7
+    assert growth(parse_group("z"), 3)[3] == 7
 
 
 def test_ball_tables_compare_by_identity():

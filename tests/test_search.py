@@ -133,6 +133,26 @@ def test_generate_explicit_set():
     assert set(subset.elements) == {(0, 0), (1, 0), (0, 1)}
 
 
+ROUND_TRIP_GROUPS = (
+    "z", "zd:2", "free:2", "cyclic:12", "dihedral:6", "heisenberg", "heisenberg:3", "symmetric:4",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=st.sampled_from(ROUND_TRIP_GROUPS), data=st.data())
+def test_explicit_list_of_formatted_elements_round_trips(spec, data):
+    # an explicit: list is split once, on commas outside element literals
+    group = parse_group(spec)
+    pool = list(ball(group, 3).elements())
+    elems = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    seps = data.draw(st.lists(st.sampled_from([",", ", ", " ,", " , "]), min_size=len(elems)))
+    text = "explicit:" + group.format(elems[0]) + "".join(
+        sep + group.format(e) for sep, e in zip(seps, elems[1:])
+    )
+    got = generate_set(group, parse_set_descriptor(text))
+    assert got.elements == FiniteSubset.from_iterable(group, elems).elements
+
+
 def test_exhaustive_stream_counts():
     subsets = list(generate_sets(C8, parse_set_descriptor("exhaustive:1..3")))
     assert len(subsets) == comb(8, 1) + comb(8, 2) + comb(8, 3) == 92
