@@ -207,7 +207,7 @@ def _criterion_theorem_exhaustive(reports) -> CriterionResult:
 def _criterion_interval_sharpness(reports) -> CriterionResult:
     group = parse_group("z")
     bad = []
-    for subset in interval_subsets(group, 50):
+    for subset in interval_subsets(group, 1, 50):
         rep = verify_theorem(group, subset)
         reports.append(rep)
         n = len(subset)

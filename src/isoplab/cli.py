@@ -39,7 +39,6 @@ from .metric import DEFAULT_BALL_CAP, growth, phi
 from .search import (
     exhaustive_profile,
     generate_sets,
-    interval_subsets,
     parse_set_descriptor,
     parse_size_range,
     sharpness_of_subsets,
@@ -212,7 +211,7 @@ def _cmd_profile(config: argparse.Namespace) -> int:
         raise ParseError("profile needs --group and --sizes")
     group = parse_group(config.group)
     lo, hi = parse_size_range(config.sizes)
-    rows = exhaustive_profile(group, range(lo, hi + 1), ball_cap=config.ball_cap)
+    rows = exhaustive_profile(group, range(lo, hi + 1))
     dicts = [row.to_json_dict() for row in rows]
     header = ["n", "min_boundary", "bound_num", "bound_den", "witness"]
     _emit(
@@ -230,22 +229,10 @@ def _cmd_profile(config: argparse.Namespace) -> int:
 
 
 def _cmd_sharpness(config: argparse.Namespace) -> int:
-    if config.group is None:
-        raise ParseError("sharpness needs --group")
+    if config.group is None or config.set is None:
+        raise ParseError("sharpness needs --group and --set")
     group = parse_group(config.group)
-    if config.family is not None and config.set is not None:
-        raise ParseError("sharpness takes --family or --set, not both")
-    if config.set is not None and config.max_n is not None:
-        raise ParseError("sharpness --set takes no --max-n; it bounds --family intervals")
-    if config.family is not None and config.trials is not None:
-        raise ParseError("sharpness --family takes no --trials; it counts --set draws")
-    if config.family is not None:
-        subsets = interval_subsets(group, config.max_n if config.max_n is not None else 50)
-    elif config.set is not None:
-        subsets = _drawn_sets(group, config)
-    else:
-        raise ParseError("sharpness needs --family intervals or --set")
-    summary = sharpness_of_subsets(group, subsets, ball_cap=config.ball_cap)
+    summary = sharpness_of_subsets(group, _drawn_sets(group, config), ball_cap=config.ball_cap)
     entries = summary.entries
     _emit(
         config,
@@ -292,7 +279,7 @@ _CONFIG_BOOLS = {
     "1": True, "true": True, "yes": True, "on": True,
     "0": False, "false": False, "no": False, "off": False,
 }
-_CONFIG_MINIMUM = {"d": 0, "trials": 1, "max_radius": 0, "phi": 0, "ball_cap": 1, "max_n": 1}
+_CONFIG_MINIMUM = {"d": 0, "trials": 1, "max_radius": 0, "phi": 0, "ball_cap": 1}
 
 
 def _load_config_file(args: argparse.Namespace) -> dict:
@@ -390,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sharp_p = sub.add_parser("sharpness", help="sharpness factors of the strict bound")
     sharp_p.add_argument("--group")
-    sharp_p.add_argument("--family", choices=["intervals"], default=None)
-    sharp_p.add_argument("--max-n", dest="max_n", type=int, default=None)
     sharp_p.add_argument("--set", dest="set")
     sharp_p.add_argument("--trials", type=int, default=None)
     _add_common(sharp_p)
@@ -401,8 +386,9 @@ def build_parser() -> argparse.ArgumentParser:
     accept_p.add_argument("--seed", type=int, default=None)
     _add_common(accept_p)
 
-    # accept runs fixed instances under the default cap, which its echo records
-    for sp in (growth_p, verify_p, profile_p, sharp_p):
+    # accept runs fixed instances and profile groups of at most 24 elements,
+    # so a cap could only abort them; their echo records the default cap
+    for sp in (growth_p, verify_p, sharp_p):
         sp.add_argument("--ball-cap", dest="ball_cap", type=int, default=None)
     return parser
 
@@ -436,6 +422,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InternalContradiction as exc:
         print(f"isoplab: falsified construction: {exc}", file=sys.stderr)
         return EXIT_FAILED_VERDICT
+    except MemoryError:
+        # exit 1 means a falsified verdict, so running out of memory is a budget
+        print("isoplab: budget exceeded: out of memory", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

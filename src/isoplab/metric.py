@@ -132,8 +132,13 @@ class BallTable:
         self, group: Group, radius: int, layers: tuple[tuple[Element, ...], ...], size: int,
         _depth: dict,
     ):
-        self.group, self.radius, self.layers, self.size = group, radius, layers, size
+        self.group, self.radius, self._built, self.size = group, radius, layers, size
         self._depth = _depth  # the whole table's, which may reach past radius
+
+    @property
+    def layers(self) -> tuple[tuple[Element, ...], ...]:
+        """The built layers, then the empty ones up to radius, made only when read."""
+        return self._built + ((),) * (self.radius + 1 - len(self._built))
 
     def __contains__(self, e: Element) -> bool:
         k = self._depth.get(e)
@@ -145,7 +150,7 @@ class BallTable:
         return self._depth[e]
 
     def elements(self) -> Iterator[Element]:
-        for layer in self.layers:
+        for layer in self._built:
             yield from layer
 
     def parent(self, h: Element) -> tuple[int, Element]:
@@ -171,10 +176,7 @@ def ball(group: Group, radius: int, *, ball_cap: int = DEFAULT_BALL_CAP) -> Ball
     if radius < 0:
         raise ValueError("radius must be non-negative")
     table = _prefix(group, lambda r, size, depth: r >= radius, ball_cap)
-    if table.radius == radius:
-        return table
-    layers = table.layers + ((),) * (radius - table.radius)
-    return BallTable(group, radius, layers, table.size, table._depth)
+    return BallTable(group, radius, table._built, table.size, table._depth)
 
 
 def growth(group: Group, r_max: int, *, ball_cap: int = DEFAULT_BALL_CAP) -> tuple[int, ...]:

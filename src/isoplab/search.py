@@ -63,7 +63,7 @@ class SetDescriptor(NamedTuple):
     identical set."""
 
     text: str
-    kind: str  # ball | connected | uniform | explicit | exhaustive
+    kind: str  # ball | connected | uniform | explicit | exhaustive | interval
     radius: Optional[int] = None  # of ball:R, and of the ball a uniform draw is from
     size: Optional[int] = None
     seed: Optional[int] = None
@@ -105,9 +105,10 @@ def parse_set_descriptor(text: str) -> SetDescriptor:
         if not parts:
             raise ParseError(f"empty explicit descriptor {text!r}")
         return SetDescriptor(text=t, kind="explicit", element_texts=tuple(parts))
-    if t.startswith("exhaustive:"):
-        lo, hi = parse_size_range(t[len("exhaustive:"):])
-        return SetDescriptor(text=t, kind="exhaustive", size_lo=lo, size_hi=hi)
+    for kind in ("exhaustive", "interval"):  # streams over a size range
+        if t.startswith(kind + ":"):
+            lo, hi = parse_size_range(t[len(kind) + 1:])
+            return SetDescriptor(text=t, kind=kind, size_lo=lo, size_hi=hi)
     raise ParseError(f"unrecognized set descriptor {text!r}")
 
 
@@ -201,7 +202,8 @@ def generate_sets(
     ball_cap: int = DEFAULT_BALL_CAP,
 ) -> Iterator[FiniteSubset]:
     """Stream the subsets a descriptor denotes: every subset in the size
-    range of an exhaustive descriptor, a single set for the others.
+    range of an exhaustive descriptor, every interval of z in that of an
+    interval descriptor, a single set for the others.
 
     A random descriptor with trials > 1 runs that many independent draws,
     trial t seeded with child t of the descriptor seed; otherwise it draws
@@ -235,18 +237,21 @@ def generate_sets(
             elems = tuple([e for i, e in enumerate(ground) if mask >> i & 1])
             yield FiniteSubset(group, elems, f"{desc.text}:mask={mask}")
         return
+    if desc.kind == "interval":
+        yield from interval_subsets(group, desc.size_lo, desc.size_hi)
+        return
     raise ParseError(f"unknown descriptor kind {desc.kind!r}")
 
 
 def generate_set(
     group: Group, desc: SetDescriptor, *, ball_cap: int = DEFAULT_BALL_CAP
 ) -> FiniteSubset:
-    if desc.kind == "exhaustive":
-        raise ParseError("exhaustive descriptors denote a stream; use generate_sets")
+    if desc.kind in ("exhaustive", "interval"):
+        raise ParseError(f"{desc.kind} descriptors denote a stream; use generate_sets")
     return next(generate_sets(group, desc, ball_cap=ball_cap))
 
 
-def _ground_set(group: Group, *, ball_cap: int) -> list[Element]:
+def _ground_set(group: Group, *, ball_cap: int = DEFAULT_BALL_CAP) -> list[Element]:
     """The sorted elements of a finite group within the exhaustive order cap."""
     order = group.order()
     if order is None:
@@ -378,12 +383,7 @@ class ProfileRow:
         }
 
 
-def exhaustive_profile(
-    group: Group,
-    sizes: Iterable[int],
-    *,
-    ball_cap: int = DEFAULT_BALL_CAP,
-) -> list[ProfileRow]:
+def exhaustive_profile(group: Group, sizes: Iterable[int]) -> list[ProfileRow]:
     """Minimum boundary over ALL subsets of each requested size, with a
     canonically least witness.
 
@@ -395,15 +395,20 @@ def exhaustive_profile(
     as the first set of least boundary.  The walk is the branch-and-bound
     of the module docstring.
     """
-    wanted = sorted(set(sizes))
-    if not wanted or wanted[0] < 1:
+    ground = _ground_set(group)
+    wanted = set()
+    for n in sizes:  # checked as read, so a long range stops at its first refusal
+        if n < 1:
+            raise PreconditionViolated("profile sizes must be >= 1")
+        if not admissible(group, n):
+            raise PreconditionViolated(
+                f"profile sizes must satisfy n < Card(group)/2 = {len(ground)}/2, got n = {n}"
+            )
+        wanted.add(n)
+    if not wanted:
         raise PreconditionViolated("profile sizes must be >= 1")
-    ground = _ground_set(group, ball_cap=ball_cap)
+    wanted = sorted(wanted)
     top = wanted[-1]
-    if not admissible(group, top):
-        raise PreconditionViolated(
-            f"profile sizes must satisfy n < Card(group)/2 = {len(ground)}/2, got n = {top}"
-        )
     # least[k]: the least boundary seen at size k.  A boundary is below the
     # order, so the first set of a wanted size always improves on it; -1
     # marks the sizes not asked for, which no boundary improves on.
@@ -439,7 +444,7 @@ def exhaustive_profile(
             [ground[i] for i in witnesses[n]],
             provenance=f"profile:{group.name}:n={n}",
         )
-        bound = Fraction(n, 2 * phi(group, 2 * n, ball_cap=ball_cap))
+        bound = Fraction(n, 2 * phi(group, 2 * n))
         rows.append(ProfileRow(size=n, min_boundary=boundary, witness=witness, bound=bound))
     return rows
 
@@ -492,14 +497,15 @@ def sharpness_of_subsets(
     return SharpnessSummary(reports=reports)
 
 
-def interval_subsets(group: Group, n_max: int) -> Iterator[FiniteSubset]:
-    """Stream the intervals {0, ..., n-1}, n = 1..n_max, in the rank-1
-    integer lattice (sorted, so trusted); the arguments are checked at the call."""
+def interval_subsets(group: Group, lo: int, hi: int) -> Iterator[FiniteSubset]:
+    """Stream the intervals {0, ..., n-1}, n = lo..hi, of the rank-1 integer
+    lattice (sorted, so trusted), each with provenance `interval:<n>`, the
+    descriptor of it alone; the arguments are checked at the call."""
     if not (isinstance(group, ZGroup) and group.rank == 1):
         raise PreconditionViolated("interval family is defined on the group z only")
-    if n_max < 1:
-        raise PreconditionViolated("n_max must be >= 1")
+    if lo < 1:
+        raise PreconditionViolated("interval sizes must be >= 1")
     return (
         FiniteSubset(group, tuple((i,) for i in range(n)), f"interval:{n}")
-        for n in range(1, n_max + 1)
+        for n in range(lo, hi + 1)
     )

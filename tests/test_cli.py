@@ -114,8 +114,7 @@ def test_profile_csv(capsys):
 
 def test_sharpness_intervals(capsys):
     code, out, _ = run(
-        capsys, "sharpness", "--group", "z", "--family", "intervals", "--max-n", "50",
-        "--format", "jsonl",
+        capsys, "sharpness", "--group", "z", "--set", "interval:1..50", "--format", "jsonl",
     )
     assert code == 0
     payload = json.loads(out.splitlines()[0])
@@ -175,7 +174,7 @@ def test_usage_error_returns_2(capsys):
     ("growth", "--group", "free:26", "--max-radius", "1"),
     ("growth", "--group", "z", "--max-radius", "2", "--ball-cap", "-5"),
     ("growth", "--group", "z", "--max-radius", "0", "--ball-cap", "0"),
-    ("sharpness", "--group", "z", "--family", "intervals", "--max-n", "0"),
+    ("sharpness", "--group", "z", "--set", "interval:0..3"),
 ])
 def test_bad_values_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -212,13 +211,13 @@ def test_bad_values_from_config_file_exit_2(tmp_path, capsys):
     cfg.write_text("group=z\nset=ball:2\ntrials=0\n")
     code, _, err = run(capsys, "verify", "theorem", "--config", str(cfg))
     assert code == 2 and "trials" in err
-    cfg.write_text("group=z\nfamily=intervals\nmax_n=-1\n")
+    cfg.write_text("group=z\nset=interval:1..3\nball_cap=0\n")
     code, _, err = run(capsys, "sharpness", "--config", str(cfg))
-    assert code == 2 and "max-n" in err
+    assert code == 2 and "ball-cap must be >= 1" in err
     # --seed is read by accept alone, so verify and sharpness have no such flag
     for command in (
         ("verify", "theorem", "--set", "random:5:7"),
-        ("sharpness", "--family", "intervals"),
+        ("sharpness", "--set", "interval:1..3"),
     ):
         code, out, err = run(capsys, *command, "--group", "z", "--seed", "99")
         assert code == 2 and out == "" and "--seed" in err
@@ -235,13 +234,11 @@ def test_bad_values_from_config_file_exit_2(tmp_path, capsys):
         (("accept",), "quick=1\nset=ball:2\n", "set"),
         (("profile",), "group=cyclic:8\nsizes=1..3\nseed=7\n", "seed"),
         (("verify", "theorem"), "group=z\nset=random:5:7\nseed=99\n", "seed"),
-        (("sharpness",), "group=z\nfamily=intervals\nseed=99\n", "seed"),
-        (("verify", "theorem"), "group=z\nset=ball:2\nmax_n=3\n", "max_n"),
+        (("sharpness",), "group=z\nset=interval:1..3\nseed=99\n", "seed"),
         # values are typed and checked by the same parser as the flags
         (("verify", "theorem"), "group=z\nset=ball:2\ntrials=abc\n", "trials"),
         (("growth",), "group=z\nmax_radius=2\nball_cap=1e3\n", "ball_cap"),
         (("growth",), "group=z\nmax_radius=2\nformat=xml\n", "format"),
-        (("sharpness",), "group=z\nfamily=balls\n", "family"),
         # a file that is not UTF-8 text
         (("growth",), "group=z\xff\n", "cannot read config file"),
     ]:
@@ -275,21 +272,6 @@ def test_random_seed_is_refused_before_the_transport_word_is_measured(capsys):
     assert code == 2 and out == "" and "0..2^64-1" in err
 
 
-def test_sharpness_refuses_family_with_set(tmp_path, capsys):
-    code, out, err = run(
-        capsys, "sharpness", "--group", "z", "--family", "intervals", "--set", "random:5:1"
-    )
-    assert code == 2 and out == "" and "not both" in err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("group=z\nfamily=intervals\nset=random:5:1\n")
-    code, out, err = run(capsys, "sharpness", "--config", str(cfg))
-    assert code == 2 and out == "" and "not both" in err
-    # a flag and a file setting conflict as much as two flags do
-    cfg.write_text("group=z\nset=random:5:1\n")
-    code, out, err = run(capsys, "sharpness", "--config", str(cfg), "--family", "intervals")
-    assert code == 2 and out == "" and "not both" in err
-
-
 @pytest.mark.parametrize("raw,value", [
     ("1", True), ("TRUE", True), ("yes", True), ("on", True),
     ("0", False), ("false", False), ("No", False), ("off", False),
@@ -314,10 +296,13 @@ def test_ball_radius_outside_ascii_digits_exits_2(capsys, radius):
     (("verify", "halfmass"), {"group": "z", "set": "ball:2", "d": "1"}, "no --d"),
     (("verify", "lemma31"), {"group": "z", "set": "ball:2", "d": "1", "gamma0": "a"}, "no --gamma0"),
     (("verify", "csc"), {"group": "z", "set": "ball:2", "gamma0": "a"}, "no --gamma0"),
-    (("sharpness",), {"group": "z", "set": "ball:2", "max_n": "3"}, "no --max-n"),
     (
-        ("sharpness",), {"group": "z", "family": "intervals", "max_n": "2", "trials": "3"},
-        "error: sharpness --family takes no --trials; it counts --set draws",
+        ("sharpness",), {"group": "z", "set": "interval:1..3", "trials": "2"},
+        "error: sharpness --trials counts random: draws; interval:1..3 is not drawn",
+    ),
+    (
+        ("verify", "theorem"), {"group": "z", "set": "interval:1..3", "trials": "2"},
+        "error: verify --trials counts random: draws; interval:1..3 is not drawn",
     ),
     # only random: sets are drawn, so no other set reads --trials
     (
@@ -351,6 +336,37 @@ def test_accept_takes_no_ball_cap(tmp_path, capsys):
     cfg.write_text("quick=1\nball_cap=13121\n")
     code, out, err = run(capsys, "accept", "--config", str(cfg))
     assert code == 2 and out == "" and "unknown config key 'ball_cap' for accept" in err
+
+
+@pytest.mark.parametrize("command, setting", [
+    # intervals are a --set descriptor, interval:<lo>..<hi>
+    (("sharpness", "--group", "z", "--set", "interval:1..3"), ("family", "intervals")),
+    (("sharpness", "--group", "z", "--set", "interval:1..3"), ("max_n", "3")),
+    # profile walks groups of at most 24 elements, so a cap could only abort it
+    (("profile", "--group", "cyclic:8", "--sizes", "1..3"), ("ball_cap", "5")),
+])
+def test_removed_settings_exit_2(tmp_path, capsys, command, setting):
+    key, value = setting
+    flag = f"--{key.replace('_', '-')}"
+    code, out, err = run(capsys, *command, flag, value)
+    assert code == 2 and out == "" and f"unrecognized arguments: {flag} {value}" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    code, out, err = run(capsys, *command, "--config", str(cfg))
+    assert code == 2 and out == "" and f"unknown config key {key!r} for {command[0]}" in err
+
+
+def test_intervals_exist_on_z_alone(capsys):
+    code, out, err = run(capsys, "sharpness", "--group", "zd:2", "--set", "interval:1..3")
+    assert code == 4 and out == ""
+    assert err == "isoplab: precondition violated: interval family is defined on the group z only\n"
+
+
+def test_profile_refuses_the_first_inadmissible_size(capsys):
+    # sizes are checked as read: a long range stops at n = 4, not at its end
+    code, out, err = run(capsys, "profile", "--group", "cyclic:8", "--sizes", "1..4000000")
+    assert code == 4 and out == ""
+    assert err.endswith("n < Card(group)/2 = 8/2, got n = 4\n")
 
 
 def test_profile_over_the_cap_exits_3_before_the_size_check(capsys):

@@ -54,7 +54,7 @@ COMMANDS = {
     # the two verify checks whose relation is not > or =
     "csc": ("verify", "csc", "--group", "z", "--set", "ball:5"),
     "boundary-cmp": ("verify", "boundary-cmp", "--group", "free:2", "--set", "random:12:3"),
-    "sharpness-intervals": ("sharpness", "--group", "z", "--family", "intervals", "--max-n", "12"),
+    "sharpness-intervals": ("sharpness", "--group", "z", "--set", "interval:1..12"),
     "sharpness-set": ("sharpness", "--group", "free:2", "--set", "random:6:1", "--trials", "3"),
     "accept": ("accept", "--quick", "--seed", "7"),
 }
@@ -101,9 +101,9 @@ DIGESTS = {
     ("boundary-cmp", "jsonl"): "0daeb92893d763c5",
     ("boundary-cmp", "csv"): "bc210bdc3553de3e",
     ("boundary-cmp", "human"): "7b0d9f4b6da33a89",
-    ("sharpness-intervals", "jsonl"): "4790918e35dbc64e",
-    ("sharpness-intervals", "csv"): "0d79183799c275d7",
-    ("sharpness-intervals", "human"): "1eac60cb3c4dc4c7",
+    ("sharpness-intervals", "jsonl"): "c72b4bde64d472ad",
+    ("sharpness-intervals", "csv"): "b17a8cdb5bca8740",
+    ("sharpness-intervals", "human"): "852b2ade10b7e649",
     ("sharpness-set", "jsonl"): "75a66295f5020f9e",
     ("sharpness-set", "csv"): "6b5465ac0dac73e2",
     ("sharpness-set", "human"): "f3718067fe29a964",

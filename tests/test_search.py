@@ -647,7 +647,7 @@ def test_profile_takes_its_ground_before_it_checks_sizes():
 # ------------------------------------------------------------------- sharpness
 
 def test_interval_sharpness_is_exactly_four():
-    summary = sharpness_of_subsets(Z, interval_subsets(Z, 50))
+    summary = sharpness_of_subsets(Z, interval_subsets(Z, 1, 50))
     assert all(f == Fraction(4) for _, f in summary.entries)
     assert summary.min_factor == Fraction(4)
     assert summary.median_factor == Fraction(4)
@@ -692,16 +692,16 @@ def test_median_factor_is_the_exact_median(factors):
 
 def test_interval_subsets_only_on_z():
     with pytest.raises(PreconditionViolated):
-        interval_subsets(parse_group("zd:2"), 3)
+        interval_subsets(parse_group("zd:2"), 1, 3)
     with pytest.raises(PreconditionViolated):
-        interval_subsets(Z, 0)
+        interval_subsets(Z, 0, 3)
 
 
 def test_intervals_take_the_trusted_constructor(monkeypatch):
     calls = []
     validate = type(Z).validate
     monkeypatch.setattr(type(Z), "validate", lambda self, e: calls.append(e) or validate(self, e))
-    intervals = list(interval_subsets(Z, 300))
+    intervals = list(interval_subsets(Z, 1, 300))
     assert calls == []
     for n, subset in enumerate(intervals, 1):
         checked = FiniteSubset.from_iterable(Z, [(i,) for i in range(n)], provenance=f"interval:{n}")
@@ -709,9 +709,25 @@ def test_intervals_take_the_trusted_constructor(monkeypatch):
     assert len(calls) == 300 * 301 // 2  # the counter sees the validating path
 
 
+def test_interval_provenance_is_its_own_descriptor():
+    for n in range(1, 51):
+        (subset,) = generate_sets(Z, parse_set_descriptor(f"interval:{n}..{n}"))
+        assert subset.provenance == f"interval:{n}"
+        assert subset.elements == tuple((i,) for i in range(n))
+        (again,) = generate_sets(Z, parse_set_descriptor(subset.provenance))
+        assert (again.elements, again.provenance) == (subset.elements, subset.provenance)
+
+
+@pytest.mark.parametrize("text", ["exhaustive:1..2", "interval:1..2"])
+def test_generate_set_refuses_a_stream(text):
+    kind = text.partition(":")[0]
+    with pytest.raises(ParseError, match=f"^{kind} descriptors denote a stream; use generate_sets$"):
+        generate_set(Z, parse_set_descriptor(text))
+
+
 def test_interval_stream_is_lazy():
     # a billion intervals; the first must not wait for them
-    first = next(interval_subsets(Z, 10**9))
+    first = next(interval_subsets(Z, 1, 10**9))
     assert first.provenance == "interval:1" and first.elements == ((0,),)
 
 
