@@ -17,20 +17,28 @@ S(Dg) = (SD)g.  So every minimiser has a translate through position 0,
 and the lexicographically least minimiser contains position 0.  The
 profile therefore walks only the sets {0} u R, R a set of positions
 1..N-1, depth first in lexicographic order.  That walk,
-anchored_subset_steps, updates the outer-boundary size incrementally, one
-added or removed position per step.
+anchored_subset_steps, keeps the outer boundary as a bitmask of positions,
+updated as a position is added and restored as it is removed.
 
-The walk is a branch-and-bound.  For any q, S(D u {q}) \\ (D u {q})
-contains (SD \\ D) \\ {q}, so each added element lowers the outer boundary
-by at most 1: every superset of size j of a set of size s and boundary b
-has boundary at least b - (j - s).  All sets below a set in the walk are
-its supersets, so the walk descends from a set only while b + s is below
-a ceiling for its size, and the profile keeps that ceiling at the largest
-least[j] + j over the requested sizes j > s.  A pruned subtree holds no
-set of boundary below the least already seen at its size; ties never
-replace a witness and the least boundaries only fall, so the rows and
-witnesses are those of the full walk: cyclic:22 with sizes 1..10 visits
-16,061 of its 695,860 anchored sets (of 4,194,304 subsets).
+The walk is a branch-and-bound with two bounds, each of which can only
+skip sets whose boundary is no lower than the least already seen at their
+size.  All sets below a set in the walk are its supersets.
+- For any q, S(D u {q}) \\ (D u {q}) contains (SD \\ D) \\ {q}, so each
+  added element lowers the outer boundary by at most 1: a superset of
+  size j of a set of size s and boundary b has boundary at least
+  b - (j - s).  The walk descends from a set only while b + s is below
+  the largest least[j] + j over the requested sizes j > s.
+- The walk only adds positions above the last one, so no set at or
+  below D u {q} contains a boundary point of D at a position below q.
+  SD lies in the S-image of each of those sets, so these points, the
+  points locked at q, stay on all their boundaries.  The walk enters
+  D u {q} only while D has fewer points locked at q than the largest
+  least[j] over the requested sizes j > Card(D).  That count only grows
+  with q, so the first child refused ends the walk over D's children.
+Ties never replace a witness and the least boundaries only fall, so the
+rows and witnesses are those of the full walk: cyclic:22 with sizes 1..10
+visits 182 of its 695,860 anchored sets (of 4,194,304 subsets), where the
+first bound alone visits 16,061.
 """
 
 from __future__ import annotations
@@ -300,6 +308,7 @@ def anchored_subset_steps(
     *,
     ground: list[Element],
     ceiling: list[int],
+    locked_ceiling: Optional[list[int]] = None,
 ) -> Iterator[tuple[list[int], int, int]]:
     """Walk the subsets of a finite group that contain position 0, in
     lexicographic order of their ascending position tuples.  Position i is
@@ -307,56 +316,64 @@ def anchored_subset_steps(
 
     Yields (positions, size, outer_boundary_size) for the sets {0} u R
     with R a set of positions 1..N-1 and size at most max_size, depth first
-    in pre-order.  It descends from a set of size s and boundary b, to the
-    sets that extend it by larger positions, only while
-    b + s < ceiling[s]; the caller may lower entries of `ceiling` between
-    steps.  A ceiling of N + 1 at every size never prunes, since b + s <= N,
-    and the walk then yields all sum(C(N-1, j) for j < max_size) sets.
-    Each step adds one position, after removing those it backtracks over,
-    and updates the boundary size incrementally from per-position counts of
-    covering neighbours.  `positions` is the walk's own ascending list,
-    valid until the next step: copy it to keep it.
+    in pre-order.  The children of a set P of size s and boundary b are the
+    sets P u {q} with q above the last position of P.  The walk descends to
+    them only if b + s < ceiling[s] as it yields P, and enters the child
+    P u {q} only while the boundary points of P at positions below q number
+    fewer than locked_ceiling[s] (default: ceiling); that count only grows
+    with q, so the first child refused ends the walk over P's children.
+    The caller may lower entries of either list between steps.  Ceilings
+    of N + 1 at every size never prune, since b + s <= N, and the walk then
+    yields all sum(C(N-1, j) for j < max_size) sets.  Each step adds one
+    position, after removing those it backtracks over, and keeps the
+    boundary as a bitmask of positions.  `positions` is the walk's own
+    ascending list, valid until the next step: copy it to keep it.
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
+    if locked_ceiling is None:
+        locked_ceiling = ceiling
     n = len(ground)
     index = {e: i for i, e in enumerate(ground)}
     mul = group.mul
-    # neighbors[i] = positions of s * ground[i] for s in the generating set
-    neighbors = [[index[mul(s, e)] for s in group.generating_set] for e in ground]
+    # reach[i]: the bitmask of the positions s * ground[i], s in the generating set
+    reach = []
+    for e in ground:
+        mask = 0
+        for s in group.generating_set:
+            mask |= 1 << index[mul(s, e)]
+        reach.append(mask)
 
-    covered = [0] * n  # covered[z] = number of members y of D with z = s*y
-    in_d = [False] * n
     positions: list[int] = []
-    saved: list[int] = []  # saved[i]: the boundary size before positions[i] joined
-    boundary = 0
+    saved: list[int] = []  # saved[i]: the boundary mask before positions[i] joined
+    members = 0  # bitmask of D
+    outer = 0  # bitmask of the outer boundary SD \ D
     q = 0
     while True:
-        in_d[q] = True
-        saved.append(boundary)
-        if covered[q]:
-            boundary -= 1
-        for z in neighbors[q]:
-            if not covered[z] and not in_d[z]:
-                boundary += 1
-            covered[z] += 1
+        saved.append(outer)
+        members |= 1 << q
+        outer = (outer | reach[q]) & ~members
         positions.append(q)
         size = len(positions)
+        boundary = outer.bit_count()
         yield positions, size, boundary
-        if size < max_size and q + 1 < n and boundary + size < ceiling[size]:
-            q += 1
+        q += 1
+        if (
+            size < max_size
+            and q < n
+            and boundary + size < ceiling[size]
+            and (outer & ((1 << q) - 1)).bit_count() < locked_ceiling[size]
+        ):
             continue
-        # backtrack to the last position that can move right; 0 never moves
+        # backtrack to the last set with a child left to enter; 0 never moves
         while True:
             q = positions.pop()
-            in_d[q] = False
-            boundary = saved.pop()
-            for z in neighbors[q]:
-                covered[z] -= 1
+            members ^= 1 << q
+            outer = saved.pop()
             q += 1
             if not positions:
                 return
-            if q < n:
+            if q < n and (outer & ((1 << q) - 1)).bit_count() < locked_ceiling[len(positions)]:
                 break
 
 
@@ -418,19 +435,25 @@ def exhaustive_profile(group: Group, sizes: Iterable[int]) -> list[ProfileRow]:
     # ceiling[s]: the largest least[j] + j over wanted j > s (0 if none).
     # A set of size s and boundary b has a descendant of size j with
     # boundary below least[j] only if b + s < least[j] + j.
+    # locked_ceiling[s]: the largest least[j] over wanted j > s (0 if none).
+    # Every descendant of size j keeps the locked points L, so it has a
+    # boundary below least[j] only if L < least[j].
     ceiling = [0] * (top + 1)
+    locked_ceiling = [0] * (top + 1)
 
     def lower_ceiling() -> None:
-        bar = 0
+        bar = locked = 0
         for s in range(top, 0, -1):
             if least[s] >= 0:
                 bar = max(bar, least[s] + s)
+                locked = max(locked, least[s])
             ceiling[s - 1] = bar
+            locked_ceiling[s - 1] = locked
 
     lower_ceiling()
     witnesses: dict[int, tuple[int, ...]] = {}
     for positions, size, boundary in anchored_subset_steps(
-        group, top, ground=ground, ceiling=ceiling
+        group, top, ground=ground, ceiling=ceiling, locked_ceiling=locked_ceiling
     ):
         if boundary < least[size]:
             least[size] = boundary

@@ -76,7 +76,9 @@ def queries(group, kind, n, cap, pool):
     radius = n % (FAMILIES[group.name] + 1)
     target = n % (len(pool) + 2)
     g = pool[n % len(pool)]
-    h = pool[(n // 7) % len(pool)]
+    # h = x * g with x in the pool, so dist(g, h) = ||x^-1|| is at most
+    # FAMILIES[...] + 1, the radius the other query kinds stay within
+    h = group.mul(pool[(n // 7) % len(pool)], g)
     if kind == "ball":
         return (
             lambda: table_answer(ball(group, radius, ball_cap=cap)),

@@ -466,6 +466,11 @@ def _profile_by_full_walk(group, sizes):
     ("symmetric:4", range(1, 7)),
     ("cyclic:21", [3, 9]),
     ("dihedral:11", [10]),
+    # both cuts fire: the locked points prune descents and end sibling runs
+    ("symmetric:4", range(1, 12)),
+    ("dihedral:12", [2, 11]),
+    ("cyclic:24", [1, 11]),
+    ("heisenberg:2", range(1, 4)),
 ])
 def test_pruned_profile_matches_the_full_walk(spec, sizes):
     group = parse_group(spec)
@@ -479,9 +484,9 @@ def test_pruned_profile_matches_the_full_walk(spec, sizes):
 
 # the full walk visits 695,860, 2,842,226 and 41,226 sets
 @pytest.mark.parametrize("spec,top,visited", [
-    ("cyclic:22", 10, 16_061),
-    ("symmetric:4", 11, 158_155),
-    ("dihedral:9", 8, 1_618),
+    ("cyclic:22", 10, 182),
+    ("symmetric:4", 11, 13_985),
+    ("dihedral:9", 8, 469),
 ])
 def test_pruned_profile_work_count(monkeypatch, spec, top, visited):
     sizes = []
@@ -525,15 +530,32 @@ def test_profile_matches_brute_force_on_dihedral4():
         assert set(row.witness.elements) == set(best[1])
 
 
+# each group's least factor min_boundary / bound over its admissible sizes;
+# dihedral:2j and dihedral:2j+1 share 8j/(2j-1)
+LEAST_FACTORS = {
+    **{f"cyclic:{n}": 4 for n in range(3, 25)},
+    "dihedral:3": 6,
+    **{f"dihedral:{n}": Fraction(8 * (n // 2), 2 * (n // 2) - 1) for n in range(4, 13)},
+    "symmetric:3": 4,
+    "symmetric:4": 4,
+    "heisenberg:2": 4,
+}
+
+
 def test_profile_minimum_respects_strict_bound():
-    for spec in ("cyclic:8", "cyclic:12", "dihedral:4"):
+    # gap > 0 at every admissible size proves the strict bound for every
+    # admissible set of the group
+    factors = {}
+    for spec in LEAST_FACTORS:
         group = parse_group(spec)
-        top = (group.order() - 1) // 2
-        rows = exhaustive_profile(group, range(1, min(top, 5) + 1))
+        rows = exhaustive_profile(group, range(1, (group.order() - 1) // 2 + 1))
         for row in rows:
             assert Fraction(row.min_boundary, row.size) > Fraction(
                 1, 2 * phi(group, 2 * row.size)
             )
+            assert row.gap > 0
+        factors[spec] = min(row.min_boundary / row.bound for row in rows)
+    assert factors == LEAST_FACTORS
 
 
 def test_profile_singleton_minimum_is_generating_set_size():
