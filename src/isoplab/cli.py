@@ -51,7 +51,7 @@ EXIT_BUDGET = 3
 EXIT_PRECONDITION = 4
 
 # Namespace entries that are not settings of the run, so never echoed
-_NOT_SETTINGS = {"check", "config_path"}
+_NOT_SETTINGS = {"check"}
 
 
 def _csv_lines(header: list[str], rows) -> list[str]:
@@ -275,57 +275,12 @@ def _cmd_accept(config: argparse.Namespace) -> int:
     return EXIT_OK if outcome.all_passed else EXIT_FAILED_VERDICT
 
 
-_CONFIG_BOOLS = {
-    "1": True, "true": True, "yes": True, "on": True,
-    "0": False, "false": False, "no": False, "off": False,
-}
 _CONFIG_MINIMUM = {"d": 0, "trials": 1, "max_radius": 0, "phi": 0, "ball_cap": 1}
 
 
-def _load_config_file(args: argparse.Namespace) -> dict:
-    """Settings of a key=value config file, each parsed by the command's own
-    parser as the flag `--key=value`; a key the command has no flag for, or a
-    value that flag rejects, exits 2."""
-    path = args.config_path
-    keys = vars(args).keys() - _NOT_SETTINGS - {"command"}
-    command = [args.command, args.check] if args.command == "verify" else [args.command]
-    parser = build_parser()
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [raw.strip() for raw in fh]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read config file {path}: {exc}") from None
-    values = {}
-    for line in lines:
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ParseError(f"bad config line {line!r} (expected key=value)")
-        key, _, value = line.partition("=")
-        key, value = key.strip().replace("-", "_"), value.strip()
-        if key not in keys:
-            raise ParseError(f"unknown config key {key!r} for {args.command} in {path}")
-        if key == "quick":
-            # a store_true flag takes no value, so the spellings are read here
-            if value.lower() not in _CONFIG_BOOLS:
-                raise ParseError(
-                    f"config key quick needs 1/0, true/false, yes/no or on/off, got {value!r}"
-                )
-            values[key] = _CONFIG_BOOLS[value.lower()]
-            continue
-        try:
-            parsed = parser.parse_args([*command, f"--{key.replace('_', '-')}={value}"])
-        except SystemExit:
-            raise ParseError(f"bad value for config key {key} in {path}") from None
-        values[key] = getattr(parsed, key)
-    return values
-
-
 def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
-    """The run configuration: flags beat the --config file, which beats defaults."""
+    """The run configuration: the flags given, over the defaults."""
     values = {**vars(args), "format": "human", "ball_cap": DEFAULT_BALL_CAP}
-    if args.config_path:
-        values.update(_load_config_file(args))
     values.update((key, value) for key, value in vars(args).items() if value is not None)
     for key, least in _CONFIG_MINIMUM.items():
         value = values.get(key)
@@ -340,61 +295,88 @@ def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--format", choices=["jsonl", "csv", "human"], default=None)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--config", dest="config_path", default=None,
-                    help="flat key=value config file; flags take precedence")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# accept runs fixed instances and profile groups of at most 24 elements,
+# so a cap could only abort them; their echo records the default cap
+def _add_ball_cap(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--ball-cap", dest="ball_cap", type=int, default=None)
+
+
+def _add_growth(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--group")
+    sp.add_argument("--max-radius", dest="max_radius", type=int, default=None)
+    sp.add_argument("--phi", dest="phi", type=int, default=None,
+                    help="emit the least r with gamma(r) > v instead of a table")
+    _add_common(sp)
+    _add_ball_cap(sp)
+
+
+def _add_verify(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("check", choices=[
+        "lemma31", "halfmass", "transport", "theorem", "csc", "boundary-cmp",
+    ])
+    sp.add_argument("--group")
+    sp.add_argument("--set", dest="set")
+    sp.add_argument("--d", type=int, default=None)
+    sp.add_argument("--gamma0", default=None)
+    sp.add_argument("--trials", type=int, default=None)
+    _add_common(sp)
+    _add_ball_cap(sp)
+
+
+def _add_profile(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--group")
+    sp.add_argument("--sizes")
+    _add_common(sp)
+
+
+def _add_sharpness(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--group")
+    sp.add_argument("--set", dest="set")
+    sp.add_argument("--trials", type=int, default=None)
+    _add_common(sp)
+    _add_ball_cap(sp)
+
+
+def _add_accept(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--quick", action="store_true", default=None)
+    sp.add_argument("--seed", type=int, default=None)
+    _add_common(sp)
+
+
+# each command: its help line and the function that adds its arguments
+_COMMANDS = {
+    "growth": ("growth table or inverse growth value", _add_growth),
+    "verify": ("run one verifier over generated sets", _add_verify),
+    "profile": ("exhaustive isoperimetric profile", _add_profile),
+    "sharpness": ("sharpness factors of the strict bound", _add_sharpness),
+    "accept": ("run the acceptance suite and print a scorecard", _add_accept),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of `command` alone.  The one-command
+    parser names every command in its usage line, as the full one does."""
     parser = argparse.ArgumentParser(
         prog="isoplab",
         description="Exact word metrics, boundaries, and isoperimetric verification "
                     "on Cayley graphs of concrete finitely generated groups.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    growth_p = sub.add_parser("growth", help="growth table or inverse growth value")
-    growth_p.add_argument("--group")
-    growth_p.add_argument("--max-radius", dest="max_radius", type=int, default=None)
-    growth_p.add_argument("--phi", dest="phi", type=int, default=None,
-                          help="emit the least r with gamma(r) > v instead of a table")
-    _add_common(growth_p)
-
-    verify_p = sub.add_parser("verify", help="run one verifier over generated sets")
-    verify_p.add_argument("check", choices=[
-        "lemma31", "halfmass", "transport", "theorem", "csc", "boundary-cmp",
-    ])
-    verify_p.add_argument("--group")
-    verify_p.add_argument("--set", dest="set")
-    verify_p.add_argument("--d", type=int, default=None)
-    verify_p.add_argument("--gamma0", default=None)
-    verify_p.add_argument("--trials", type=int, default=None)
-    _add_common(verify_p)
-
-    profile_p = sub.add_parser("profile", help="exhaustive isoperimetric profile")
-    profile_p.add_argument("--group")
-    profile_p.add_argument("--sizes")
-    _add_common(profile_p)
-
-    sharp_p = sub.add_parser("sharpness", help="sharpness factors of the strict bound")
-    sharp_p.add_argument("--group")
-    sharp_p.add_argument("--set", dest="set")
-    sharp_p.add_argument("--trials", type=int, default=None)
-    _add_common(sharp_p)
-
-    accept_p = sub.add_parser("accept", help="run the acceptance suite and print a scorecard")
-    accept_p.add_argument("--quick", action="store_true", default=None)
-    accept_p.add_argument("--seed", type=int, default=None)
-    _add_common(accept_p)
-
-    # accept runs fixed instances and profile groups of at most 24 elements,
-    # so a cap could only abort them; their echo records the default cap
-    for sp in (growth_p, verify_p, sharp_p):
-        sp.add_argument("--ball-cap", dest="ball_cap", type=int, default=None)
+    # a metavar on the full parser would rename the command in its errors
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a run builds only its command's parser; --help, no command and an
+    # unknown command get the full one
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from isoplab.cli import _resolve_config, build_parser, main
+from isoplab.cli import build_parser, main
 from isoplab import VerificationReport, parse_group
 
 
@@ -206,55 +207,22 @@ def test_out_to_directory_exits_2(tmp_path, capsys):
     assert code == 2 and "cannot write" in err
 
 
-def test_bad_values_from_config_file_exit_2(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("group=z\nset=ball:2\ntrials=0\n")
-    code, _, err = run(capsys, "verify", "theorem", "--config", str(cfg))
-    assert code == 2 and "trials" in err
-    cfg.write_text("group=z\nset=interval:1..3\nball_cap=0\n")
-    code, _, err = run(capsys, "sharpness", "--config", str(cfg))
-    assert code == 2 and "ball-cap must be >= 1" in err
-    # --seed is read by accept alone, so verify and sharpness have no such flag
+def test_seed_is_read_by_accept_alone(capsys):
+    # --seed is read by accept alone, so no other command has such a flag
     for command in (
+        ("growth", "--max-radius", "2"),
         ("verify", "theorem", "--set", "random:5:7"),
+        ("profile", "--sizes", "1..3"),
         ("sharpness", "--set", "interval:1..3"),
     ):
         code, out, err = run(capsys, *command, "--group", "z", "--seed", "99")
         assert code == 2 and out == "" and "--seed" in err
-    # unknown keys and unrecognised boolean spellings are not ignored
-    for command, text, needle in [
-        (("accept",), "quick=banana\n", "quick"),
-        (("accept",), "quick=\n", "quick"),
-        (("accept",), "qiuck=1\n", "qiuck"),
-        (("growth",), "gro=z\nmax_radius=2\n", "'gro'"),  # no prefix matching
-        (("growth",), "group=z\nmax_radius=2\ncommand=profile\n", "command"),
-        (("verify", "theorem"), "group=z\nset=ball:2\nconfig_path=x\n", "config_path"),
-        # keys of another subcommand are not read, so they are not accepted
-        (("growth",), "group=z\nmax_radius=2\nsizes=1..3\n", "sizes"),
-        (("accept",), "quick=1\nset=ball:2\n", "set"),
-        (("profile",), "group=cyclic:8\nsizes=1..3\nseed=7\n", "seed"),
-        (("verify", "theorem"), "group=z\nset=random:5:7\nseed=99\n", "seed"),
-        (("sharpness",), "group=z\nset=interval:1..3\nseed=99\n", "seed"),
-        # values are typed and checked by the same parser as the flags
-        (("verify", "theorem"), "group=z\nset=ball:2\ntrials=abc\n", "trials"),
-        (("growth",), "group=z\nmax_radius=2\nball_cap=1e3\n", "ball_cap"),
-        (("growth",), "group=z\nmax_radius=2\nformat=xml\n", "format"),
-        # a file that is not UTF-8 text
-        (("growth",), "group=z\xff\n", "cannot read config file"),
-    ]:
-        cfg.write_bytes(text.encode("latin-1"))
-        code, out, err = run(capsys, *command, "--config", str(cfg))
-        assert code == 2 and out == "" and needle in err and "isoplab: error:" in err
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-def test_accept_seed_outside_splitmix64_range_exits_2(tmp_path, capsys, seed):
+def test_accept_seed_outside_splitmix64_range_exits_2(capsys, seed):
     # SplitMix64 reduces seeds mod 2^64: -1 and 2^64 - 1 would run the same stream
     code, out, err = run(capsys, "accept", "--quick", "--seed", seed)
-    assert code == 2 and out == "" and "isoplab: error: seed must lie in 0..2^64-1" in err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"quick=1\nseed={seed}\n")
-    code, out, err = run(capsys, "accept", "--config", str(cfg))
     assert code == 2 and out == "" and "isoplab: error: seed must lie in 0..2^64-1" in err
 
 
@@ -270,17 +238,6 @@ def test_random_seed_is_refused_before_the_transport_word_is_measured(capsys):
         "--gamma0", "aaaa", "--ball-cap", "3",
     )
     assert code == 2 and out == "" and "0..2^64-1" in err
-
-
-@pytest.mark.parametrize("raw,value", [
-    ("1", True), ("TRUE", True), ("yes", True), ("on", True),
-    ("0", False), ("false", False), ("No", False), ("off", False),
-])
-def test_config_boolean_spellings(tmp_path, raw, value):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"quick={raw}\n")
-    args = build_parser().parse_args(["accept", "--config", str(cfg)])
-    assert _resolve_config(args).quick is value
 
 
 @pytest.mark.parametrize("radius", ["\u00b2", "\u0663"])
@@ -318,24 +275,16 @@ def test_ball_radius_outside_ascii_digits_exits_2(capsys, radius):
         "error: sharpness --trials counts random: draws; ball:2 is not drawn",
     ),
 ])
-def test_flags_the_mode_never_reads_exit_2(tmp_path, capsys, command, settings, needle):
+def test_flags_the_mode_never_reads_exit_2(capsys, command, settings, needle):
     flags = [f"--{key.replace('_', '-')}={value}" for key, value in settings.items()]
     code, out, err = run(capsys, *command, *flags)
     assert code == 2 and out == "" and needle in err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
-    code, out, err = run(capsys, *command, "--config", str(cfg))
-    assert code == 2 and out == "" and needle in err
 
 
-def test_accept_takes_no_ball_cap(tmp_path, capsys):
+def test_accept_takes_no_ball_cap(capsys):
     # accept runs fixed instances, so a cap could only abort it
     code, out, err = run(capsys, "accept", "--quick", "--ball-cap", "13121")
     assert code == 2 and out == "" and "unrecognized arguments: --ball-cap 13121" in err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("quick=1\nball_cap=13121\n")
-    code, out, err = run(capsys, "accept", "--config", str(cfg))
-    assert code == 2 and out == "" and "unknown config key 'ball_cap' for accept" in err
 
 
 @pytest.mark.parametrize("command, setting", [
@@ -345,15 +294,11 @@ def test_accept_takes_no_ball_cap(tmp_path, capsys):
     # profile walks groups of at most 24 elements, so a cap could only abort it
     (("profile", "--group", "cyclic:8", "--sizes", "1..3"), ("ball_cap", "5")),
 ])
-def test_removed_settings_exit_2(tmp_path, capsys, command, setting):
+def test_removed_settings_exit_2(capsys, command, setting):
     key, value = setting
     flag = f"--{key.replace('_', '-')}"
     code, out, err = run(capsys, *command, flag, value)
     assert code == 2 and out == "" and f"unrecognized arguments: {flag} {value}" in err
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"{key}={value}\n")
-    code, out, err = run(capsys, *command, "--config", str(cfg))
-    assert code == 2 and out == "" and f"unknown config key {key!r} for {command[0]}" in err
 
 
 def test_intervals_exist_on_z_alone(capsys):
@@ -386,50 +331,71 @@ def test_word_flags_checked_before_sets_are_generated(capsys):
     assert code == 2 and "generator word" in err
 
 
-# ---------------------------------------------------------------- config file
+# ---------------------------------------------------------------------- parser
 
-def test_config_file_with_flag_precedence(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("group=z\nmax_radius=2\nformat=csv\n")
-    code, out, _ = run(capsys, "growth", "--config", str(cfg))
-    assert code == 0
-    assert out.splitlines()[1] == "r,gamma"
-    assert out.splitlines()[-1] == "2,5"
-    # flags beat the file
-    code, out, _ = run(capsys, "growth", "--config", str(cfg), "--max-radius", "1")
-    assert out.splitlines()[-1] == "1,3"
-
-
-def test_config_value_keeps_leading_sign(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("group=zd:2\nset=random:10:3\ngamma0=-1+2\n")
-    code, from_file, _ = run(capsys, "verify", "transport", "--config", str(cfg))
-    assert code == 0
-    code, from_flag, _ = run(
-        capsys, "verify", "transport", "--group", "zd:2", "--set", "random:10:3", "--gamma0=-1+2"
-    )
-    assert code == 0 and from_file == from_flag
-
-
-def test_config_echo_is_the_same_from_file_and_flags(tmp_path, capsys):
+def test_config_echo_holds_the_settings_and_the_defaults(capsys):
     # the echo holds the set settings plus the format and ball_cap defaults,
-    # never the verify check or the config file's path
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("group=heisenberg\nset=random:12:7\ntrials=2\n")
-    code, from_file, _ = run(capsys, "verify", "theorem", "--config", str(cfg))
-    assert code == 0
-    code, from_flags, _ = run(
+    # never the verify check
+    code, out, _ = run(
         capsys, "verify", "theorem", "--group", "heisenberg", "--set", "random:12:7", "--trials", "2"
     )
     assert code == 0
-    echo = from_file.splitlines()[0]
-    assert echo == from_flags.splitlines()[0]
+    echo = out.splitlines()[0]
     assert echo.startswith("config: ")
     assert json.loads(echo[len("config: "):]) == {
         "ball_cap": 5000000, "command": "verify", "format": "human",
         "group": "heisenberg", "set": "random:12:7", "trials": 2,
     }
-    assert "check" not in echo and "config_path" not in echo
+
+
+# per command, argument lists that stop in the parser: an unknown flag, a
+# missing value, a bad choice or type, and help
+BAD_ARGUMENTS = {
+    "growth": [["--bogus"], ["--group"], ["--format", "xml"], ["--max-radius", "x"], ["-h"]],
+    "verify": [
+        ["theorem", "--bogus"], ["theorem", "--group"], ["theorem", "--format", "xml"],
+        ["theorem", "--trials", "x"], ["-h"], ["theorem", "-h"], ["bogus"], [],
+    ],
+    "profile": [["--bogus"], ["--sizes"], ["--format", "xml"], ["--group", "z", "extra"], ["-h"]],
+    "sharpness": [["--bogus"], ["--set"], ["--format", "xml"], ["--ball-cap", "x"], ["-h"]],
+    "accept": [["--bogus"], ["--seed"], ["--format", "xml"], ["--quick", "1"], ["-h"]],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    [command, *rest] for command, table in BAD_ARGUMENTS.items() for rest in table
+], ids=" ".join)
+def test_one_command_parser_fails_as_the_full_parser(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    full = capsys.readouterr()
+    assert (code, out, err) == (exc.value.code or 0, full.out, full.err)
+
+
+def test_a_run_builds_only_its_command_parser(monkeypatch, capsys):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    code, _, _ = run(capsys, "profile", "--group", "cyclic:8", "--sizes", "1..3")
+    assert code == 0 and built == ["profile"]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    ([], "the following arguments are required: command"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    (["profile", "--config", "x"], "unrecognized arguments: --config x"),
+    (["verify", "theorem", "--config", "x"], "unrecognized arguments: --config x"),
+])
+def test_top_level_usage_errors_exit_2(capsys, argv, needle):
+    # no command, or an unknown one, gets the full parser; no command takes --config
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and needle in err
 
 
 def test_out_writes_file(tmp_path, capsys):

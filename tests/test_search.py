@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import statistics
 from collections import Counter
@@ -449,18 +450,7 @@ def test_anchored_walk_needs_a_positive_size():
         next(_full_walk(C8, 0, enumerate_group(C8)))
 
 
-def _profile_by_full_walk(group, sizes):
-    """(size, least boundary, witness positions) per wanted size: the first
-    set of least boundary in the walk that never prunes."""
-    wanted = sorted(sizes)
-    best = {}
-    for positions, size, boundary in _full_walk(group, wanted[-1], enumerate_group(group)):
-        if size in wanted and (size not in best or boundary < best[size][0]):
-            best[size] = (boundary, tuple(positions))
-    return [(n, *best[n]) for n in wanted]
-
-
-@pytest.mark.parametrize("spec,sizes", [
+PRUNED_PROFILE_CASES = [
     ("cyclic:20", range(1, 10)),
     ("dihedral:10", range(1, 10)),
     ("symmetric:4", range(1, 7)),
@@ -471,7 +461,43 @@ def _profile_by_full_walk(group, sizes):
     ("dihedral:12", [2, 11]),
     ("cyclic:24", [1, 11]),
     ("heisenberg:2", range(1, 4)),
-])
+]
+
+
+@functools.cache
+def _full_walk_profile(spec):
+    """Per size k, up to the largest any case asks of spec: (least boundary,
+    witness positions), the first set of least boundary among all sets of
+    size k through position 0 in lexicographic order of position tuples.
+    One depth-first bitmask loop that never prunes, independent of the
+    library's walk; each group walks once for all its cases."""
+    top = max(max(sizes) for case, sizes in PRUNED_PROFILE_CASES if case == spec)
+    group = parse_group(spec)
+    ground = enumerate_group(group)
+    n = len(ground)
+    index = {e: i for i, e in enumerate(ground)}
+    reach = [0] * n  # reach[i]: the bitmask of the positions s * ground[i]
+    for i, e in enumerate(ground):
+        for s in group.generating_set:
+            reach[i] |= 1 << index[group.mul(s, e)]
+    least, first = [n + 1] * (top + 1), [0] * (top + 1)
+    # (members, S * members, size, least position to add); children go on
+    # the stack in reverse, so sets come off it in lexicographic order
+    stack = [(1, reach[0], 1, 1)]
+    while stack:
+        members, near, size, q = stack.pop()
+        boundary = (near & ~members).bit_count()
+        if boundary < least[size]:
+            least[size], first[size] = boundary, members
+        if size < top:
+            for r in range(n - 1, q - 1, -1):
+                stack.append((members | 1 << r, near | reach[r], size + 1, r + 1))
+    return tuple(
+        (k, least[k], tuple(i for i in range(n) if first[k] >> i & 1)) for k in range(top + 1)
+    )
+
+
+@pytest.mark.parametrize("spec,sizes", PRUNED_PROFILE_CASES)
 def test_pruned_profile_matches_the_full_walk(spec, sizes):
     group = parse_group(spec)
     position = {e: i for i, e in enumerate(enumerate_group(group))}
@@ -479,7 +505,7 @@ def test_pruned_profile_matches_the_full_walk(spec, sizes):
         (row.size, row.min_boundary, tuple(position[e] for e in row.witness.elements))
         for row in exhaustive_profile(group, sizes)
     ]
-    assert rows == _profile_by_full_walk(group, sizes)
+    assert rows == [_full_walk_profile(spec)[k] for k in sorted(sizes)]
 
 
 # the full walk visits 695,860, 2,842,226 and 41,226 sets
@@ -556,6 +582,17 @@ def test_profile_minimum_respects_strict_bound():
             assert row.gap > 0
         factors[spec] = min(row.min_boundary / row.bound for row in rows)
     assert factors == LEAST_FACTORS
+
+
+@pytest.mark.parametrize("n", range(3, 25))
+def test_cyclic_profile_is_two_at_every_admissible_size(n):
+    # a closed form, not a walk: the complement of D on the cycle splits into
+    # gaps, a gap of one point holds one boundary point and a longer gap two,
+    # so Card(outer D) >= 2 unless D misses a single point, and an interval
+    # attains 2; every admissible size k < n/2 is at most n - 2
+    sizes = range(1, (n - 1) // 2 + 1)
+    rows = exhaustive_profile(parse_group(f"cyclic:{n}"), sizes)
+    assert [row.min_boundary for row in rows] == [2] * len(sizes)
 
 
 def test_profile_singleton_minimum_is_generating_set_size():
