@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success (all verdicts hold), 1 a verdict failed, 2 parse or
-usage error, 3 budget exceeded, 4 precondition violated.  Machine formats
-carry the exact rationals; the human format prints the same fractions
-unrounded.  Every report line echoes the resolved run configuration.
+usage error, 3 budget exceeded, 4 precondition violated.  The parser
+declares the defaults, the required flags and growth's two modes.  Machine
+formats carry the exact rationals; the human format prints the same
+fractions unrounded.  Every report line echoes the run's settings,
+defaults included.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ def _csv_lines(header: list[str], rows) -> list[str]:
     return buf.getvalue().splitlines()
 
 
-def _emit(config: argparse.Namespace, records, header: list[str], rows, human) -> None:
-    """Render one command's output in config.format and write it.
+def _emit(args: argparse.Namespace, records, header: list[str], rows, human) -> None:
+    """Render one command's output in args.format and write it.
 
     records, rows and human are callables returning the JSON records, the
     CSV rows under header, and the human lines; only the one the format
@@ -71,26 +73,26 @@ def _emit(config: argparse.Namespace, records, header: list[str], rows, human) -
     its settings that are not None; the CSV and human outputs open with it.
     """
     run_config = {
-        key: value for key, value in vars(config).items()
+        key: value for key, value in vars(args).items()
         if value is not None and key not in _NOT_SETTINGS
     }
-    if config.format == "jsonl":
+    if args.format == "jsonl":
         lines = [canonical_json({**rec, "run_config": run_config}) for rec in records()]
     else:
         echo = canonical_json(run_config)
-        if config.format == "csv":
+        if args.format == "csv":
             lines = [f"# config: {echo}", *_csv_lines(header, rows())]
         else:
             lines = [f"config: {echo}", *human()]
     text = "\n".join(lines) + ("\n" if lines else "")
-    if not config.out:
+    if not args.out:
         sys.stdout.write(text)
         return
     try:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise ParseError(f"cannot write --out {config.out}: {exc}") from None
+        raise ParseError(f"cannot write --out {args.out}: {exc}") from None
 
 
 _REPORT_HEADER = [
@@ -122,28 +124,22 @@ def _report_lines(reports) -> list[str]:
     return lines
 
 
-def _cmd_growth(config: argparse.Namespace) -> int:
-    if config.group is None:
-        raise ParseError("growth needs --group")
-    if config.phi is not None and config.max_radius is not None:
-        raise ParseError("growth takes --phi or --max-radius, not both")
-    group = parse_group(config.group)
-    if config.phi is not None:
-        v = config.phi
-        value = phi(group, v, ball_cap=config.ball_cap)
+def _cmd_growth(args: argparse.Namespace) -> int:
+    group = parse_group(args.group)
+    if args.phi is not None:
+        v = args.phi
+        value = phi(group, v, ball_cap=args.ball_cap)
         _emit(
-            config,
+            args,
             lambda: [{"v": v, "phi": value}],
             ["v", "phi"],
             lambda: [[v, value]],
             lambda: [f"phi({v}) = {value}"],
         )
         return EXIT_OK
-    if config.max_radius is None:
-        raise ParseError("growth needs --max-radius or --phi")
-    rows = list(enumerate(growth(group, config.max_radius, ball_cap=config.ball_cap)))
+    rows = list(enumerate(growth(group, args.max_radius, ball_cap=args.ball_cap)))
     _emit(
-        config,
+        args,
         lambda: ({"r": r, "gamma": v} for r, v in rows),
         ["r", "gamma"],
         lambda: rows,
@@ -152,35 +148,34 @@ def _cmd_growth(config: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _drawn_sets(group, config: argparse.Namespace):
+def _drawn_sets(group, args: argparse.Namespace):
     """The sets of --set, drawn --trials times (once by default) for a random:
     descriptor; --trials with a set that is not drawn exits 2."""
-    desc = parse_set_descriptor(config.set)
-    if config.trials is not None and desc.kind not in ("connected", "uniform"):
+    desc = parse_set_descriptor(args.set)
+    if args.trials is not None and desc.kind not in ("connected", "uniform"):
         raise ParseError(
-            f"{config.command} --trials counts random: draws; {desc.text} is not drawn"
+            f"{args.command} --trials counts random: draws; {desc.text} is not drawn"
         )
-    trials = config.trials if config.trials is not None else 1
-    return generate_sets(group, desc, trials, ball_cap=config.ball_cap)
+    trials = args.trials if args.trials is not None else 1
+    return generate_sets(group, desc, trials, ball_cap=args.ball_cap)
 
 
-def _cmd_verify(config: argparse.Namespace, check: str) -> int:
-    if config.group is None or config.set is None:
-        raise ParseError("verify needs --group and --set")
-    if check == "lemma31" and config.d is None:
+def _cmd_verify(args: argparse.Namespace) -> int:
+    check = args.check
+    if check == "lemma31" and args.d is None:
         raise ParseError("verify lemma31 needs --d")
-    if check == "transport" and config.gamma0 is None:
+    if check == "transport" and args.gamma0 is None:
         raise ParseError("verify transport needs --gamma0")
-    if config.d is not None and check not in ("lemma31", "transport"):
+    if args.d is not None and check not in ("lemma31", "transport"):
         raise ParseError(f"verify {check} takes no --d")
-    if config.gamma0 is not None and check != "transport":
+    if args.gamma0 is not None and check != "transport":
         raise ParseError(f"verify {check} takes no --gamma0")
-    group = parse_group(config.group)
-    subsets = _drawn_sets(group, config)
-    cap = config.ball_cap
-    d = config.d
+    group = parse_group(args.group)
+    subsets = _drawn_sets(group, args)
+    cap = args.ball_cap
+    d = args.d
     if check == "transport":
-        gamma0 = group.parse_word(config.gamma0)
+        gamma0 = group.parse_word(args.gamma0)
 
     def transport(s):
         record = transport_map(group, gamma0, s, ball_cap=cap)
@@ -197,7 +192,7 @@ def _cmd_verify(config: argparse.Namespace, check: str) -> int:
     }
     reports = [rep for subset in subsets for rep in verifiers[check](subset)]
     _emit(
-        config,
+        args,
         lambda: (r.to_json_dict() for r in reports),
         _REPORT_HEADER,
         lambda: (_csv_row(_REPORT_HEADER, r.to_json_dict()) for r in reports),
@@ -206,16 +201,14 @@ def _cmd_verify(config: argparse.Namespace, check: str) -> int:
     return EXIT_OK if all(r.verdict for r in reports) else EXIT_FAILED_VERDICT
 
 
-def _cmd_profile(config: argparse.Namespace) -> int:
-    if config.group is None or config.sizes is None:
-        raise ParseError("profile needs --group and --sizes")
-    group = parse_group(config.group)
-    lo, hi = parse_size_range(config.sizes)
+def _cmd_profile(args: argparse.Namespace) -> int:
+    group = parse_group(args.group)
+    lo, hi = parse_size_range(args.sizes)
     rows = exhaustive_profile(group, range(lo, hi + 1))
     dicts = [row.to_json_dict() for row in rows]
     header = ["n", "min_boundary", "bound_num", "bound_den", "witness"]
     _emit(
-        config,
+        args,
         lambda: dicts,
         header,
         lambda: (_csv_row(header, d) for d in dicts),
@@ -228,14 +221,12 @@ def _cmd_profile(config: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_sharpness(config: argparse.Namespace) -> int:
-    if config.group is None or config.set is None:
-        raise ParseError("sharpness needs --group and --set")
-    group = parse_group(config.group)
-    summary = sharpness_of_subsets(group, _drawn_sets(group, config), ball_cap=config.ball_cap)
+def _cmd_sharpness(args: argparse.Namespace) -> int:
+    group = parse_group(args.group)
+    summary = sharpness_of_subsets(group, _drawn_sets(group, args), ball_cap=args.ball_cap)
     entries = summary.entries
     _emit(
-        config,
+        args,
         lambda: [summary.to_json_dict()],
         ["set", "factor_num", "factor_den"],
         lambda: ([name, f.numerator, f.denominator] for name, f in entries),
@@ -247,9 +238,9 @@ def _cmd_sharpness(config: argparse.Namespace) -> int:
     return EXIT_OK if all(r.verdict for r in summary.reports) else EXIT_FAILED_VERDICT
 
 
-def _cmd_accept(config: argparse.Namespace) -> int:
-    seed = config.seed if config.seed is not None else DEFAULT_SEED
-    outcome = run_acceptance(seed, bool(config.quick))
+def _cmd_accept(args: argparse.Namespace) -> int:
+    seed = args.seed if args.seed is not None else DEFAULT_SEED
+    outcome = run_acceptance(seed, bool(args.quick))
     results = outcome.results
 
     def records():
@@ -266,7 +257,7 @@ def _cmd_accept(config: argparse.Namespace) -> int:
         yield f"acceptance: {status} ({passed}/{len(results)} criteria)"
 
     _emit(
-        config,
+        args,
         records,
         ["criterion", "name", "passed", "detail"],
         lambda: ([r.index, r.name, "pass" if r.passed else "fail", r.detail] for r in results),
@@ -278,36 +269,32 @@ def _cmd_accept(config: argparse.Namespace) -> int:
 _CONFIG_MINIMUM = {"d": 0, "trials": 1, "max_radius": 0, "phi": 0, "ball_cap": 1}
 
 
-def _resolve_config(args: argparse.Namespace) -> argparse.Namespace:
-    """The run configuration: the flags given, over the defaults."""
-    values = {**vars(args), "format": "human", "ball_cap": DEFAULT_BALL_CAP}
-    values.update((key, value) for key, value in vars(args).items() if value is not None)
+def _check_values(args: argparse.Namespace) -> None:
+    """The usage errors argparse cannot declare: an integer flag below its
+    least value, and an --out path in no directory."""
     for key, least in _CONFIG_MINIMUM.items():
-        value = values.get(key)
+        value = getattr(args, key, None)
         if value is not None and value < least:
             raise ParseError(f"{key.replace('_', '-')} must be >= {least}, got {value}")
-    config = argparse.Namespace(**values)
-    if config.out and not os.path.isdir(os.path.dirname(os.path.abspath(config.out))):
-        raise ParseError(f"cannot write --out {config.out}: no such directory")
-    return config
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        raise ParseError(f"cannot write --out {args.out}: no such directory")
 
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--format", choices=["jsonl", "csv", "human"], default=None)
-    sp.add_argument("--out", default=None)
+    sp.add_argument("--format", choices=["jsonl", "csv", "human"], default="human")
+    sp.add_argument("--out")
 
 
-# accept runs fixed instances and profile groups of at most 24 elements,
-# so a cap could only abort them; their echo records the default cap
 def _add_ball_cap(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--ball-cap", dest="ball_cap", type=int, default=None)
+    sp.add_argument("--ball-cap", type=int, default=DEFAULT_BALL_CAP)
 
 
 def _add_growth(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--group")
-    sp.add_argument("--max-radius", dest="max_radius", type=int, default=None)
-    sp.add_argument("--phi", dest="phi", type=int, default=None,
-                    help="emit the least r with gamma(r) > v instead of a table")
+    sp.add_argument("--group", required=True)
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--max-radius", type=int)
+    mode.add_argument("--phi", type=int,
+                      help="emit the least r with gamma(r) > v instead of a table")
     _add_common(sp)
     _add_ball_cap(sp)
 
@@ -316,33 +303,38 @@ def _add_verify(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("check", choices=[
         "lemma31", "halfmass", "transport", "theorem", "csc", "boundary-cmp",
     ])
-    sp.add_argument("--group")
-    sp.add_argument("--set", dest="set")
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--gamma0", default=None)
-    sp.add_argument("--trials", type=int, default=None)
+    sp.add_argument("--group", required=True)
+    sp.add_argument("--set", required=True)
+    sp.add_argument("--d", type=int)
+    sp.add_argument("--gamma0")
+    sp.add_argument("--trials", type=int)
     _add_common(sp)
     _add_ball_cap(sp)
 
 
+# accept runs fixed instances and profile groups of at most 24 elements,
+# so a cap could only abort them: they take no --ball-cap, and their echo
+# records the default cap
 def _add_profile(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--group")
-    sp.add_argument("--sizes")
+    sp.add_argument("--group", required=True)
+    sp.add_argument("--sizes", required=True)
     _add_common(sp)
+    sp.set_defaults(ball_cap=DEFAULT_BALL_CAP)
 
 
 def _add_sharpness(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--group")
-    sp.add_argument("--set", dest="set")
-    sp.add_argument("--trials", type=int, default=None)
+    sp.add_argument("--group", required=True)
+    sp.add_argument("--set", required=True)
+    sp.add_argument("--trials", type=int)
     _add_common(sp)
     _add_ball_cap(sp)
 
 
 def _add_accept(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--quick", action="store_true", default=None)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=int)
     _add_common(sp)
+    sp.set_defaults(ball_cap=DEFAULT_BALL_CAP)  # no --ball-cap: see _add_profile
 
 
 # each command: its help line and the function that adds its arguments
@@ -357,9 +349,11 @@ _COMMANDS = {
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     """The parser of every command, or of `command` alone.  The one-command
-    parser names every command in its usage line, as the full one does."""
+    parser names every command in its usage line, as the full one does.
+    Flags are spelled in full: a prefix is an unrecognized argument."""
     parser = argparse.ArgumentParser(
         prog="isoplab",
+        allow_abbrev=False,
         description="Exact word metrics, boundaries, and isoperimetric verification "
                     "on Cayley graphs of concrete finitely generated groups.",
     )
@@ -368,7 +362,7 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in _COMMANDS if command is None else [command]:
         help_text, add_arguments = _COMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_text))
+        add_arguments(sub.add_parser(name, help=help_text, allow_abbrev=False))
     return parser
 
 
@@ -382,16 +376,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        config = _resolve_config(args)
+        _check_values(args)
         if args.command == "growth":
-            return _cmd_growth(config)
+            return _cmd_growth(args)
         if args.command == "verify":
-            return _cmd_verify(config, args.check)
+            return _cmd_verify(args)
         if args.command == "profile":
-            return _cmd_profile(config)
+            return _cmd_profile(args)
         if args.command == "sharpness":
-            return _cmd_sharpness(config)
-        return _cmd_accept(config)
+            return _cmd_sharpness(args)
+        return _cmd_accept(args)
     except ParseError as exc:
         print(f"isoplab: error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -308,7 +308,7 @@ def anchored_subset_steps(
     *,
     ground: list[Element],
     ceiling: list[int],
-    locked_ceiling: Optional[list[int]] = None,
+    locked_ceiling: list[int],
 ) -> Iterator[tuple[list[int], int, int]]:
     """Walk the subsets of a finite group that contain position 0, in
     lexicographic order of their ascending position tuples.  Position i is
@@ -320,10 +320,10 @@ def anchored_subset_steps(
     sets P u {q} with q above the last position of P.  The walk descends to
     them only if b + s < ceiling[s] as it yields P, and enters the child
     P u {q} only while the boundary points of P at positions below q number
-    fewer than locked_ceiling[s] (default: ceiling); that count only grows
-    with q, so the first child refused ends the walk over P's children.
-    The caller may lower entries of either list between steps.  Ceilings
-    of N + 1 at every size never prune, since b + s <= N, and the walk then
+    fewer than locked_ceiling[s]; that count only grows with q, so the
+    first child refused ends the walk over P's children.  The caller may
+    lower entries of either list between steps.  Both lists holding N + 1
+    at every size never prune, since b + s <= N, and the walk then
     yields all sum(C(N-1, j) for j < max_size) sets.  Each step adds one
     position, after removing those it backtracks over, and keeps the
     boundary as a bitmask of positions.  `positions` is the walk's own
@@ -331,8 +331,6 @@ def anchored_subset_steps(
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    if locked_ceiling is None:
-        locked_ceiling = ceiling
     n = len(ground)
     index = {e: i for i, e in enumerate(ground)}
     mul = group.mul

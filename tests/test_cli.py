@@ -248,7 +248,7 @@ def test_ball_radius_outside_ascii_digits_exits_2(capsys, radius):
 
 
 @pytest.mark.parametrize("command, settings, needle", [
-    (("growth",), {"group": "z", "phi": "3", "max_radius": "2"}, "not both"),
+    (("growth",), {"group": "z", "phi": "3", "max_radius": "2"}, "not allowed with argument"),
     (("verify", "theorem"), {"group": "z", "set": "ball:2", "d": "1"}, "no --d"),
     (("verify", "halfmass"), {"group": "z", "set": "ball:2", "d": "1"}, "no --d"),
     (("verify", "lemma31"), {"group": "z", "set": "ball:2", "d": "1", "gamma0": "a"}, "no --gamma0"),
@@ -389,13 +389,37 @@ def test_a_run_builds_only_its_command_parser(monkeypatch, capsys):
 @pytest.mark.parametrize("argv, needle", [
     ([], "the following arguments are required: command"),
     (["bogus"], "argument command: invalid choice: 'bogus'"),
-    (["profile", "--config", "x"], "unrecognized arguments: --config x"),
-    (["verify", "theorem", "--config", "x"], "unrecognized arguments: --config x"),
+    # argparse reports missing required flags first, so these rows give them
+    (["profile", "--group", "cyclic:8", "--sizes", "1..3", "--config", "x"],
+     "unrecognized arguments: --config x"),
+    (["verify", "theorem", "--group", "z", "--set", "ball:2", "--config", "x"],
+     "unrecognized arguments: --config x"),
+    # a prefix of a flag is not that flag, so a new flag cannot break a command line
+    (["growth", "--group", "z", "--max-radius", "2", "--ball", "7"],
+     "unrecognized arguments: --ball 7"),
+    (["profile", "--group", "cyclic:8", "--sizes", "1..2", "--form", "csv"],
+     "unrecognized arguments: --form csv"),
 ])
 def test_top_level_usage_errors_exit_2(capsys, argv, needle):
     # no command, or an unknown one, gets the full parser; no command takes --config
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and needle in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["growth", "--max-radius", "2"], "the following arguments are required: --group"),
+    (["growth", "--group", "z"], "one of the arguments --max-radius --phi is required"),
+    (["verify", "theorem", "--set", "ball:2"], "the following arguments are required: --group"),
+    (["verify", "theorem", "--group", "z"], "the following arguments are required: --set"),
+    (["profile", "--sizes", "1..3"], "the following arguments are required: --group"),
+    (["profile", "--group", "cyclic:8"], "the following arguments are required: --sizes"),
+    (["sharpness", "--set", "ball:2"], "the following arguments are required: --group"),
+    (["sharpness", "--group", "z"], "the following arguments are required: --set"),
+])
+def test_missing_required_flags_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.endswith(f"isoplab {argv[0]}: error: {message}\n")
 
 
 def test_out_writes_file(tmp_path, capsys):

@@ -407,10 +407,9 @@ def test_exhaustive_stream_is_lazy():
 # --------------------------------------------------------------- anchored walk
 
 def _full_walk(group, top, ground):
-    """The anchored walk under a ceiling it never reaches: b + s <= N."""
-    return anchored_subset_steps(
-        group, top, ground=ground, ceiling=[len(ground) + 1] * (top + 1)
-    )
+    """The anchored walk under ceilings it never reaches: b + s <= N."""
+    never = [len(ground) + 1] * (top + 1)
+    return anchored_subset_steps(group, top, ground=ground, ceiling=never, locked_ceiling=never)
 
 
 @pytest.mark.parametrize("spec,top", [("cyclic:8", 3), ("dihedral:4", 3), ("symmetric:3", 2), ("cyclic:9", 9)])
