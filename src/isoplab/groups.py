@@ -2,8 +2,10 @@
 
 Every family fixes a canonical encoding for its elements (plain ints and
 int tuples), so group equality is encoding equality and elements can live
-in sets and dicts.  All arithmetic is exact; Python integers never wrap.
-The symmetric generating set of each family is fixed at construction:
+in sets and dicts.  A free word is a tuple of letters i in 1..k and
+inverses ~i (= -i - 1); FreeGroup says why the inverse is not -i.  All
+arithmetic is exact; Python integers never wrap.  The symmetric
+generating set of each family is fixed at construction:
 
     z, zd:<k>        standard basis vectors and their inverses (2k elements)
     cyclic:<n>       +1 and -1 (a single element when n = 2)
@@ -33,7 +35,7 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from math import factorial
-from operator import add
+from operator import add, invert
 from typing import Optional, Union
 
 from .errors import ParseError
@@ -314,11 +316,14 @@ class DihedralGroup(Group):
 class FreeGroup(Group):
     """Free group of given rank; elements are reduced words.
 
-    A word is a tuple of nonzero ints: letter i in 1..rank, negative for
-    its inverse, with no adjacent x, -x pair.  Letter i prints as the i-th
-    character of FREE_LETTERS (a..z without e), uppercase for its inverse;
-    "e" is reserved for the identity.  The letter grammar bounds the rank
-    at 25.
+    A word is a tuple of ints: letter i in 1..rank, and ~i (that is,
+    -i - 1) for its inverse, with no adjacent x, ~x pair; so inverses
+    sort below letters, ~2 < ~1 < 1 < 2.  The inverse is not -i because
+    CPython hashes -1 as -2: a word with a -1 would share its hash with
+    the same word with a -2 there, as about half the words of a ball do.
+    Letter i prints as the i-th character of FREE_LETTERS (a..z without
+    e), uppercase for its inverse; "e" is reserved for the identity.  The
+    letter grammar bounds the rank at 25.
     """
 
     def __init__(self, rank: int):
@@ -335,17 +340,17 @@ class FreeGroup(Group):
         return ()
 
     def mul(self, a, b):
-        if not a or not b or a[-1] != -b[0]:
+        if not a or not b or a[-1] != ~b[0]:
             return a + b  # nothing cancels
         i = len(a)
         j = 0
-        while i > 0 and j < len(b) and a[i - 1] == -b[j]:
+        while i > 0 and j < len(b) and a[i - 1] == ~b[j]:
             i -= 1
             j += 1
         return a[:i] + b[j:]
 
     def inv(self, a):
-        return tuple(-x for x in reversed(a))
+        return tuple(map(invert, reversed(a)))
 
     def sort_key(self, e):
         """Shortlex: by length, then naturally."""
@@ -358,10 +363,12 @@ class FreeGroup(Group):
         if not (isinstance(e, tuple) and all(isinstance(x, int) for x in e)):
             raise ParseError(f"{self.name}: need a tuple of letters, got {e!r}")
         for x in e:
-            if x == 0 or abs(x) > self.rank:
-                raise ParseError(f"{self.name}: letter {x} out of range 1..{self.rank}")
+            if not (0 < x <= self.rank or 0 < ~x <= self.rank):
+                raise ParseError(
+                    f"{self.name}: letter {x} out of range 1..{self.rank} or ~1..~{self.rank}"
+                )
         for x, y in zip(e, e[1:]):
-            if x == -y:
+            if x == ~y:
                 raise ParseError(f"{self.name}: word {e!r} is not reduced")
 
     def generator_tokens(self):
@@ -369,7 +376,7 @@ class FreeGroup(Group):
         return {
             "e": (),
             **{ch: (i,) for i, ch in enumerate(letters, 1)},
-            **{ch.upper(): (-i,) for i, ch in enumerate(letters, 1)},
+            **{ch.upper(): (~i,) for i, ch in enumerate(letters, 1)},
         }
 
     def parse(self, text):
@@ -379,7 +386,7 @@ class FreeGroup(Group):
         if not e:
             return "e"
         return "".join(
-            FREE_LETTERS[x - 1] if x > 0 else FREE_LETTERS[-x - 1].upper() for x in e
+            FREE_LETTERS[x - 1] if x > 0 else FREE_LETTERS[~x - 1].upper() for x in e
         )
 
 

@@ -334,8 +334,13 @@ def half_mass_witness(
       one that moves no more than the best so far.  So x is dropped once
       n - max(best, b0 - 1) of its points stay.
 
-    Neither drop ever discards the first maximizer.  Averaging guarantees
-    a strict witness exists whenever Card(D) < Card(group)/2.
+    Neither drop ever discards the first maximizer.  The points y of D are
+    counted centre first: by word length, ties in canonical order, with
+    the points outside B(e, d) last.  Every order counts the same stays
+    and reaches the same stay limit, so the order changes no decision; but
+    a central point stays in D under most translates, so a losing x meets
+    its limit sooner.  Averaging guarantees a strict witness exists
+    whenever Card(D) < Card(group)/2.
     """
     _require_admissible(group, D)
     n = len(D)
@@ -343,7 +348,9 @@ def half_mass_witness(
     mul = group.mul
     inv = group.inv
     members = D.member_set
-    elements = D.elements
+    elements = sorted(  # stable: canonical order within each length
+        D.elements, key=lambda y: table.layer_of(y) if y in table else d + 1
+    )
     floor = displacement(group, table.layers[-1][0], D) - 1
     best_x = None
     best_disp = -1

@@ -23,7 +23,7 @@ whose prefix exceeds its cap raises even when a larger table is cached.
 from __future__ import annotations
 
 import threading
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Callable, Iterator
 
 from .errors import BudgetExceeded, InternalContradiction, Unattainable
@@ -63,9 +63,16 @@ def _grow(
     identity) and depth maps each of their elements to its layer.  Adds
     completed layers until done(radius, size, depth) holds for the whole
     table or the group is exhausted, and returns (layers, exhausted, depth).
-    Raises BudgetExceeded as soon as the table holds ball_cap + 1 elements,
-    before the rest of that layer is built (at once for a ball_cap below 1,
-    which the identity alone outgrows); depth then holds part of a layer.
+
+    A layer is built generator-major: each generator s in turn multiplies
+    the whole previous layer, s*g for g in layer order, and the new layer
+    is then sorted.  Left multiplication by one generator keeps the
+    canonical order in the free, lattice and Heisenberg families, so the
+    sort meets a few sorted runs.  The cap is checked on every insert:
+    BudgetExceeded is raised as soon as the table holds ball_cap + 1
+    elements, before the rest of that layer is built (at once for a
+    ball_cap below 1, which the identity alone outgrows); depth then holds
+    part of a layer.
     """
     if not layers:
         if ball_cap < 1:
@@ -78,13 +85,14 @@ def _grow(
     while not done(len(layers) - 1, len(depth), depth):
         frontier = []
         level = len(layers)
-        for g in layers[-1]:
-            for s in gens:
-                h = mul(s, g)
+        room = ball_cap - len(depth)
+        last = layers[-1]
+        for s in gens:
+            for h in map(mul, repeat(s), last):
                 if h not in depth:
                     depth[h] = level
                     frontier.append(h)
-                    if len(depth) > ball_cap:
+                    if len(frontier) > room:
                         raise _over_cap(group, ball_cap, level)
         if not frontier:
             return layers, True, depth
@@ -155,8 +163,8 @@ class BallTable:
 
     def parent(self, h: Element) -> tuple[int, Element]:
         """(i, pred) with h = s_i * pred and pred one layer nearer the
-        identity: the least such pred in canonical order, which is where
-        BFS first reached h, since it scans each layer in that order."""
+        identity: the least such pred in canonical order, whatever order
+        BFS reached h in, so geodesic words depend on the layers alone."""
         k = self.layer_of(h)
         if k == 0:
             raise ValueError("the identity has no parent")

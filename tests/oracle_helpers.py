@@ -86,11 +86,11 @@ def word_length_by_enumeration(group, g, max_depth):
 
 
 def free_mul_by_loop(a, b):
-    """Product of two reduced free-group words: cancel each x, -x pair at
+    """Product of two reduced free-group words: cancel each x, ~x pair at
     the seam, one pair per step, then concatenate what is left."""
     i = len(a)
     j = 0
-    while i > 0 and j < len(b) and a[i - 1] == -b[j]:
+    while i > 0 and j < len(b) and a[i - 1] == ~b[j]:
         i -= 1
         j += 1
     return a[:i] + b[j:]

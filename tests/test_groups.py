@@ -33,7 +33,7 @@ def elements_strategy(group):
     if isinstance(group, DihedralGroup):
         return st.tuples(st.integers(0, group.n - 1), st.integers(0, 1))
     if isinstance(group, FreeGroup):
-        letters = [i for i in range(1, group.rank + 1)] + [-i for i in range(1, group.rank + 1)]
+        letters = [i for i in range(1, group.rank + 1)] + [~i for i in range(1, group.rank + 1)]
 
         def reduce(raw):
             word = ()
@@ -210,7 +210,7 @@ def test_parse_examples():
     z2 = parse_group("zd:2")
     assert z2.parse("(1,-2)") == (1, -2)
     f2 = parse_group("free:2")
-    assert f2.parse("aBa") == (1, -2, 1)
+    assert f2.parse("aBa") == (1, ~2, 1)
     assert f2.parse("e") == ()
     assert f2.parse("aA") == ()  # reduced on input
     s3 = parse_group("symmetric:3")
@@ -309,11 +309,11 @@ def test_free_letter_e_is_reserved_for_the_identity():
 
     f5 = FreeGroup(5)
     assert f5.format(()) == "e"
-    assert f5.format((5,)) == "f" and f5.format((-5,)) == "F"
+    assert f5.format((5,)) == "f" and f5.format((~5,)) == "F"
     assert f5.parse("f") == (5,)
     assert FiniteSubset.from_iterable(f5, [(), (5,)]).provenance == "explicit:e,f"
     # ranks 1-4 print as before
-    assert FreeGroup(4).format((1, -2, 3, -4)) == "aBcD"
+    assert FreeGroup(4).format((1, ~2, 3, ~4)) == "aBcD"
     with pytest.raises(ParseError):
         FreeGroup(26)
     with pytest.raises(ParseError):
@@ -323,12 +323,12 @@ def test_free_letter_e_is_reserved_for_the_identity():
 def reduced_word(rank):
     """Reduced words of free:rank, freely reduced with a stack rather than
     by FreeGroup.mul."""
-    letters = [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)]
+    letters = [i for i in range(1, rank + 1)] + [~i for i in range(1, rank + 1)]
 
     def reduce(raw):
         word = []
         for x in raw:
-            if word and word[-1] == -x:
+            if word and word[-1] == ~x:
                 word.pop()
             else:
                 word.append(x)
@@ -356,5 +356,23 @@ def test_free_mul_cancellation_examples():
     assert f2.mul((), ()) == ()
     assert f2.mul((1, 2), ()) == (1, 2) and f2.mul((), (1, 2)) == (1, 2)
     assert f2.mul((1, 2), (1,)) == (1, 2, 1)  # no cancellation
-    assert f2.mul((1, 2), (-2, 1)) == (1, 1)  # partial
-    assert f2.mul((1, -2, 1), (-1, 2, -1)) == ()  # full
+    assert f2.mul((1, 2), (~2, 1)) == (1, 1)  # partial
+    assert f2.mul((1, ~2, 1), (~1, 2, ~1)) == ()  # full
+
+
+@pytest.mark.parametrize("word", [(0,), (-1,), (1, -1), (3,), (~3,), (1, ~1), (~2, 2)])
+def test_free_validate_rejects_letters_outside_the_encoding(word):
+    # free:2 letters are 1, 2 and their inverses ~1 = -2, ~2 = -3; 0 and -1
+    # encode nothing, and x next to ~x is not reduced
+    with pytest.raises(ParseError):
+        FreeGroup(2).validate(word)
+
+
+@pytest.mark.parametrize("rank, radius", [(1, 12), (2, 8), (3, 5)])
+def test_free_words_of_a_ball_have_distinct_hashes(rank, radius):
+    from isoplab import ball
+
+    # CPython hashes -1 and -2 alike: were inverses coded -i, free:2 B(e, 8)
+    # would have 6,349 distinct hashes for its 13,121 words
+    words = list(ball(FreeGroup(rank), radius).elements())
+    assert len(set(map(hash, words))) == len(words)

@@ -148,7 +148,7 @@ def test_from_iterable_validates_every_element():
     with pytest.raises(ParseError):
         FiniteSubset.from_iterable(Z, [(0,), (1, 2)])
     with pytest.raises(ParseError):
-        FiniteSubset.from_iterable(F2, [(1, -1)])  # not reduced
+        FiniteSubset.from_iterable(F2, [(1, ~1)])  # not reduced
     with pytest.raises(ParseError):
         FiniteSubset.from_iterable(C12, [12])
 
@@ -395,6 +395,20 @@ def test_half_mass_pruned_scan_matches_full_scan(spec, size, seed, radius):
             half_mass_by_full_scan(group, D)
         assert str(new_exc.value) == str(old_exc.value)
         return
+    assert_pruned_scan_matches_full_scan(group, D)
+
+
+@pytest.mark.parametrize("text,outside", [("random:40:5", 18), ("random:30:11", 4)])
+def test_half_mass_pruned_scan_matches_full_scan_with_points_outside_the_ball(text, outside):
+    # the scan counts D centre first and the points outside B(e, d) last
+    group = parse_group("free:2")
+    D = generate_set(group, parse_set_descriptor(text))
+    table = minimal_d(group, 2 * len(D))[1]
+    assert sum(y not in table for y in D) == outside
+    assert_pruned_scan_matches_full_scan(group, D)
+
+
+def assert_pruned_scan_matches_full_scan(group, D):
     (x, report), pruned_calls = scan_mul_calls(half_mass_witness, group, D)
     (old_x, old_report), full_calls = scan_mul_calls(half_mass_by_full_scan, group, D)
     assert x == old_x
@@ -469,9 +483,10 @@ def test_inverse_translate_moves_as_much_at_the_same_length(spec, picks, pick):
 
 
 @pytest.mark.parametrize("spec,text,calls", [
-    # the scan without the inverse skip and the probe made 2,356 and 3,592
-    ("zd:2", "random:40:1:ball=6", 1189),
-    ("heisenberg", "random:60:1:ball=4", 2023),
+    # the scan without the inverse skip and the probe made 2,356 and 3,592,
+    # and with them but counting D in canonical order 1,189 and 2,023
+    ("zd:2", "random:40:1:ball=6", 807),
+    ("heisenberg", "random:60:1:ball=4", 1293),
 ])
 def test_half_mass_scan_work_is_pinned(spec, text, calls):
     group = parse_group(spec)
