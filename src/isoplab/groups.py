@@ -1,10 +1,11 @@
 """Concrete finitely generated groups with exact, canonical element arithmetic.
 
-Every family fixes a canonical encoding for its elements (plain ints and
-int tuples), so group equality is encoding equality and elements can live
-in sets and dicts.  A free word is a tuple of letters i in 1..k and
-inverses ~i (= -i - 1); FreeGroup says why the inverse is not -i.  All
-arithmetic is exact; Python integers never wrap.  The symmetric
+Every family fixes a canonical encoding for its elements (plain ints, int
+tuples, and byte strings for free words), so group equality is encoding
+equality and elements can live in sets and dicts.  A free word of rank k
+is a `bytes` string of letter codes: letter i in 1..k is code k + i and
+its inverse is code k + 1 - i; FreeGroup says why.  All arithmetic is
+exact; Python integers never wrap.  The symmetric
 generating set of each family is fixed at construction:
 
     z, zd:<k>        standard basis vectors and their inverses (2k elements)
@@ -35,12 +36,12 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from math import factorial
-from operator import add, invert
+from operator import add
 from typing import Optional, Union
 
 from .errors import ParseError
 
-Element = Union[int, tuple]
+Element = Union[int, tuple, bytes]
 
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
@@ -157,9 +158,10 @@ class ZGroup(Group):
     """Free abelian group Z^k; elements are integer k-tuples under addition.
 
     `mul` is chosen once per rank when the group is built: ranks 1 and 2
-    construct a subclass whose `mul` is a closed-form tuple, and higher
-    ranks add with `map`.  Each stays a class method, so patching a group
-    class's `mul` (as perfbench's counting pass does) still sees every call.
+    construct a subclass whose `mul` (and rank 2's `inv`) is a closed-form
+    tuple, and higher ranks add with `map`.  Each stays a class method, so
+    patching a group class's `mul` (as perfbench's counting pass does)
+    still sees every call.
     """
 
     def __new__(cls, rank: int = 0):
@@ -221,6 +223,9 @@ class _Z1Group(ZGroup):
 class _Z2Group(ZGroup):
     def mul(self, a, b):
         return (a[0] + b[0], a[1] + b[1])
+
+    def inv(self, a):
+        return (-a[0], -a[1])
 
 
 _Z_BY_RANK = {1: _Z1Group, 2: _Z2Group}
@@ -316,14 +321,16 @@ class DihedralGroup(Group):
 class FreeGroup(Group):
     """Free group of given rank; elements are reduced words.
 
-    A word is a tuple of ints: letter i in 1..rank, and ~i (that is,
-    -i - 1) for its inverse, with no adjacent x, ~x pair; so inverses
-    sort below letters, ~2 < ~1 < 1 < 2.  The inverse is not -i because
-    CPython hashes -1 as -2: a word with a -1 would share its hash with
-    the same word with a -2 there, as about half the words of a ball do.
-    Letter i prints as the i-th character of FREE_LETTERS (a..z without
-    e), uppercase for its inverse; "e" is reserved for the identity.  The
-    letter grammar bounds the rank at 25.
+    A word is a `bytes` string of letter codes with no adjacent inverse
+    pair: letter i in 1..rank is code rank + i and its inverse ~i is code
+    rank + 1 - i.  So a code and its inverse sum to 2*rank + 1, and the
+    codes keep the letter order ~rank < ... < ~1 < 1 < ... < rank.  A word
+    is bytes, not a tuple of ints, because a ball holds millions of them:
+    bytes take about a third less memory (41 bytes against 104 at length 8),
+    cache their hash, compare with memcmp and are not tracked by the
+    garbage collector.  Letter i prints as the i-th character of
+    FREE_LETTERS (a..z without e), uppercase for its inverse; "e" is
+    reserved for the identity.  The letter grammar bounds the rank at 25.
     """
 
     def __init__(self, rank: int):
@@ -335,22 +342,31 @@ class FreeGroup(Group):
             )
         self.rank = rank
         self.name = f"free:{rank}"
+        self._pair = 2 * rank + 1  # the sum of a code and its inverse's
+        inverse = bytearray(range(256))
+        letters = bytearray(range(256))
+        for i, ch in enumerate(FREE_LETTERS[:rank], 1):
+            inverse[rank + i], inverse[rank + 1 - i] = rank + 1 - i, rank + i
+            letters[rank + i], letters[rank + 1 - i] = ord(ch), ord(ch.upper())
+        self._inverse_table = bytes(inverse)  # bytes.translate tables
+        self._letter_table = bytes(letters)
 
     def identity(self):
-        return ()
+        return b""
 
     def mul(self, a, b):
-        if not a or not b or a[-1] != ~b[0]:
+        pair = self._pair
+        if not a or not b or a[-1] + b[0] != pair:
             return a + b  # nothing cancels
         i = len(a)
         j = 0
-        while i > 0 and j < len(b) and a[i - 1] == ~b[j]:
+        while i > 0 and j < len(b) and a[i - 1] + b[j] == pair:
             i -= 1
             j += 1
         return a[:i] + b[j:]
 
     def inv(self, a):
-        return tuple(map(invert, reversed(a)))
+        return a[::-1].translate(self._inverse_table)
 
     def sort_key(self, e):
         """Shortlex: by length, then naturally."""
@@ -360,34 +376,28 @@ class FreeGroup(Group):
         return None
 
     def validate(self, e):
-        if not (isinstance(e, tuple) and all(isinstance(x, int) for x in e)):
-            raise ParseError(f"{self.name}: need a tuple of letters, got {e!r}")
-        for x in e:
-            if not (0 < x <= self.rank or 0 < ~x <= self.rank):
-                raise ParseError(
-                    f"{self.name}: letter {x} out of range 1..{self.rank} or ~1..~{self.rank}"
-                )
+        if not isinstance(e, bytes):
+            raise ParseError(f"{self.name}: need a word of letter codes (bytes), got {e!r}")
+        if e and not (0 < min(e) and max(e) < self._pair):
+            raise ParseError(f"{self.name}: word {e!r} has a code outside 1..{self._pair - 1}")
         for x, y in zip(e, e[1:]):
-            if x == ~y:
-                raise ParseError(f"{self.name}: word {e!r} is not reduced")
+            if x + y == self._pair:
+                raise ParseError(f"{self.name}: word {self.format(e)!r} is not reduced")
 
     def generator_tokens(self):
-        letters = FREE_LETTERS[: self.rank]
+        rank = self.rank
+        letters = FREE_LETTERS[:rank]
         return {
-            "e": (),
-            **{ch: (i,) for i, ch in enumerate(letters, 1)},
-            **{ch.upper(): (~i,) for i, ch in enumerate(letters, 1)},
+            "e": b"",
+            **{ch: bytes((rank + i,)) for i, ch in enumerate(letters, 1)},
+            **{ch.upper(): bytes((rank + 1 - i,)) for i, ch in enumerate(letters, 1)},
         }
 
     def parse(self, text):
         return self.parse_word(text)  # reduced as it is read
 
     def format(self, e):
-        if not e:
-            return "e"
-        return "".join(
-            FREE_LETTERS[x - 1] if x > 0 else FREE_LETTERS[~x - 1].upper() for x in e
-        )
+        return e.translate(self._letter_table).decode() if e else "e"
 
 
 class HeisenbergGroup(Group):

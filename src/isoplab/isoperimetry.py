@@ -123,11 +123,15 @@ class VerificationReport:
         return canonical_json(self.to_json_dict())
 
 
+# json.dumps with these settings would build a new encoder on every call
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> str:
     """The one JSON encoding of every machine-readable line: sorted keys,
     no spaces.  Report lines, the CLI's records and the determinism stream
     all use it, so their bytes agree."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL_ENCODER.encode(obj)
 
 
 class TransportEntry(NamedTuple):

@@ -85,12 +85,13 @@ def word_length_by_enumeration(group, g, max_depth):
     return None
 
 
-def free_mul_by_loop(a, b):
-    """Product of two reduced free-group words: cancel each x, ~x pair at
-    the seam, one pair per step, then concatenate what is left."""
+def free_mul_by_loop(a, b, rank):
+    """Product of two reduced words of free:rank: cancel each pair of
+    inverse codes (they sum to 2*rank + 1) at the seam, one pair per step,
+    then concatenate what is left."""
     i = len(a)
     j = 0
-    while i > 0 and j < len(b) and a[i - 1] == ~b[j]:
+    while i > 0 and j < len(b) and a[i - 1] + b[j] == 2 * rank + 1:
         i -= 1
         j += 1
     return a[:i] + b[j:]

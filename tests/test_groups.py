@@ -33,12 +33,12 @@ def elements_strategy(group):
     if isinstance(group, DihedralGroup):
         return st.tuples(st.integers(0, group.n - 1), st.integers(0, 1))
     if isinstance(group, FreeGroup):
-        letters = [i for i in range(1, group.rank + 1)] + [~i for i in range(1, group.rank + 1)]
+        letters = list(range(1, 2 * group.rank + 1))  # codes of letters and inverses
 
         def reduce(raw):
-            word = ()
+            word = b""
             for x in raw:
-                word = group.mul(word, (x,))
+                word = group.mul(word, bytes((x,)))
             return word
 
         return st.lists(st.sampled_from(letters), max_size=6).map(reduce)
@@ -132,7 +132,7 @@ def test_generating_set_sizes():
 
 def test_identity_examples():
     assert parse_group("zd:2").identity() == (0, 0)
-    assert parse_group("free:2").identity() == ()
+    assert parse_group("free:2").identity() == b""
     assert parse_group("dihedral:5").identity() == (0, 0)
 
 
@@ -210,9 +210,9 @@ def test_parse_examples():
     z2 = parse_group("zd:2")
     assert z2.parse("(1,-2)") == (1, -2)
     f2 = parse_group("free:2")
-    assert f2.parse("aBa") == (1, ~2, 1)
-    assert f2.parse("e") == ()
-    assert f2.parse("aA") == ()  # reduced on input
+    assert f2.parse("aBa") == bytes((3, 1, 3))  # a = 2 + 1, B = ~2 = 2 + 1 - 2
+    assert f2.parse("e") == b""
+    assert f2.parse("aA") == b""  # reduced on input
     s3 = parse_group("symmetric:3")
     assert s3.parse("[2,1,3]") == (2, 1, 3)
 
@@ -308,12 +308,13 @@ def test_free_letter_e_is_reserved_for_the_identity():
     from isoplab import FiniteSubset
 
     f5 = FreeGroup(5)
-    assert f5.format(()) == "e"
-    assert f5.format((5,)) == "f" and f5.format((~5,)) == "F"
-    assert f5.parse("f") == (5,)
-    assert FiniteSubset.from_iterable(f5, [(), (5,)]).provenance == "explicit:e,f"
+    assert f5.format(b"") == "e"
+    assert f5.format(bytes((10,))) == "f" and f5.format(bytes((1,))) == "F"
+    assert f5.parse("f") == bytes((10,))
+    assert f5.parse_word("fF") == b""
+    assert FiniteSubset.from_iterable(f5, [b"", bytes((10,))]).provenance == "explicit:e,f"
     # ranks 1-4 print as before
-    assert FreeGroup(4).format((1, ~2, 3, ~4)) == "aBcD"
+    assert FreeGroup(4).format(bytes((5, 3, 7, 1))) == "aBcD"
     with pytest.raises(ParseError):
         FreeGroup(26)
     with pytest.raises(ParseError):
@@ -323,16 +324,16 @@ def test_free_letter_e_is_reserved_for_the_identity():
 def reduced_word(rank):
     """Reduced words of free:rank, freely reduced with a stack rather than
     by FreeGroup.mul."""
-    letters = [i for i in range(1, rank + 1)] + [~i for i in range(1, rank + 1)]
+    letters = list(range(1, 2 * rank + 1))  # codes of letters and inverses
 
     def reduce(raw):
         word = []
         for x in raw:
-            if word and word[-1] == ~x:
+            if word and word[-1] + x == 2 * rank + 1:
                 word.pop()
             else:
                 word.append(x)
-        return tuple(word)
+        return bytes(word)
 
     return st.lists(st.sampled_from(letters), max_size=8).map(reduce)
 
@@ -345,34 +346,66 @@ def test_free_mul_matches_the_reduction_loop(case):
     rank, a, c, k = case
     group = FreeGroup(rank)
     # b starts by undoing up to k letters of a, so cancellation is common
-    b = free_mul_by_loop(group.inv(a)[:k], c)
-    for x, y in ((a, b), (b, a), (a, c), (a, group.inv(a)), ((), a), (a, ())):
-        assert group.mul(x, y) == free_mul_by_loop(x, y)
-    assert group.mul(a, group.inv(a)) == ()
+    b = free_mul_by_loop(group.inv(a)[:k], c, rank)
+    for x, y in ((a, b), (b, a), (a, c), (a, group.inv(a)), (b"", a), (a, b"")):
+        assert group.mul(x, y) == free_mul_by_loop(x, y, rank)
+    assert group.mul(a, group.inv(a)) == b""
 
 
 def test_free_mul_cancellation_examples():
     f2 = FreeGroup(2)
-    assert f2.mul((), ()) == ()
-    assert f2.mul((1, 2), ()) == (1, 2) and f2.mul((), (1, 2)) == (1, 2)
-    assert f2.mul((1, 2), (1,)) == (1, 2, 1)  # no cancellation
-    assert f2.mul((1, 2), (~2, 1)) == (1, 1)  # partial
-    assert f2.mul((1, ~2, 1), (~1, 2, ~1)) == ()  # full
+    w = f2.parse
+    assert f2.mul(b"", b"") == b""
+    assert f2.mul(w("ab"), b"") == w("ab") and f2.mul(b"", w("ab")) == w("ab")
+    assert f2.mul(w("ab"), w("a")) == b"\x03\x04\x03"  # no cancellation
+    assert f2.mul(w("ab"), w("Ba")) == w("aa")  # partial
+    assert f2.mul(w("aBa"), w("AbA")) == b""  # full
 
 
-@pytest.mark.parametrize("word", [(0,), (-1,), (1, -1), (3,), (~3,), (1, ~1), (~2, 2)])
+INVALID_FREE2_WORDS = [
+    (3,), (3, 1), b"\x00", b"\x05", b"\x03\x00", bytes((3, 2)), bytes((1, 4)), bytes((4, 3, 2, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "word", INVALID_FREE2_WORDS, ids=[f"word{i}" for i in range(len(INVALID_FREE2_WORDS))]
+)
 def test_free_validate_rejects_letters_outside_the_encoding(word):
-    # free:2 letters are 1, 2 and their inverses ~1 = -2, ~2 = -3; 0 and -1
-    # encode nothing, and x next to ~x is not reduced
+    # free:2 words are bytes of codes 1..4 (a = 3, b = 4, A = 2, B = 1);
+    # an int tuple, code 0 and code 5 = 2*2 + 1 encode nothing, and codes
+    # summing to 5 are an inverse pair, so the word is not reduced
     with pytest.raises(ParseError):
         FreeGroup(2).validate(word)
+
+
+@pytest.mark.parametrize("rank, radius", [(1, 10), (2, 6), (3, 4)])
+def test_free_ball_elements_are_bytes(rank, radius):
+    from isoplab import ball
+
+    words = list(ball(FreeGroup(rank), radius).elements())
+    assert all(type(w) is bytes for w in words)
+
+
+@pytest.mark.parametrize("rank, radius", [(1, 6), (2, 4), (3, 3)])
+def test_free_ball_layers_are_shortlex_by_letter_rank(rank, radius):
+    from isoplab import ball
+
+    # independent of the codes: letters rank by ~k < ... < ~1 < 1 < ... < k,
+    # so for free:2 B < A < a < b, and a ball lists words shortlex by it
+    group = FreeGroup(rank)
+    letters = FREE_LETTERS[:rank]
+    letter_rank = {ch: i for i, ch in enumerate(letters.upper()[::-1] + letters)}
+    texts = [group.format(w) for layer in ball(group, radius).layers for w in layer]
+    assert texts[0] == "e"
+    expected = ["e"] + sorted(texts[1:], key=lambda t: (len(t), [letter_rank[ch] for ch in t]))
+    assert texts == expected
 
 
 @pytest.mark.parametrize("rank, radius", [(1, 12), (2, 8), (3, 5)])
 def test_free_words_of_a_ball_have_distinct_hashes(rank, radius):
     from isoplab import ball
 
-    # CPython hashes -1 and -2 alike: were inverses coded -i, free:2 B(e, 8)
-    # would have 6,349 distinct hashes for its 13,121 words
+    # every BFS layer and half-mass scan looks words up in sets and dicts,
+    # which slow down when words share a hash
     words = list(ball(FreeGroup(rank), radius).elements())
     assert len(set(map(hash, words))) == len(words)

@@ -63,7 +63,7 @@ def interval(n, provenance=None):
 def test_outer_boundary_examples():
     assert outer_boundary(Z, interval(3)).elements == ((-1,), (3,))
     assert set(outer_boundary(Z, zset(0)).elements) == {(-1,), (1,)}
-    dea = FiniteSubset.from_iterable(F2, [(), (1,)])
+    dea = FiniteSubset.from_iterable(F2, [F2.parse("e"), F2.parse("a")])
     got = {F2.format(e) for e in outer_boundary(F2, dea).elements}
     assert got == {"A", "b", "B", "aa", "ba", "Ba"}
 
@@ -71,9 +71,9 @@ def test_outer_boundary_examples():
 def test_inner_boundary_examples():
     assert inner_boundary_right(Z, interval(10)).elements == ((0,), (9,))
     assert inner_boundary_left(Z, interval(10)).elements == ((0,), (9,))
-    dea = FiniteSubset.from_iterable(F2, [(), (1,)])
-    assert set(inner_boundary_right(F2, dea).elements) == {(), (1,)}
-    assert set(inner_boundary_left(F2, dea).elements) == {(), (1,)}
+    dea = FiniteSubset.from_iterable(F2, [F2.parse("e"), F2.parse("a")])
+    assert set(inner_boundary_right(F2, dea).elements) == set(dea.elements)
+    assert set(inner_boundary_left(F2, dea).elements) == set(dea.elements)
     s3 = parse_group("symmetric:3")
     singleton = FiniteSubset.from_iterable(s3, [s3.identity()])
     assert inner_boundary_left(s3, singleton).elements == (s3.identity(),)
@@ -148,7 +148,9 @@ def test_from_iterable_validates_every_element():
     with pytest.raises(ParseError):
         FiniteSubset.from_iterable(Z, [(0,), (1, 2)])
     with pytest.raises(ParseError):
-        FiniteSubset.from_iterable(F2, [(1, ~1)])  # not reduced
+        FiniteSubset.from_iterable(F2, [bytes((3, 2))])  # aA, not reduced
+    with pytest.raises(ParseError):
+        FiniteSubset.from_iterable(F2, [(3,)])  # a tuple, not bytes
     with pytest.raises(ParseError):
         FiniteSubset.from_iterable(C12, [12])
 
@@ -204,7 +206,7 @@ def test_lemma31_hand_example():
 
 
 def test_lemma31_degenerate_smoothing_radius():
-    for subset in (interval(4), FiniteSubset.from_iterable(F2, [(), (1,), (2,)])):
+    for subset in (interval(4), FiniteSubset.from_iterable(F2, [F2.parse(w) for w in ("e", "a", "b")])):
         group = subset.group
         rep = lemma31_check(group, subset, 0)
         assert rep.lhs == rep.rhs == Fraction(0)
@@ -545,7 +547,7 @@ def test_sets_and_reports_compare_by_identity():
 
 
 def test_transport_map_free_group_example():
-    dea = FiniteSubset.from_iterable(F2, [(), (1,)])
+    dea = FiniteSubset.from_iterable(F2, [F2.parse("e"), F2.parse("a")])
     record = transport_map(F2, F2.parse("aa"), dea)
     moved = {F2.format(e.moved) for e in record.entries}
     assert moved == {"aa", "aaa"}
@@ -619,7 +621,7 @@ def test_displacement_bound_examples():
     assert rep.lhs == Fraction(1) and rep.rhs == Fraction(2)
     assert rep.verdict
 
-    dea = FiniteSubset.from_iterable(F2, [(), (1,)])
+    dea = FiniteSubset.from_iterable(F2, [F2.parse("e"), F2.parse("a")])
     rep = displacement_bound_check(transport_map(F2, F2.parse("aa"), dea), 2)
     assert rep.lhs == Fraction(2) and rep.rhs == Fraction(12)
     assert rep.extra["k_times_boundary"] == 12
@@ -755,7 +757,7 @@ def test_boundary_comparison_examples():
     assert rep.lhs == Fraction(2) and rep.rhs == Fraction(4)
     assert rep.verdict and rep.extra["right_holds"]
 
-    dea = FiniteSubset.from_iterable(F2, [(), (1,)])
+    dea = FiniteSubset.from_iterable(F2, [F2.parse("e"), F2.parse("a")])
     rep = boundary_comparison(F2, dea)
     assert rep.lhs == Fraction(6) and rep.rhs == Fraction(8)
     assert rep.extra["inner_left_size"] == 2 and rep.extra["inner_right_size"] == 2

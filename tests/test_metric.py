@@ -172,7 +172,7 @@ def test_word_length_examples():
     d6 = parse_group("dihedral:6")
     assert word_length_by_enumeration(d6, (3, 1), 6) == 4
     assert word_length(d6, (3, 1)) == 4
-    assert word_length(f2, ()) == 0
+    assert word_length(f2, b"") == 0
 
 
 def test_geodesic_word_examples():

@@ -799,7 +799,7 @@ def test_finite_subset_provenance_is_stable():
     assert big.provenance == "set:n=40:sha1=e8ecbd6713d0"
     thirteen = FiniteSubset.from_iterable(Z, [(i,) for i in range(13)])
     assert thirteen.provenance == "set:n=13:sha1=57b067fe1199"
-    words = FiniteSubset.from_iterable(F2, [(1,) * k for k in range(13)])
+    words = FiniteSubset.from_iterable(F2, [F2.parse("a") * k for k in range(13)])
     assert words.provenance == "set:n=13:sha1=ec97529e4b9f"
     twelve = FiniteSubset.from_iterable(Z, [(i,) for i in range(12)])
     assert twelve.provenance == "explicit:" + ",".join(str(i) for i in range(12))
