@@ -355,7 +355,7 @@ def half_mass_witness(
     elements = sorted(  # stable: canonical order within each length
         D.elements, key=lambda y: table.layer_of(y) if y in table else d + 1
     )
-    floor = displacement(group, table.layers[-1][0], D) - 1
+    floor = displacement(group, table.layer(d)[0], D) - 1
     best_x = None
     best_disp = -1
     for x in table.elements():  # layer order, canonical within each layer

@@ -6,14 +6,22 @@ expands by left multiplication; generators are tried in generating-set
 order and each completed layer is sorted by the canonical element order,
 which makes tables and geodesic words fully deterministic.
 
+A table is its sorted layers alone: one flat list of the elements in layer
+order, and the end of each layer in that list.  BFS needs no record of the
+whole ball: S is symmetric, so s*g with g in layer k lies in layer k-1, k
+or k+1, and a new layer is the products of the last one minus the last two
+layers.  The element -> layer index behind `in`, layer_of and parent is
+built the first time a membership query needs it, and brought up to date
+with the layers added since when a later query needs those.
+
 Each group (by Group.key) has one table of completed layers in a module
 cache, grown one layer at a time as queries need more of it.  A query
 answers from the smallest layer prefix that meets its stop condition, and
 the BallTable it returns is a read-only view of that prefix.  One lock
-guards the cache and every extension of a table.  A table that outgrows
-RETAINED_TABLE_MAX elements serves the query that grew it and is then
-dropped from the cache, so a large ball does not stay alive for the rest of
-the run.
+guards the cache and every extension of a table or of its index.  A table
+that outgrows RETAINED_TABLE_MAX elements serves the query that grew it and
+is then dropped from the cache, so a large ball does not stay alive for the
+rest of the run.
 
 Infinite groups are explored lazily and exactly up to the configured ball
 cap; exceeding the cap is a hard error, never a silent truncation.  A query
@@ -23,7 +31,9 @@ whose prefix exceeds its cap raises even when a larger table is cached.
 from __future__ import annotations
 
 import threading
-from itertools import accumulate, repeat
+from bisect import bisect_left
+from itertools import groupby, islice, repeat
+from operator import itemgetter
 from typing import Callable, Iterator
 
 from .errors import BudgetExceeded, InternalContradiction, Unattainable
@@ -34,9 +44,35 @@ DEFAULT_BALL_CAP = 5_000_000
 # would otherwise stay alive, unused, for the rest of the run.
 RETAINED_TABLE_MAX = 4096
 
-# Group.key -> (layers, depth, exhausted) of the completed layers so far.
+# Group.key -> _Table of the completed layers so far.
 _tables: dict = {}
 _tables_lock = threading.Lock()
+
+# done(radius, elements, start, end): the stop condition of a query, asked
+# of the table whose newest layer is elements[start:end].
+Done = Callable[[int, list, int, int], bool]
+
+
+class _Table:
+    """A group's BFS table: elements in layer order, ends[k] the end of
+    layer k in it, and the element -> layer index of its first `indexed`
+    layers."""
+
+    __slots__ = ("elements", "ends", "exhausted", "index", "indexed")
+
+    def __init__(self):
+        self.elements, self.ends, self.exhausted = [], [], False
+        self.index, self.indexed = {}, 0
+
+    def depth(self, layers: int) -> dict:
+        """The index, extended first to cover at least `layers` layers."""
+        if self.indexed < layers:
+            with _tables_lock:
+                elements, ends, index = self.elements, self.ends, self.index
+                for k in range(self.indexed, len(ends)):
+                    index.update(zip(elements[ends[k - 1] if k else 0 : ends[k]], repeat(k)))
+                self.indexed = len(ends)
+        return self.index
 
 
 def _over_cap(group: Group, ball_cap: int, radius: int) -> BudgetExceeded:
@@ -49,117 +85,125 @@ def _over_cap(group: Group, ball_cap: int, radius: int) -> BudgetExceeded:
     )
 
 
-def _grow(
-    group: Group,
-    done: Callable[[int, int, dict], bool],
-    layers: list,
-    depth: dict,
-    *,
-    ball_cap: int,
-):
+def _grow(group: Group, done: Done, elements: list, ends: list, *, ball_cap: int):
     """Extend a layered BFS from the identity in place.
 
-    layers holds the completed layers so far (none to start from the
-    identity) and depth maps each of their elements to its layer.  Adds
-    completed layers until done(radius, size, depth) holds for the whole
-    table or the group is exhausted, and returns (layers, exhausted, depth).
+    elements holds the completed layers so far in layer order (none to
+    start from the identity) and ends[k] is where layer k ends in it.  Adds
+    completed layers until done holds for the newest one or the group is
+    exhausted, and returns (ends, exhausted, elements).
 
     A layer is built generator-major: each generator s in turn multiplies
-    the whole previous layer, s*g for g in layer order, and the new layer
-    is then sorted.  Left multiplication by one generator keeps the
-    canonical order in the free, lattice and Heisenberg families, so the
-    sort meets a few sorted runs.  The cap is checked on every insert:
-    BudgetExceeded is raised as soon as the table holds ball_cap + 1
-    elements, before the rest of that layer is built (at once for a
-    ball_cap below 1, which the identity alone outgrows); depth then holds
-    part of a layer.
+    the whole previous layer, s*g for g in layer order, keeping the
+    products outside a set of the last two layers.  The candidates are then
+    sorted once and adjacent repeats dropped.  Left multiplication by one
+    generator keeps the canonical order in the free, lattice and Heisenberg
+    families, so the sort meets a few sorted runs.  The cap is checked after
+    each generator's batch, on the candidates without repeats once their
+    raw count exceeds the room left: BudgetExceeded is raised as soon as a
+    batch takes the layer past ball_cap elements in all, before the next
+    batch is built (at once for a ball_cap below 1, which the identity alone
+    outgrows).  elements and ends only ever gain completed layers.
     """
-    if not layers:
+    if not ends:
         if ball_cap < 1:
             raise _over_cap(group, ball_cap, 0)
-        e = group.identity()
-        depth[e] = 0
-        layers.append((e,))
+        elements.append(group.identity())
+        ends.append(1)
     gens = group.generating_set
     mul = group.mul
-    while not done(len(layers) - 1, len(depth), depth):
-        frontier = []
-        level = len(layers)
-        room = ball_cap - len(depth)
-        last = layers[-1]
+    while True:
+        level = len(ends)
+        start, end = ends[-2] if level > 1 else 0, ends[-1]
+        if done(level - 1, elements, start, end):
+            return ends, False, elements
+        near = set(elements[ends[-3] if level > 2 else 0 : end])
+        last = elements[start:end]
+        room = ball_cap - end
+        frontier: list = []
         for s in gens:
-            for h in map(mul, repeat(s), last):
-                if h not in depth:
-                    depth[h] = level
-                    frontier.append(h)
-                    if len(frontier) > room:
-                        raise _over_cap(group, ball_cap, level)
+            frontier += [h for h in map(mul, repeat(s), last) if h not in near]
+            if len(frontier) > room:
+                frontier = list(dict.fromkeys(frontier))
+                if len(frontier) > room:
+                    raise _over_cap(group, ball_cap, level)
+        del near, last
         if not frontier:
-            return layers, True, depth
+            return ends, True, elements
         frontier.sort()  # one word length: the canonical order (see groups)
-        layers.append(tuple(frontier))
-    return layers, False, depth
+        elements.extend(map(itemgetter(0), groupby(frontier)))
+        ends.append(len(elements))
 
 
-def _prefix(group: Group, done: Callable[[int, int, dict], bool], ball_cap: int) -> BallTable:
-    """The smallest layer prefix of the group's table on which
-    done(radius, size, depth) holds, or the whole group if it never does.
+def _prefix(group: Group, done: Done, ball_cap: int) -> BallTable:
+    """The smallest layer prefix of the group's table on which done holds,
+    or the whole group if it never does.
 
-    done sees the whole table's depth dict, so it must read an element's
-    depth as present only up to the radius it is given.
+    done(radius, elements, start, end) is asked of each layer in turn, with
+    elements[start:end] the layer of that radius: it sees the bounds of the
+    newest layer, not a copy of it.
     """
     key = group.key
     with _tables_lock:
-        layers, depth, exhausted = _tables.get(key) or ([], {}, False)
-        size = 0
-        for radius, layer in enumerate(layers):
-            size += len(layer)
-            if size > ball_cap:
+        table = _tables.get(key) or _Table()
+        elements, ends = table.elements, table.ends
+        start = 0
+        for radius, end in enumerate(ends):
+            if end > ball_cap:
                 raise _over_cap(group, ball_cap, radius)
-            if done(radius, size, depth):
-                return BallTable(group, radius, tuple(layers[: radius + 1]), size, depth)
-        if not exhausted:
-            # Out of the cache while it grows: a layer left half built by an
-            # exception must never be served.
+            if done(radius, elements, start, end):
+                return BallTable(group, radius, table, radius + 1)
+            start = end
+        if not table.exhausted:
+            # Out of the cache while it grows: a table whose extension
+            # raised is never served again.
             _tables.pop(key, None)
-            layers, exhausted, depth = _grow(group, done, layers, depth, ball_cap=ball_cap)
-            if len(depth) <= RETAINED_TABLE_MAX:
-                _tables[key] = (layers, depth, exhausted)
-        return BallTable(group, len(layers) - 1, tuple(layers), len(depth), depth)
+            table.exhausted = _grow(group, done, elements, ends, ball_cap=ball_cap)[1]
+            if len(elements) <= RETAINED_TABLE_MAX:
+                _tables[key] = table
+        return BallTable(group, len(ends) - 1, table, len(ends))
 
 
 class BallTable:
     """Read-only view of the layers 0..radius of a group's BFS table.
 
-    layers[k] holds the elements of word length exactly k, sorted by the
-    canonical order (empty beyond saturation).  `in` and layer_of answer
-    membership and word length over their union.
+    layer(k) holds the elements of word length exactly k, sorted by the
+    canonical order (empty beyond saturation); the view holds only the
+    first `built` layers of the shared table, which later extensions never
+    change.  `in`, layer_of and parent answer membership and word length
+    over the union of the view's layers, from the table's element -> layer
+    index: the first of them asked on a table builds it.
     """
 
-    def __init__(
-        self, group: Group, radius: int, layers: tuple[tuple[Element, ...], ...], size: int,
-        _depth: dict,
-    ):
-        self.group, self.radius, self._built, self.size = group, radius, layers, size
-        self._depth = _depth  # the whole table's, which may reach past radius
+    def __init__(self, group: Group, radius: int, table: _Table, built: int):
+        self.group, self.radius, self._table, self._built = group, radius, table, built
+        self.size = table.ends[built - 1]
+
+    def layer(self, k: int) -> tuple[Element, ...]:
+        """Layer k, made only when read."""
+        if not 0 <= k < self._built:
+            return ()
+        ends = self._table.ends
+        return tuple(self._table.elements[ends[k - 1] if k else 0 : ends[k]])
 
     @property
     def layers(self) -> tuple[tuple[Element, ...], ...]:
         """The built layers, then the empty ones up to radius, made only when read."""
-        return self._built + ((),) * (self.radius + 1 - len(self._built))
+        built = self._built
+        return tuple(map(self.layer, range(built))) + ((),) * (self.radius + 1 - built)
 
     def __contains__(self, e: Element) -> bool:
-        k = self._depth.get(e)
+        k = self._table.depth(self._built).get(e)
         return k is not None and k <= self.radius
 
     def layer_of(self, e: Element) -> int:
-        if e not in self:
+        k = self._table.depth(self._built).get(e)
+        if k is None or k > self.radius:
             raise KeyError(e)
-        return self._depth[e]
+        return k
 
     def elements(self) -> Iterator[Element]:
-        for layer in self._built:
-            yield from layer
+        return islice(self._table.elements, self.size)
 
     def parent(self, h: Element) -> tuple[int, Element]:
         """(i, pred) with h = s_i * pred and pred one layer nearer the
@@ -169,7 +213,7 @@ class BallTable:
         if k == 0:
             raise ValueError("the identity has no parent")
         group = self.group
-        depth = self._depth
+        depth = self._table.depth(self._built)
         preds = []
         for i, s in enumerate(group.generating_set):
             pred = group.mul(group.inv(s), h)
@@ -183,13 +227,15 @@ def ball(group: Group, radius: int, *, ball_cap: int = DEFAULT_BALL_CAP) -> Ball
     """Exact ball of the given radius (layers beyond saturation are empty)."""
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    table = _prefix(group, lambda r, size, depth: r >= radius, ball_cap)
-    return BallTable(group, radius, table._built, table.size, table._depth)
+    table = _prefix(group, lambda r, elements, start, end: r >= radius, ball_cap)
+    return BallTable(group, radius, table._table, table._built)
 
 
 def growth(group: Group, r_max: int, *, ball_cap: int = DEFAULT_BALL_CAP) -> tuple[int, ...]:
     """Cumulative ball sizes gamma(0..r_max)."""
-    return tuple(accumulate(map(len, ball(group, r_max, ball_cap=ball_cap).layers)))
+    table = ball(group, r_max, ball_cap=ball_cap)
+    built = table._built
+    return tuple(table._table.ends[:built]) + (table.size,) * (r_max + 1 - built)
 
 
 def phi(group: Group, v: int, *, ball_cap: int = DEFAULT_BALL_CAP) -> int:
@@ -203,7 +249,7 @@ def minimal_d(
     """Least d with gamma(d) > target, together with the ball it certifies."""
     if target < 0:
         raise ValueError("target must be non-negative")
-    table = _prefix(group, lambda r, size, depth: size > target, ball_cap)
+    table = _prefix(group, lambda r, elements, start, end: end > target, ball_cap)
     if table.size <= target:
         raise Unattainable(target, available=table.size)
     return table.radius, table
@@ -212,7 +258,12 @@ def minimal_d(
 def _ball_reaching(group: Group, g: Element, ball_cap: int) -> BallTable:
     """The ball of radius ||g||."""
     group.validate(g)
-    table = _prefix(group, lambda r, size, depth: depth.get(g, r + 1) <= r, ball_cap)
+
+    def reached(r: int, elements: list, start: int, end: int) -> bool:
+        i = bisect_left(elements, g, start, end)  # a layer is sorted
+        return i < end and elements[i] == g
+
+    table = _prefix(group, reached, ball_cap)
     if g not in table:
         raise InternalContradiction(f"{group.name}: generators failed to reach {group.format(g)}")
     return table
@@ -250,7 +301,7 @@ def enumerate_group(group: Group, *, ball_cap: int = DEFAULT_BALL_CAP) -> list[E
     order = group.order()
     if order is None:
         raise ValueError(f"{group.name} is infinite; cannot enumerate")
-    table = _prefix(group, lambda r, size, depth: size >= order, ball_cap)
+    table = _prefix(group, lambda r, elements, start, end: end >= order, ball_cap)
     if table.size != order:
         raise InternalContradiction(
             f"{group.name}: enumeration found {table.size} of {order} elements"

@@ -9,6 +9,8 @@ the table and which answer from a cached prefix.
 
 import sys
 import threading
+import tracemalloc
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -138,16 +140,24 @@ KINDS = [
 ]
 
 
+def cached_layers(entry):
+    """The layers of a cached table, cut from its flat element list."""
+    return tuple(
+        tuple(entry.elements[start:end]) for start, end in zip([0] + entry.ends, entry.ends)
+    )
+
+
 def assert_cached_table_is_a_bfs_prefix(group):
-    """The cached table, if any, is the oracle's ball of its radius."""
+    """The cached table, if any, is the oracle's ball of its radius, and
+    its index covers its first `indexed` layers with the oracle's depths."""
     entry = metric._tables.get(group.key)
     if entry is None:
         return
-    layers, depth, _ = entry
-    radius = len(layers) - 1
+    radius = len(entry.ends) - 1
     oracle_layers, _, oracle_depth = oracle_ball(group, radius, ball_cap=DEFAULT_BALL_CAP)
-    assert tuple(layers) == oracle_layers
-    assert depth == oracle_depth
+    assert len(entry.elements) == entry.ends[-1]
+    assert cached_layers(entry) == oracle_layers
+    assert entry.index == {g: k for g, k in oracle_depth.items() if k < entry.indexed}
 
 
 @settings(max_examples=120, deadline=None)
@@ -321,3 +331,87 @@ def test_derived_parents_match_stored_parent_links(spec, radius):
             i, cur = parent[cur]
             word.append(i)
         assert geodesic_word(group, g) == tuple(reversed(word))
+
+
+@pytest.mark.parametrize("spec", sorted(FAMILIES))
+def test_layered_table_matches_naive_bfs(spec):
+    """The layers, the exhaustion flag and the on-demand index of a table
+    grown from nothing agree with the BFS that keeps a whole-ball depth
+    dict.  symmetric:4, dihedral:6 and heisenberg:3 reach points of a layer
+    from several generators, so their layers are built with repeats."""
+    group = parse_group(spec)
+    radius = FAMILIES[spec] + 1  # one past saturation for the finite groups
+    layers, _, depth = grow_with_parents(
+        group, lambda layers, depth: len(layers) > radius, ball_cap=DEFAULT_BALL_CAP
+    )
+    ends, exhausted, elements = metric._grow(
+        group, lambda r, elements, start, end: r >= radius, [], [], ball_cap=DEFAULT_BALL_CAP
+    )
+    assert elements == [g for layer in layers for g in layer]
+    assert ends == list(accumulate(map(len, layers)))
+    assert exhausted == (len(layers) <= radius) == (group.order() is not None)
+
+    forget(group)
+    table = ball(group, radius)
+    entry = metric._tables[group.key]
+    assert (entry.indexed, entry.index) == (0, {})  # no membership query yet
+    assert table.layers == tuple(layers) + ((),) * (radius + 1 - len(layers))
+    assert table.layer_of(group.identity()) == 0
+    assert (entry.indexed, entry.index) == (len(layers), depth)
+    assert {g: table.layer_of(g) for g in table.elements()} == depth
+
+
+@pytest.mark.parametrize("spec", sorted(FAMILIES))
+def test_caps_at_each_ball_size_match_naive_bfs(spec):
+    """ball(r) under caps gamma(r) - 1, gamma(r) and gamma(r) + 1, grown
+    from nothing and from the cached ball of radius r - 1."""
+    group = parse_group(spec)
+    gamma = growth(group, FAMILIES[spec])
+    for r, size in enumerate(gamma):
+        for cap in (size - 1, size, size + 1):
+            expected = outcome(lambda: (r,) + oracle_ball(group, r, ball_cap=cap)[::2])
+            for cached in (False, True) if r else (False,):
+                forget(group)
+                if cached:
+                    ball(group, r - 1)
+                assert outcome(lambda: table_answer(ball(group, r, ball_cap=cap))) == expected
+                assert_cached_table_is_a_bfs_prefix(group)
+
+
+def test_grow_counts_the_whole_table_when_extending_a_cached_prefix(monkeypatch):
+    """perfbench's Counter reads len(_grow(...)[2]) as the table's size."""
+    group = parse_group("heisenberg")
+    forget(group)
+    ball(group, 2)
+    sizes = []
+    grow = metric._grow
+
+    def recorded(*args, **kwargs):
+        result = grow(*args, **kwargs)
+        sizes.append(len(result[2]))
+        return result
+
+    monkeypatch.setattr(metric, "_grow", recorded)
+    table = ball(group, 4)
+    assert sizes == [table.size] == [growth(group, 4)[-1]]
+
+
+@pytest.mark.parametrize("spec,radius,bound", [("free:3", 6, 90), ("zd:2", 150, 130)])
+def test_growth_peak_bytes_per_ball_element(spec, radius, bound):
+    """A table is its layers: BFS keeps no whole-ball dict.  The traced peak
+    of growth() is about 55 B per element on free:3 and 97 B on zd:2; a BFS
+    that kept one read 125 B and 177 B."""
+    group = parse_group(spec)
+    forget(group)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        size = growth(group, radius)[-1]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak / size < bound, (size, peak)
