@@ -23,6 +23,7 @@ from .isoperimetry import (
     canonical_json,
     displacement_bound_check,
     half_mass_witness,
+    inner_boundary_left,
     lemma31_check,
     outer_boundary,
     preimage_bound_check,
@@ -227,27 +228,31 @@ def _criterion_csc_boundary(instances, reports) -> CriterionResult:
     failures = []
     findings = []
     csc_checked = 0
-    for ins in instances:
-        cmp_rep = boundary_comparison(ins.group, ins.subset)
+    for group, subset, _ in instances:
+        cmp_rep = boundary_comparison(group, subset)
         reports.append(cmp_rep)
         if not cmp_rep.verdict:
+            failures.append(f"left comparison failed on {group.name} {subset.provenance}")
+        # inner_r(D) = inv(inner_l(inv(D))), since S is symmetric
+        inverses = tuple(sorted(map(group.inv, subset.elements), key=group.sort_key))
+        inverse = FiniteSubset(group, inverses, f"inv({subset.provenance})")
+        if cmp_rep.extra["inner_right_size"] != len(inner_boundary_left(group, inverse)):
             failures.append(
-                f"left comparison failed on {ins.group.name} {ins.subset.provenance}"
+                f"right inner boundary is not inv(inner_l(inv(D))) on "
+                f"{group.name} {subset.provenance}"
             )
         if not cmp_rep.extra["right_holds"]:
             findings.append(
-                f"right-convention comparison exceeded on {ins.group.name} "
-                f"{ins.subset.provenance}: outer={cmp_rep.extra['outer_size']} > "
+                f"right-convention comparison exceeded on {group.name} "
+                f"{subset.provenance}: outer={cmp_rep.extra['outer_size']} > "
                 f"{cmp_rep.extra['rhs_right']}"
             )
-        if admissible(ins.group, len(ins.subset)):
-            csc_rep = verify_csc(ins.group, ins.subset)
+        if admissible(group, len(subset)):
+            csc_rep = verify_csc(group, subset)
             reports.append(csc_rep)
             csc_checked += 1
             if not csc_rep.verdict:
-                failures.append(
-                    f"classical bound failed on {ins.group.name} {ins.subset.provenance}"
-                )
+                failures.append(f"classical bound failed on {group.name} {subset.provenance}")
     detail = (
         f"{len(instances)} boundary comparisons, {csc_checked} classical-bound checks, "
         f"failures: {len(failures)}, right-convention findings: {len(findings)}"

@@ -41,21 +41,10 @@ class FiniteSubset:
         self.group, self.elements, self.provenance = group, elements, provenance
 
     @classmethod
-    def from_iterable(
-        cls, group: Group, elems: Iterable[Element], provenance: Optional[str] = None
-    ) -> "FiniteSubset":
+    def from_iterable(cls, group: Group, elems: Iterable[Element], provenance: str) -> "FiniteSubset":
         unique = sorted(set(elems), key=group.sort_key)
         for e in unique:
             group.validate(e)
-        if provenance is None:
-            formatted = [group.format(e) for e in unique]
-            if len(formatted) <= 12:
-                provenance = "explicit:" + ",".join(formatted)
-            else:
-                import hashlib  # only here: it is slow to import
-
-                digest = hashlib.sha1(";".join(formatted).encode()).hexdigest()[:12]
-                provenance = f"set:n={len(formatted)}:sha1={digest}"
         return cls(group, tuple(unique), provenance)
 
     @cached_property
@@ -64,9 +53,6 @@ class FiniteSubset:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def __contains__(self, e: Element) -> bool:
         return e in self.member_set
@@ -118,9 +104,6 @@ class VerificationReport:
         if self.extra:
             out["extra"] = dict(sorted(self.extra.items()))
         return out
-
-    def to_json_line(self) -> str:
-        return canonical_json(self.to_json_dict())
 
 
 # json.dumps with these settings would build a new encoder on every call
@@ -198,22 +181,6 @@ def _outer_boundary_set(group: Group, D: FiniteSubset) -> set:
     return out
 
 
-def _inner_right(group: Group, D: FiniteSubset) -> list:
-    """{x in D : some x*s lies outside D}, in the order of D."""
-    mul = group.mul
-    members = D.member_set
-    gens = group.generating_set
-    return [x for x in D.elements if any(mul(x, s) not in members for s in gens)]
-
-
-def _inner_left(group: Group, D: FiniteSubset) -> list:
-    """{x in D : some s*x lies outside D}, in the order of D."""
-    mul = group.mul
-    members = D.member_set
-    gens = group.generating_set
-    return [x for x in D.elements if any(mul(s, x) not in members for s in gens)]
-
-
 def outer_boundary(group: Group, D: FiniteSubset) -> FiniteSubset:
     """(S*D) \\ D: the elements at distance exactly 1 from D."""
     _require_non_empty(group, D)
@@ -222,15 +189,19 @@ def outer_boundary(group: Group, D: FiniteSubset) -> FiniteSubset:
 
 
 def inner_boundary_right(group: Group, D: FiniteSubset) -> FiniteSubset:
-    """{x in D : some x*s lies outside D}."""
+    """{x in D : some x*s lies outside D}, in the order of D."""
     _require_non_empty(group, D)
-    return FiniteSubset(group, tuple(_inner_right(group, D)), f"inner_r({D.provenance})")
+    mul, members, gens = group.mul, D.member_set, group.generating_set
+    inner = tuple(x for x in D.elements if any(mul(x, s) not in members for s in gens))
+    return FiniteSubset(group, inner, f"inner_r({D.provenance})")
 
 
 def inner_boundary_left(group: Group, D: FiniteSubset) -> FiniteSubset:
-    """{x in D : some s*x lies outside D}."""
+    """{x in D : some s*x lies outside D}, in the order of D."""
     _require_non_empty(group, D)
-    return FiniteSubset(group, tuple(_inner_left(group, D)), f"inner_l({D.provenance})")
+    mul, members, gens = group.mul, D.member_set, group.generating_set
+    inner = tuple(x for x in D.elements if any(mul(s, x) not in members for s in gens))
+    return FiniteSubset(group, inner, f"inner_l({D.provenance})")
 
 
 def translate(group: Group, x: Element, D: FiniteSubset) -> FiniteSubset:
@@ -269,6 +240,22 @@ def smoothed_density(
     return Fraction(count, table.size)
 
 
+def _word_ball(group: Group, d: int) -> set:
+    """B(e, d) as the products of at most d generators, grown level by level
+    from {e} by plain multiplication, each level less the elements already
+    seen, until d levels or an empty one: wholly independent of the BFS
+    tables of metric."""
+    mul, gens = group.mul, group.generating_set
+    level = {group.identity()}
+    seen = set(level)
+    for _ in range(d):
+        level = {mul(s, x) for x in level for s in gens} - seen
+        if not level:
+            break
+        seen |= level
+    return seen
+
+
 def lemma31_check(
     group: Group, D: FiniteSubset, d: int, *, ball_cap: int = DEFAULT_BALL_CAP
 ) -> VerificationReport:
@@ -281,9 +268,13 @@ def lemma31_check(
         C = sum over x in B(e,d) of |xD \\ D|
 
     and reports whether A = B = C as integers; A's terms are |B(e,d)| - count(y).
+    A and C run over the BFS table of metric.ball, and B over the ball of
+    _word_ball, so a wrong table shows as B != A = C.  The table comes
+    first, so an infinite group meets ball_cap before the word ball grows.
     """
     _require_non_empty(group, D)
     table = ball(group, d, ball_cap=ball_cap)
+    word_ball = _word_ball(group, d)
     mul = group.mul
     members = D.member_set
 
@@ -293,7 +284,7 @@ def lemma31_check(
     )
 
     b_value = sum(
-        sum(1 for x in table.elements() if mul(x, y) not in members) for y in D.elements
+        sum(1 for x in word_ball if mul(x, y) not in members) for y in D.elements
     )
 
     c_value = sum(displacement(group, x, D) for x in table.elements())
@@ -536,7 +527,7 @@ def verify_csc(
     """
     _require_admissible(group, D)
     n = len(D)
-    inner_size = len(_inner_right(group, D))
+    inner_size = len(inner_boundary_right(group, D))
     card_s = len(group.generating_set)
     radius = phi(group, 2 * n, ball_cap=ball_cap)
     lhs = Fraction(inner_size, n)
@@ -563,8 +554,8 @@ def boundary_comparison(group: Group, D: FiniteSubset) -> VerificationReport:
     """
     _require_non_empty(group, D)
     outer_size = len(_outer_boundary_set(group, D))
-    left_size = len(_inner_left(group, D))
-    right_size = len(_inner_right(group, D))
+    left_size = len(inner_boundary_left(group, D))
+    right_size = len(inner_boundary_right(group, D))
     card_s = len(group.generating_set)
     lhs = Fraction(outer_size)
     rhs = Fraction(card_s * left_size)

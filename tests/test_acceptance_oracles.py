@@ -1,5 +1,6 @@
-"""Criterion 7's word-length oracle against brute word enumeration, and its
-independence from the metric module whose BFS tables it checks."""
+"""Criterion 7's word-length oracle against brute word enumeration, and the
+independence of the word oracles of criteria 1 and 7 from the metric module
+whose BFS tables they check."""
 
 import ast
 import inspect
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoplab import acceptance, ball, parse_group
+from isoplab import acceptance, ball, isoperimetry, parse_group
 from isoplab.acceptance import FAMILIES, _ORACLE_RADII, _oracle_word_length, _word_levels
 from oracle_helpers import word_length_by_enumeration
 
@@ -68,3 +69,32 @@ def test_word_oracles_use_nothing_imported_from_metric():
             if isinstance(n, (ast.Name, ast.Attribute))
         }
         assert not used & (from_metric | {"metric"}), name
+
+
+def test_word_ball_uses_nothing_imported_from_metric():
+    tree = ast.parse(inspect.getsource(isoperimetry))
+    from_metric = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module in ("metric", "isoplab.metric")
+        for alias in node.names
+    }
+    assert "ball" in from_metric  # lemma31_check itself does use it
+    word_ball = next(
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_word_ball"
+    )
+    used = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(word_ball)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+    assert not used & (from_metric | {"metric"})
+
+
+@pytest.mark.parametrize("fam", FAMILIES)
+def test_word_ball_is_the_bfs_ball(fam):
+    group = GROUPS[fam]
+    # a finite group's word ball stops at its first empty level
+    radii = [0, 1, 2, 3] + ([10**12] if group.order() is not None else [])
+    for d in radii:
+        assert isoperimetry._word_ball(group, d) == set(ball(group, d).elements())

@@ -305,14 +305,14 @@ def test_free_format_round_trips_and_is_injective(rank):
 
 
 def test_free_letter_e_is_reserved_for_the_identity():
-    from isoplab import FiniteSubset
+    from isoplab import generate_set, parse_set_descriptor
 
     f5 = FreeGroup(5)
     assert f5.format(b"") == "e"
     assert f5.format(bytes((10,))) == "f" and f5.format(bytes((1,))) == "F"
     assert f5.parse("f") == bytes((10,))
     assert f5.parse_word("fF") == b""
-    assert FiniteSubset.from_iterable(f5, [b"", bytes((10,))]).provenance == "explicit:e,f"
+    assert generate_set(f5, parse_set_descriptor("explicit:e,f")).elements == (b"", bytes((10,)))
     # ranks 1-4 print as before
     assert FreeGroup(4).format(bytes((5, 3, 7, 1))) == "aBcD"
     with pytest.raises(ParseError):

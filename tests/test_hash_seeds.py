@@ -7,8 +7,9 @@ process, so it cannot see output that follows set or dict iteration order.
 Here a few pinned commands run in one child process per hash seed, and
 each must print the bytes its pin gives under both seeds: the `accept
 --quick` and `profile` goldens, a free:2 `halfmass` job and a free:2
-`theorem` job from `perfbench/jobs.json` (read, never written), and a
-free:3 `growth` table.
+`theorem` job from `perfbench/jobs.json` (read, never written), a
+free:3 `growth` table, and the free:2 `transport` and `halfmass` pins of
+`test_cli_output_digests`.
 """
 
 import json
@@ -37,6 +38,11 @@ PINNED = [
     _job("verify", "halfmass", "--group", "free:2"),
     _job("verify", "theorem", "--group", "free:2"),
     (["growth", "--group", "free:3", "--max-radius", "6", "--format", "csv"], "62eba235c1df7142"),
+    # the transport-free:2 and halfmass-free:2 pins of test_cli_output_digests
+    (["verify", "transport", "--group", "free:2", "--set", "random:20:4", "--gamma0", "abA",
+      "--format", "jsonl"], "13d1c0ad0de4076d"),
+    (["verify", "halfmass", "--group", "free:2", "--set", "random:40:3:ball=4",
+      "--format", "jsonl"], "5115a7de41327aa4"),
 ]
 
 SCRIPT = """

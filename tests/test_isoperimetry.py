@@ -36,7 +36,7 @@ from isoplab import (
     word_length,
 )
 from isoplab.acceptance import FAMILIES, acceptance_instances
-from isoplab.isoperimetry import _require_admissible, admissible
+from isoplab.isoperimetry import _require_admissible, admissible, canonical_json
 from oracle_helpers import (
     displacement_bound_by_direct_count,
     half_mass_by_full_scan,
@@ -50,11 +50,11 @@ F2 = parse_group("free:2")
 C12 = parse_group("cyclic:12")
 
 
-def zset(*values, provenance=None):
+def zset(*values, provenance="zset"):
     return FiniteSubset.from_iterable(Z, [(v,) for v in values], provenance=provenance)
 
 
-def interval(n, provenance=None):
+def interval(n, provenance="interval"):
     return zset(*range(n), provenance=provenance)
 
 
@@ -63,7 +63,7 @@ def interval(n, provenance=None):
 def test_outer_boundary_examples():
     assert outer_boundary(Z, interval(3)).elements == ((-1,), (3,))
     assert set(outer_boundary(Z, zset(0)).elements) == {(-1,), (1,)}
-    dea = FiniteSubset.from_iterable(F2, [F2.parse("e"), F2.parse("a")])
+    dea = FiniteSubset.from_iterable(F2, [F2.parse("e"), F2.parse("a")], "dea")
     got = {F2.format(e) for e in outer_boundary(F2, dea).elements}
     assert got == {"A", "b", "B", "aa", "ba", "Ba"}
 
@@ -71,14 +71,14 @@ def test_outer_boundary_examples():
 def test_inner_boundary_examples():
     assert inner_boundary_right(Z, interval(10)).elements == ((0,), (9,))
     assert inner_boundary_left(Z, interval(10)).elements == ((0,), (9,))
-    dea = FiniteSubset.from_iterable(F2, [F2.parse("e"), F2.parse("a")])
+    dea = FiniteSubset.from_iterable(F2, [F2.parse("e"), F2.parse("a")], "dea")
     assert set(inner_boundary_right(F2, dea).elements) == set(dea.elements)
     assert set(inner_boundary_left(F2, dea).elements) == set(dea.elements)
     s3 = parse_group("symmetric:3")
-    singleton = FiniteSubset.from_iterable(s3, [s3.identity()])
+    singleton = FiniteSubset.from_iterable(s3, [s3.identity()], "singleton")
     assert inner_boundary_left(s3, singleton).elements == (s3.identity(),)
     # a proper ball in a finite group still has inner boundary
-    c12_ball = FiniteSubset.from_iterable(C12, ball(C12, 5).elements())
+    c12_ball = FiniteSubset.from_iterable(C12, ball(C12, 5).elements(), "c12_ball")
     assert len(inner_boundary_right(C12, c12_ball)) > 0
 
 
@@ -144,15 +144,15 @@ def test_counted_boundary_sizes_match_built_boundaries(spec, size, seed, uniform
 
 def test_from_iterable_validates_every_element():
     with pytest.raises(ParseError):
-        FiniteSubset.from_iterable(Z, [(1, 2)])
+        FiniteSubset.from_iterable(Z, [(1, 2)], "D")
     with pytest.raises(ParseError):
-        FiniteSubset.from_iterable(Z, [(0,), (1, 2)])
+        FiniteSubset.from_iterable(Z, [(0,), (1, 2)], "D")
     with pytest.raises(ParseError):
-        FiniteSubset.from_iterable(F2, [bytes((3, 2))])  # aA, not reduced
+        FiniteSubset.from_iterable(F2, [bytes((3, 2))], "D")  # aA, not reduced
     with pytest.raises(ParseError):
-        FiniteSubset.from_iterable(F2, [(3,)])  # a tuple, not bytes
+        FiniteSubset.from_iterable(F2, [(3,)], "D")  # a tuple, not bytes
     with pytest.raises(ParseError):
-        FiniteSubset.from_iterable(C12, [12])
+        FiniteSubset.from_iterable(C12, [12], "D")
 
 
 def test_translate_and_displacement_examples():
@@ -206,7 +206,8 @@ def test_lemma31_hand_example():
 
 
 def test_lemma31_degenerate_smoothing_radius():
-    for subset in (interval(4), FiniteSubset.from_iterable(F2, [F2.parse(w) for w in ("e", "a", "b")])):
+    eab = FiniteSubset.from_iterable(F2, [F2.parse(w) for w in ("e", "a", "b")], "eab")
+    for subset in (interval(4), eab):
         group = subset.group
         rep = lemma31_check(group, subset, 0)
         assert rep.lhs == rep.rhs == Fraction(0)
@@ -226,7 +227,7 @@ def test_lemma31_brute_force_on_cyclic8():
         sum(1 for y in members if c8.mul(x, y) not in members) for x in ball_elems
     )
     assert b == c  # the oracle itself is consistent
-    rep = lemma31_check(c8, FiniteSubset.from_iterable(c8, members), d)
+    rep = lemma31_check(c8, FiniteSubset.from_iterable(c8, members, "D"), d)
     assert rep.verdict
     assert rep.lhs == Fraction(b) == rep.rhs
 
@@ -289,18 +290,18 @@ def test_half_mass_witness_examples():
     assert rep.lhs == 1
     assert rep.verdict
 
-    x, rep = half_mass_witness(C12, FiniteSubset.from_iterable(C12, [0, 1, 2, 3, 4]))
+    x, rep = half_mass_witness(C12, FiniteSubset.from_iterable(C12, [0, 1, 2, 3, 4], "D"))
     assert rep.d == 5
     assert rep.lhs >= 3
     assert rep.verdict
 
 
 def test_half_mass_precondition():
-    full_half = FiniteSubset.from_iterable(C12, list(range(6)))
+    full_half = FiniteSubset.from_iterable(C12, list(range(6)), "full_half")
     with pytest.raises(PreconditionViolated):
         half_mass_witness(C12, full_half)
     with pytest.raises(PreconditionViolated):
-        half_mass_witness(Z, FiniteSubset.from_iterable(Z, []))
+        half_mass_witness(Z, FiniteSubset.from_iterable(Z, [], "D"))
 
 
 @pytest.mark.parametrize("spec", ["z", "zd:2", "free:2", "cyclic:12", "dihedral:6", "heisenberg:3"])
@@ -406,7 +407,7 @@ def test_half_mass_pruned_scan_matches_full_scan_with_points_outside_the_ball(te
     group = parse_group("free:2")
     D = generate_set(group, parse_set_descriptor(text))
     table = minimal_d(group, 2 * len(D))[1]
-    assert sum(y not in table for y in D) == outside
+    assert sum(y not in table for y in D.elements) == outside
     assert_pruned_scan_matches_full_scan(group, D)
 
 
@@ -428,7 +429,7 @@ def assert_pruned_scan_matches_full_scan(group, D):
 ])
 def test_half_mass_first_of_tied_translates_wins(spec, elems, x, disp):
     group = parse_group(spec)
-    D = FiniteSubset.from_iterable(group, elems)
+    D = FiniteSubset.from_iterable(group, elems, "D")
     witness, report = half_mass_witness(group, D)
     assert (witness, report.lhs) == (x, disp)
     old_witness, old_report = half_mass_by_full_scan(group, D)
@@ -451,7 +452,7 @@ def test_half_mass_first_of_tied_translates_wins(spec, elems, x, disp):
 def test_half_mass_pruning_keeps_the_first_maximizer(spec, elems, case):
     # the probe is the first translate of the outermost layer, counted before the scan
     group = parse_group(spec)
-    D = FiniteSubset.from_iterable(group, elems)
+    D = FiniteSubset.from_iterable(group, elems, "D")
     witness, report = half_mass_witness(group, D)
     old_witness, old_report = half_mass_by_full_scan(group, D)
     assert witness == old_witness
@@ -478,7 +479,7 @@ def test_inverse_translate_moves_as_much_at_the_same_length(spec, picks, pick):
     # the two facts behind skipping x when x^-1 precedes it in the scan
     group = parse_group(spec)
     pool = list(ball(group, 4).elements())
-    D = FiniteSubset.from_iterable(group, [pool[i % len(pool)] for i in picks])
+    D = FiniteSubset.from_iterable(group, [pool[i % len(pool)] for i in picks], "D")
     x = pool[pick % len(pool)]
     assert displacement(group, x, D) == displacement(group, group.inv(x), D)
     assert word_length(group, group.inv(x)) == word_length(group, x)
@@ -542,12 +543,12 @@ def test_sets_and_reports_compare_by_identity():
     assert a.elements == b.elements and a.provenance == b.provenance
     assert a == a and a != b and len({a, b}) == 2
     r, s = verify_theorem(Z, a), verify_theorem(Z, a)
-    assert r.to_json_line() == s.to_json_line()
+    assert r.to_json_dict() == s.to_json_dict()
     assert r == r and r != s and len({r, s}) == 2
 
 
 def test_transport_map_free_group_example():
-    dea = FiniteSubset.from_iterable(F2, [F2.parse("e"), F2.parse("a")])
+    dea = FiniteSubset.from_iterable(F2, [F2.parse("e"), F2.parse("a")], "dea")
     record = transport_map(F2, F2.parse("aa"), dea)
     moved = {F2.format(e.moved) for e in record.entries}
     assert moved == {"aa", "aaa"}
@@ -599,7 +600,7 @@ def test_preimage_bound_examples():
     rep = preimage_bound_check(transport_map(Z, (1,), interval(5)), 5)
     assert rep.lhs == Fraction(1) and rep.verdict
 
-    record = transport_map(C12, 4, FiniteSubset.from_iterable(C12, [0, 1, 2, 3, 4]))
+    record = transport_map(C12, 4, FiniteSubset.from_iterable(C12, [0, 1, 2, 3, 4], "D"))
     rep = preimage_bound_check(record, 5)
     assert rep.verdict and rep.lhs <= Fraction(4)
 
@@ -621,7 +622,7 @@ def test_displacement_bound_examples():
     assert rep.lhs == Fraction(1) and rep.rhs == Fraction(2)
     assert rep.verdict
 
-    dea = FiniteSubset.from_iterable(F2, [F2.parse("e"), F2.parse("a")])
+    dea = FiniteSubset.from_iterable(F2, [F2.parse("e"), F2.parse("a")], "dea")
     rep = displacement_bound_check(transport_map(F2, F2.parse("aa"), dea), 2)
     assert rep.lhs == Fraction(2) and rep.rhs == Fraction(12)
     assert rep.extra["k_times_boundary"] == 12
@@ -679,14 +680,14 @@ def test_theorem_examples():
     assert rep.lhs == Fraction(2) and rep.rhs == Fraction(1, 2)
     assert rep.verdict
 
-    rep = verify_theorem(C12, FiniteSubset.from_iterable(C12, [0, 1, 2]))
+    rep = verify_theorem(C12, FiniteSubset.from_iterable(C12, [0, 1, 2], "D"))
     assert rep.lhs == Fraction(2, 3) and rep.rhs == Fraction(1, 6)
     assert rep.verdict
 
 
 def test_theorem_precondition():
     with pytest.raises(PreconditionViolated):
-        verify_theorem(C12, FiniteSubset.from_iterable(C12, list(range(6))))
+        verify_theorem(C12, FiniteSubset.from_iterable(C12, list(range(6)), "D"))
 
 
 @pytest.mark.parametrize("spec, n, expected", [
@@ -722,7 +723,7 @@ def test_admissible_boundary(spec, n, expected):
 )
 def test_verifiers_refuse_a_set_of_another_group(spec, other, elements):
     group = parse_group(spec)
-    D = FiniteSubset.from_iterable(parse_group(other), elements)
+    D = FiniteSubset.from_iterable(parse_group(other), elements, "D")
     gamma0 = group.generating_set[0]
     for check in (
         verify_theorem, verify_csc, boundary_comparison, outer_boundary, inner_boundary_left,
@@ -743,7 +744,7 @@ def test_csc_examples():
     assert rep.verdict
 
     d6 = parse_group("dihedral:6")
-    ball1 = FiniteSubset.from_iterable(d6, ball(d6, 1).elements())
+    ball1 = FiniteSubset.from_iterable(d6, ball(d6, 1).elements(), "ball1")
     rep = verify_csc(d6, ball1)
     # frozen from exhaustive enumeration: inner_r = {r, r^-1, s} and
     # gamma(2) = 8 is not strictly above 8, so phi(8) = 3
@@ -757,14 +758,14 @@ def test_boundary_comparison_examples():
     assert rep.lhs == Fraction(2) and rep.rhs == Fraction(4)
     assert rep.verdict and rep.extra["right_holds"]
 
-    dea = FiniteSubset.from_iterable(F2, [F2.parse("e"), F2.parse("a")])
+    dea = FiniteSubset.from_iterable(F2, [F2.parse("e"), F2.parse("a")], "dea")
     rep = boundary_comparison(F2, dea)
     assert rep.lhs == Fraction(6) and rep.rhs == Fraction(8)
     assert rep.extra["inner_left_size"] == 2 and rep.extra["inner_right_size"] == 2
     assert rep.verdict and rep.extra["right_holds"]
 
     s3 = parse_group("symmetric:3")
-    singleton = FiniteSubset.from_iterable(s3, [s3.identity()])
+    singleton = FiniteSubset.from_iterable(s3, [s3.identity()], "singleton")
     rep = boundary_comparison(s3, singleton)
     assert rep.extra["outer_size"] == len(s3.generating_set)
     assert rep.verdict
@@ -773,7 +774,7 @@ def test_boundary_comparison_examples():
 def test_singleton_profile_boundary_is_generating_set():
     for spec in ("z", "zd:2", "free:2", "cyclic:12", "dihedral:6", "heisenberg", "symmetric:4"):
         group = parse_group(spec)
-        singleton = FiniteSubset.from_iterable(group, [group.identity()])
+        singleton = FiniteSubset.from_iterable(group, [group.identity()], "singleton")
         assert len(outer_boundary(group, singleton)) == len(group.generating_set)
 
 
@@ -781,7 +782,7 @@ def test_singleton_profile_boundary_is_generating_set():
 
 def test_report_json_schema():
     rep = verify_theorem(Z, interval(4, provenance="interval:4"))
-    payload = json.loads(rep.to_json_line())
+    payload = json.loads(canonical_json(rep.to_json_dict()))
     for key in (
         "kind", "group", "set_descriptor", "lhs_num", "lhs_den",
         "rhs_num", "rhs_den", "verdict", "sharpness_num", "sharpness_den",
@@ -859,4 +860,4 @@ def test_acceptance_reports_of_every_kind_keep_the_verdict_contract():
 def test_report_line_is_deterministic():
     rep1 = lemma31_check(Z, interval(3), 2)
     rep2 = lemma31_check(Z, interval(3), 2)
-    assert rep1.to_json_line() == rep2.to_json_line()
+    assert canonical_json(rep1.to_json_dict()) == canonical_json(rep2.to_json_dict())

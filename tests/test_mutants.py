@@ -35,21 +35,19 @@ DEFECTS = {
     ),
     "lemma31 handed ball(d + 1)": (
         [(isoperimetry, "ball", lambda group, radius, **kw: metric.ball(group, radius + 1, **kw))],
-        None,
+        {1},
     ),
     "phi as the least r with gamma(r) >= v": (
         [(isoperimetry, "phi", _phi_not_strict), (search, "phi", _phi_not_strict)], None,
     ),
     "right inner boundary computed as the left one": (
-        [(isoperimetry, "_inner_right", isoperimetry._inner_left)], None,
+        [(isoperimetry, "inner_boundary_right", isoperimetry.inner_boundary_left)], {6},
     ),
 }
 
 # ROADMAP open items that own the gaps no criterion covers yet
 UNCAUGHT = {
-    "lemma31 handed ball(d + 1)": "item 1: criterion 1's three routes share one ball",
     "phi as the least r with gamma(r) >= v": "item 2: criterion 7 never checks phi",
-    "right inner boundary computed as the left one": "item 2: no second formula for inner_r",
 }
 
 

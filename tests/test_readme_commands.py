@@ -1,6 +1,6 @@
 """Every `isoplab` command line in README's fenced blocks parses, and each
 one but `accept` (seconds per run) exits 0, so the docs cannot drift from
-the flags."""
+the flags; and the fenced `python` library example runs."""
 
 import shlex
 from pathlib import Path
@@ -35,3 +35,11 @@ def test_readme_command_runs(argv):
     build_parser().parse_args(argv)
     if argv[0] != "accept":
         assert main(argv) == 0
+
+
+def test_readme_library_example_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    blocks = text.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("{'kind': 'theorem'")

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import random
 import statistics
 from collections import Counter
 from fractions import Fraction
@@ -151,7 +152,7 @@ def test_explicit_list_of_formatted_elements_round_trips(spec, data):
         sep + group.format(e) for sep, e in zip(seps, elems[1:])
     )
     got = generate_set(group, parse_set_descriptor(text))
-    assert got.elements == FiniteSubset.from_iterable(group, elems).elements
+    assert got.elements == FiniteSubset.from_iterable(group, elems, "D").elements
 
 
 def test_exhaustive_stream_counts():
@@ -659,8 +660,8 @@ def test_right_translation_keeps_the_outer_boundary(spec, data):
     ground = enumerate_group(group)
     members = data.draw(st.sets(st.sampled_from(ground), min_size=1))
     g = data.draw(st.sampled_from(ground))
-    D = FiniteSubset.from_iterable(group, members)
-    Dg = FiniteSubset.from_iterable(group, [group.mul(x, g) for x in members])
+    D = FiniteSubset.from_iterable(group, members, "D")
+    Dg = FiniteSubset.from_iterable(group, [group.mul(x, g) for x in members], "Dg")
     assert len(Dg) == len(D)
     assert len(outer_boundary(group, Dg)) == len(outer_boundary(group, D))
 
@@ -686,6 +687,23 @@ def test_profile_witnesses_contain_the_first_element(spec, data):
     first = enumerate_group(group)[0]
     for row in exhaustive_profile(group, sizes):
         assert first in row.witness.elements
+
+
+@pytest.mark.parametrize("spec,top", [
+    ("cyclic:24", 11), ("dihedral:12", 11), ("symmetric:4", 11),
+    ("dihedral:10", 9), ("cyclic:20", 9), ("heisenberg:2", 3),
+])
+def test_profile_minimum_does_not_depend_on_the_ground_order(monkeypatch, spec, top):
+    # right translation carries a least set of each size onto ground[0],
+    # whatever element that is, so the least boundaries hold under any order
+    group = parse_group(spec)
+    sizes = range(1, top + 1)
+    canonical = [row.min_boundary for row in exhaustive_profile(group, sizes)]
+    for seed in range(5):
+        shuffled = list(enumerate_group(group))
+        random.Random(seed).shuffle(shuffled)
+        monkeypatch.setattr(search, "_ground_set", lambda group, ground=shuffled, **kw: ground)
+        assert [row.min_boundary for row in exhaustive_profile(group, sizes)] == canonical, seed
 
 
 def test_profile_preconditions():
@@ -791,15 +809,8 @@ def test_interval_stream_is_lazy():
 
 # ------------------------------------------------------------------ provenance
 
-def test_finite_subset_provenance_is_stable():
-    a = FiniteSubset.from_iterable(Z, [(0,), (1,)])
-    b = FiniteSubset.from_iterable(Z, [(1,), (0,)])
-    assert a.provenance == b.provenance == "explicit:0,1"
-    big = FiniteSubset.from_iterable(Z, [(i,) for i in range(40)])
-    assert big.provenance == "set:n=40:sha1=e8ecbd6713d0"
-    thirteen = FiniteSubset.from_iterable(Z, [(i,) for i in range(13)])
-    assert thirteen.provenance == "set:n=13:sha1=57b067fe1199"
-    words = FiniteSubset.from_iterable(F2, [F2.parse("a") * k for k in range(13)])
-    assert words.provenance == "set:n=13:sha1=ec97529e4b9f"
-    twelve = FiniteSubset.from_iterable(Z, [(i,) for i in range(12)])
-    assert twelve.provenance == "explicit:" + ",".join(str(i) for i in range(12))
+def test_finite_subset_requires_a_provenance():
+    with pytest.raises(TypeError):
+        FiniteSubset.from_iterable(Z, [(0,), (1,)])
+    a = FiniteSubset.from_iterable(Z, [(1,), (0,)], "explicit:1,0")
+    assert a.provenance == "explicit:1,0" and a.elements == ((0,), (1,))

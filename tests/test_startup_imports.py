@@ -2,8 +2,7 @@
 
 The library keeps that import to what it uses: no `dataclasses` (which
 pulls in `inspect`, `ast`, `dis` and `tokenize`), no `statistics` for one
-median, and `hashlib` only inside the branch that digests a large set's
-provenance.  The benchmark's instrumentation, on the other hand, looks up
+median, and no `hashlib` at all.  The benchmark's instrumentation, on the other hand, looks up
 `sys.modules["isoplab.<layer>"]` right after that import, so every module it
 wraps must be loaded by it, not deferred.
 
