@@ -18,6 +18,7 @@ from .groups import Element, Group, parse_group
 from .isoperimetry import (
     FiniteSubset,
     VerificationReport,
+    _word_levels,
     admissible,
     boundary_comparison,
     canonical_json,
@@ -262,37 +263,23 @@ def _criterion_csc_boundary(instances, reports) -> CriterionResult:
     )
 
 
-def _word_levels(group: Group, max_depth: int) -> list[set]:
-    """The level sets L_0 = {e}, L_n = {s*x : x in L_(n-1), s in S} for
-    n <= max_depth: L_n holds exactly the products of n generators.  Built
-    by plain multiplication, wholly independent of the BFS tables."""
-    gens = group.generating_set
-    mul = group.mul
-    levels = [{group.identity()}]
-    for _ in range(max_depth):
-        levels.append({mul(s, x) for x in levels[-1] for s in gens})
-    return levels
-
-
 def _oracle_word_length(levels: list[set], g: Element) -> Optional[int]:
     """Minimal word length of g: the least n with g in L_n, or None if g
     lies in no level built."""
     return next((n for n, level in enumerate(levels) if g in level), None)
 
 
-def _distance_one_oracle(group: Group, subset: FiniteSubset, b2) -> frozenset:
-    """{a : dist(a, D) = 1} by per-element distance queries against a radius-2
-    ball table, independent of the S*D construction."""
-    mul, inv = group.mul, group.inv
-    region = set()
-    for x in b2.elements():
-        for delta in subset.elements:
-            region.add(mul(x, delta))
+def _distance_one_oracle(group: Group, subset: FiniteSubset, levels: list[set]) -> frozenset:
+    """{a : dist(a, D) = 1} by per-element distance queries against the word
+    levels of radius 2, independent of the S*D construction: dist(a, D) = 1
+    when no a*delta^-1, delta in D, has word length 0 and one has length 1."""
+    mul = group.mul
+    inverses = [group.inv(delta) for delta in subset.elements]
+    region = {mul(x, delta) for level in levels for x in level for delta in subset.elements}
     out = set()
     for a in region:
-        steps = [mul(a, inv(delta)) for delta in subset.elements]
-        dist = min((b2.layer_of(g) for g in steps if g in b2), default=3)
-        if dist == 1:
+        steps = {mul(a, i) for i in inverses}
+        if steps.isdisjoint(levels[0]) and not steps.isdisjoint(levels[1]):
             out.add(a)
     return frozenset(out)
 
@@ -309,12 +296,12 @@ def _criterion_oracles(seed, quick) -> CriterionResult:
     checked_a = 0
     for fi, fam in enumerate(FAMILIES):
         group = parse_group(fam)
-        b2 = ball(group, 2)
+        levels = _word_levels(group, 2)
         for j in range(per_family_a):
             rng = master.child(20_000 + fi * 1000 + j)
             subset = _random_subset(group, rng, 12, uniform=(j % 2 == 1))
             lib = outer_boundary(group, subset).member_set
-            oracle = _distance_one_oracle(group, subset, b2)
+            oracle = _distance_one_oracle(group, subset, levels)
             if lib != oracle:
                 failures.append(f"{fam}: boundary oracle mismatch on {subset.provenance}")
             checked_a += 1

@@ -240,20 +240,20 @@ def smoothed_density(
     return Fraction(count, table.size)
 
 
-def _word_ball(group: Group, d: int) -> set:
-    """B(e, d) as the products of at most d generators, grown level by level
-    from {e} by plain multiplication, each level less the elements already
-    seen, until d levels or an empty one: wholly independent of the BFS
-    tables of metric."""
+def _word_levels(group: Group, depth: int) -> list[set]:
+    """L_0 = {e} and L_n = {s*x : x in L_(n-1), s in S} less every earlier
+    level, the elements of word length n, for n <= depth up to the first
+    empty level: plain multiplication, independent of metric's BFS tables."""
     mul, gens = group.mul, group.generating_set
-    level = {group.identity()}
-    seen = set(level)
-    for _ in range(d):
-        level = {mul(s, x) for x in level for s in gens} - seen
+    levels = [{group.identity()}]
+    seen = set(levels[0])
+    for _ in range(depth):
+        level = {mul(s, x) for x in levels[-1] for s in gens} - seen
         if not level:
             break
         seen |= level
-    return seen
+        levels.append(level)
+    return levels
 
 
 def lemma31_check(
@@ -268,13 +268,14 @@ def lemma31_check(
         C = sum over x in B(e,d) of |xD \\ D|
 
     and reports whether A = B = C as integers; A's terms are |B(e,d)| - count(y).
-    A and C run over the BFS table of metric.ball, and B over the ball of
-    _word_ball, so a wrong table shows as B != A = C.  The table comes
-    first, so an infinite group meets ball_cap before the word ball grows.
+    A and C run over the BFS table of metric.ball, and B over the union of
+    the word levels of _word_levels, so a wrong table shows as B != A = C.
+    The table comes first, so an infinite group meets ball_cap before the
+    word levels grow.
     """
     _require_non_empty(group, D)
     table = ball(group, d, ball_cap=ball_cap)
-    word_ball = _word_ball(group, d)
+    word_ball = set().union(*_word_levels(group, d))
     mul = group.mul
     members = D.member_set
 

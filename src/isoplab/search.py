@@ -17,8 +17,10 @@ S(Dg) = (SD)g.  So every minimiser has a translate through position 0,
 and the lexicographically least minimiser contains position 0.  The
 profile therefore walks only the sets {0} u R, R a set of positions
 1..N-1, depth first in lexicographic order.  That walk,
-anchored_subset_steps, keeps the outer boundary as a bitmask of positions,
-updated as a position is added and restored as it is removed.
+anchored_subset_steps, reads only the neighbour bitmask of each position,
+which exhaustive_profile builds from the group, and keeps the outer
+boundary as a bitmask of positions, updated as a position is added and
+restored as it is removed.
 
 The walk is a branch-and-bound with two bounds, each of which can only
 skip sets whose boundary is no lower than the least already seen at their
@@ -211,7 +213,9 @@ def generate_sets(
 ) -> Iterator[FiniteSubset]:
     """Stream the subsets a descriptor denotes: every subset in the size
     range of an exhaustive descriptor, every interval of z in that of an
-    interval descriptor, a single set for the others.
+    interval descriptor, a single set for the others.  An interval range
+    whose largest set holds more than ball_cap elements is refused before
+    its first set.
 
     A random descriptor with trials > 1 runs that many independent draws,
     trial t seeded with child t of the descriptor seed; otherwise it draws
@@ -246,7 +250,13 @@ def generate_sets(
             yield FiniteSubset(group, elems, f"{desc.text}:mask={mask}")
         return
     if desc.kind == "interval":
-        yield from interval_subsets(group, desc.size_lo, desc.size_hi)
+        intervals = interval_subsets(group, desc.size_lo, desc.size_hi)
+        if desc.size_hi > ball_cap:  # before the first set, as a ball meets its cap
+            raise BudgetExceeded(
+                f"{group.name}: {desc.text} reaches {desc.size_hi} elements, above cap {ball_cap}",
+                size=desc.size_hi, cap=ball_cap,
+            )
+        yield from intervals
         return
     raise ParseError(f"unknown descriptor kind {desc.kind!r}")
 
@@ -303,20 +313,21 @@ def gray_subset_steps(n: int, lo: int, hi: int) -> Iterator[tuple[int, int]]:
 
 
 def anchored_subset_steps(
-    group: Group,
+    reach: list[int],
     max_size: int,
     *,
-    ground: list[Element],
     ceiling: list[int],
     locked_ceiling: list[int],
 ) -> Iterator[tuple[list[int], int, int]]:
-    """Walk the subsets of a finite group that contain position 0, in
-    lexicographic order of their ascending position tuples.  Position i is
-    ground[i], the group's canonically sorted element list.
+    """Walk the sets of positions 0..N-1 that contain position 0, in
+    lexicographic order of their ascending tuples, on the graph whose
+    position i has the neighbour bitmask reach[i], N = len(reach).  In a
+    Cayley graph, reach[i] holds the positions s * ground[i], s in S.
 
     Yields (positions, size, outer_boundary_size) for the sets {0} u R
     with R a set of positions 1..N-1 and size at most max_size, depth first
-    in pre-order.  The children of a set P of size s and boundary b are the
+    in pre-order; the outer boundary of P is the union of reach[i], i in P,
+    less P.  The children of a set P of size s and boundary b are the
     sets P u {q} with q above the last position of P.  The walk descends to
     them only if b + s < ceiling[s] as it yields P, and enters the child
     P u {q} only while the boundary points of P at positions below q number
@@ -331,16 +342,7 @@ def anchored_subset_steps(
     """
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    n = len(ground)
-    index = {e: i for i, e in enumerate(ground)}
-    mul = group.mul
-    # reach[i]: the bitmask of the positions s * ground[i], s in the generating set
-    reach = []
-    for e in ground:
-        mask = 0
-        for s in group.generating_set:
-            mask |= 1 << index[mul(s, e)]
-        reach.append(mask)
+    n = len(reach)
 
     positions: list[int] = []
     saved: list[int] = []  # saved[i]: the boundary mask before positions[i] joined
@@ -449,9 +451,14 @@ def exhaustive_profile(group: Group, sizes: Iterable[int]) -> list[ProfileRow]:
             locked_ceiling[s - 1] = locked
 
     lower_ceiling()
+    index = {e: i for i, e in enumerate(ground)}
+    reach = [0] * len(ground)  # reach[i]: the bitmask of the positions s * ground[i]
+    for i, e in enumerate(ground):
+        for s in group.generating_set:
+            reach[i] |= 1 << index[group.mul(s, e)]
     witnesses: dict[int, tuple[int, ...]] = {}
     for positions, size, boundary in anchored_subset_steps(
-        group, top, ground=ground, ceiling=ceiling, locked_ceiling=locked_ceiling
+        reach, top, ceiling=ceiling, locked_ceiling=locked_ceiling
     ):
         if boundary < least[size]:
             least[size] = boundary

@@ -20,6 +20,11 @@ def _outer_boundary_right(group, D):
     return products - D.member_set
 
 
+def _displacement_right(group, x, D):
+    """Card(Dx \\ D): the translate with x on the wrong side."""
+    return sum(1 for d in D.elements if group.mul(d, x) not in D.member_set)
+
+
 def _phi_not_strict(group, v, *, ball_cap=metric.DEFAULT_BALL_CAP):
     """The least r with gamma(r) >= v, where phi asks for gamma(r) > v."""
     return metric.minimal_d(group, v - 1, ball_cap=ball_cap)[0]
@@ -42,6 +47,9 @@ DEFECTS = {
     ),
     "right inner boundary computed as the left one": (
         [(isoperimetry, "inner_boundary_right", isoperimetry.inner_boundary_left)], {6},
+    ),
+    "translate on the wrong side": (
+        [(isoperimetry, "displacement", _displacement_right)], {1},
     ),
 }
 

@@ -2,8 +2,9 @@
 
 Each case names a structure far larger than any machine holds: a profile
 size range of 10^11 sizes, a ball or a lemma31 radius of 10^12 on a finite
-group, a growth table of 10^12 rows.  The exit-code contract still holds:
-no traceback, and never exit 1, which means a falsified verdict.
+group, a growth table of 10^12 rows, an interval of 10^12 points.  The
+exit-code contract still holds: no traceback, and never exit 1, which
+means a falsified verdict.
 
 The CLI runs in a child process whose address space is capped at 1 GiB, so
 a run that tries to build such a structure fails fast with a MemoryError
@@ -48,6 +49,8 @@ def _limit_address_space():
     (("sharpness", "--group", "cyclic:8", "--set", f"random:2:1:ball={HUGE}"), 0),
     # 10^12 output rows cannot be held: out of memory is a budget, exit 3
     (("growth", "--group", "cyclic:8", "--max-radius", HUGE), 3),
+    # an interval of 10^12 points is refused under the ball cap before it is built
+    (("sharpness", "--group", "z", "--set", f"interval:{HUGE}..{HUGE}"), 3),
 ])
 def test_oversized_input_keeps_the_exit_code_contract(argv, code):
     proc = subprocess.run(
@@ -59,7 +62,11 @@ def test_oversized_input_keeps_the_exit_code_contract(argv, code):
     )
     assert "Traceback" not in proc.stderr
     assert proc.returncode == code, proc.stderr
-    if code == 3:
+    if code == 3 and "interval" in argv[-1]:
+        assert proc.stderr == (
+            f"isoplab: budget exceeded: z: {argv[-1]} reaches {HUGE} elements, above cap 5000000\n"
+        )
+    elif code == 3:
         assert proc.stderr == "isoplab: budget exceeded: out of memory\n"
 
 

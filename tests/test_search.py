@@ -407,27 +407,50 @@ def test_exhaustive_stream_is_lazy():
 
 # --------------------------------------------------------------- anchored walk
 
-def _full_walk(group, top, ground):
+def _cayley_masks(group, ground):
+    """reach[i]: the bitmask of the positions s * ground[i], s in S."""
+    index = {e: i for i, e in enumerate(ground)}
+    reach = [0] * len(ground)
+    for i, e in enumerate(ground):
+        for s in group.generating_set:
+            reach[i] |= 1 << index[group.mul(s, e)]
+    return reach
+
+
+def _path_masks(n):
+    """The path 0 - 1 - ... - n-1, no Cayley graph: its two ends have one neighbour."""
+    return [sum(1 << j for j in (i - 1, i + 1) if 0 <= j < n) for i in range(n)]
+
+
+def _full_walk(reach, top):
     """The anchored walk under ceilings it never reaches: b + s <= N."""
-    never = [len(ground) + 1] * (top + 1)
-    return anchored_subset_steps(group, top, ground=ground, ceiling=never, locked_ceiling=never)
+    never = [len(reach) + 1] * (top + 1)
+    return anchored_subset_steps(reach, top, ceiling=never, locked_ceiling=never)
 
 
-@pytest.mark.parametrize("spec,top", [("cyclic:8", 3), ("dihedral:4", 3), ("symmetric:3", 2), ("cyclic:9", 9)])
+@pytest.mark.parametrize("spec,top", [
+    ("cyclic:8", 3), ("dihedral:4", 3), ("symmetric:3", 2), ("cyclic:9", 9), ("path:7", 4),
+])
 def test_anchored_walk_matches_direct_recomputation(spec, top):
-    group = parse_group(spec)
-    ground = enumerate_group(group)
-    n = len(ground)
+    if spec == "path:7":
+        group, reach = None, _path_masks(7)
+    else:
+        group = parse_group(spec)
+        ground = enumerate_group(group)
+        reach = _cayley_masks(group, ground)
+    n = len(reach)
     steps = [(tuple(positions), size, boundary)
-             for positions, size, boundary in _full_walk(group, top, ground)]
+             for positions, size, boundary in _full_walk(reach, top)]
     # the sets {0} u R, |R| < top, in lexicographic order of position tuples
     assert [positions for positions, _, _ in steps] == sorted(
         (0, *rest) for j in range(top) for rest in combinations(range(1, n), j)
     )
     for positions, size, boundary in steps:
-        members = {ground[i] for i in positions}
-        assert size == len(members)
-        assert boundary == len(naive_outer_boundary(group, members))
+        assert size == len(positions)
+        near = {j for i in positions for j in range(n) if reach[i] >> j & 1}
+        assert boundary == len(near - set(positions))
+        if group is not None:
+            assert boundary == len(naive_outer_boundary(group, {ground[i] for i in positions}))
 
 
 @pytest.mark.parametrize("spec,top,visited", [
@@ -439,7 +462,7 @@ def test_anchored_walk_matches_direct_recomputation(spec, top):
 def test_anchored_walk_work_count(spec, top, visited):
     group = parse_group(spec)
     n = group.order()
-    steps = _full_walk(group, top, enumerate_group(group))
+    steps = _full_walk(_cayley_masks(group, enumerate_group(group)), top)
     per_size = Counter(size for _, size, _ in steps)
     assert per_size == {k: comb(n - 1, k - 1) for k in range(1, top + 1)}
     assert sum(per_size.values()) == visited == sum(comb(n - 1, j) for j in range(top))
@@ -447,7 +470,7 @@ def test_anchored_walk_work_count(spec, top, visited):
 
 def test_anchored_walk_needs_a_positive_size():
     with pytest.raises(ValueError):
-        next(_full_walk(C8, 0, enumerate_group(C8)))
+        next(_full_walk(_cayley_masks(C8, enumerate_group(C8)), 0))
 
 
 PRUNED_PROFILE_CASES = [
@@ -475,11 +498,7 @@ def _full_walk_profile(spec):
     group = parse_group(spec)
     ground = enumerate_group(group)
     n = len(ground)
-    index = {e: i for i, e in enumerate(ground)}
-    reach = [0] * n  # reach[i]: the bitmask of the positions s * ground[i]
-    for i, e in enumerate(ground):
-        for s in group.generating_set:
-            reach[i] |= 1 << index[group.mul(s, e)]
+    reach = _cayley_masks(group, ground)
     least, first = [n + 1] * (top + 1), [0] * (top + 1)
     # (members, S * members, size, least position to add); children go on
     # the stack in reverse, so sets come off it in lexicographic order
