@@ -65,21 +65,25 @@ def _names_from_metric(module) -> tuple[set, dict]:
     return from_metric, functions
 
 
+def _uses_nothing_from_metric(module, name: str) -> None:
+    from_metric, functions = _names_from_metric(module)
+    assert "ball" in from_metric  # lemma31_check and criterion 7 themselves do use it
+    used = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(functions[name])
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+    assert not used & (from_metric | {"metric"}), name
+
+
 def test_word_oracles_use_nothing_imported_from_metric():
-    oracles = [
-        (isoperimetry, "_word_levels"),
-        (acceptance, "_oracle_word_length"),
-        (acceptance, "_distance_one_oracle"),
-    ]
-    for module, name in oracles:
-        from_metric, functions = _names_from_metric(module)
-        assert "ball" in from_metric  # lemma31_check and criterion 7 themselves do use it
-        used = {
-            n.id if isinstance(n, ast.Name) else n.attr
-            for n in ast.walk(functions[name])
-            if isinstance(n, (ast.Name, ast.Attribute))
-        }
-        assert not used & (from_metric | {"metric"}), name
+    for name in ("_oracle_word_length", "_distance_one_oracle"):
+        _uses_nothing_from_metric(acceptance, name)
+
+
+def test_word_ball_uses_nothing_imported_from_metric():
+    # the word levels behind criterion 1's word ball and criterion 7's oracle
+    _uses_nothing_from_metric(isoperimetry, "_word_levels")
 
 
 @pytest.mark.parametrize("fam", FAMILIES)
