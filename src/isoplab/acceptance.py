@@ -22,6 +22,7 @@ from .isoperimetry import (
     admissible,
     boundary_comparison,
     canonical_json,
+    displacement,
     displacement_bound_check,
     half_mass_witness,
     inner_boundary_left,
@@ -131,13 +132,20 @@ def _criterion_lemma31(instances, reports, quick) -> CriterionResult:
 def _criterion_half_mass(instances, reports) -> CriterionResult:
     checked = 0
     failures = 0
-    for ins in instances:
-        if not admissible(ins.group, len(ins.subset)):
+    for group, subset, _ in instances:
+        if not admissible(group, len(subset)):
             continue
-        _, rep = half_mass_witness(ins.group, ins.subset)
+        x, rep = half_mass_witness(group, subset)
         reports.append(rep)
         checked += 1
-        if not rep.verdict:
+        # the witness recounted: it moves lhs points of D, it is not e, and
+        # it lies in B(e, d)
+        recounted = (
+            displacement(group, x, subset) == rep.lhs
+            and x != group.identity()
+            and word_length(group, x) <= rep.d
+        )
+        if not (rep.verdict and recounted):
             failures += 1
     detail = f"{checked} admissible instances, strict witness failures: {failures}"
     return CriterionResult(2, "half-mass witness", checked > 0 and failures == 0, detail)
@@ -271,8 +279,9 @@ def _oracle_word_length(levels: list[set], g: Element) -> Optional[int]:
 
 def _distance_one_oracle(group: Group, subset: FiniteSubset, levels: list[set]) -> frozenset:
     """{a : dist(a, D) = 1} by per-element distance queries against the word
-    levels of radius 2, independent of the S*D construction: dist(a, D) = 1
-    when no a*delta^-1, delta in D, has word length 0 and one has length 1."""
+    levels of radius 1, independent of the S*D construction: dist(a, D) = 1
+    when no a*delta^-1, delta in D, has word length 0 and one has length 1.
+    Such an a lies in B(e, 1) * D, so the queries scan that region alone."""
     mul = group.mul
     inverses = [group.inv(delta) for delta in subset.elements]
     region = {mul(x, delta) for level in levels for x in level for delta in subset.elements}
@@ -296,7 +305,7 @@ def _criterion_oracles(seed, quick) -> CriterionResult:
     checked_a = 0
     for fi, fam in enumerate(FAMILIES):
         group = parse_group(fam)
-        levels = _word_levels(group, 2)
+        levels = _word_levels(group, 1)
         for j in range(per_family_a):
             rng = master.child(20_000 + fi * 1000 + j)
             subset = _random_subset(group, rng, 12, uniform=(j % 2 == 1))

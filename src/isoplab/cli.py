@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success (all verdicts hold), 1 a verdict failed, 2 parse or
-usage error, 3 budget exceeded, 4 precondition violated.  The parser
-declares the defaults, the required flags and growth's two modes.  Machine
+usage error, 3 budget exceeded, 4 precondition violated.  One flag table
+per command declares the defaults, the required flags and growth's two
+modes.  A well-formed line is parsed from the table directly; argparse,
+built from the same table, parses every other line and reports its usage
+errors, so help text and exit codes stay argparse's.  Machine
 formats carry the exact rationals; the human format prints the same
 fractions unrounded.  Every report line echoes the run's settings,
 defaults included.
@@ -10,12 +13,12 @@ defaults included.
 
 from __future__ import annotations
 
-import argparse
 import csv as _csv
 import io
 import os
 import sys
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .acceptance import DEFAULT_SEED, run_acceptance
 from .errors import (
@@ -46,6 +49,9 @@ from .search import (
     sharpness_of_subsets,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
 EXIT_OK = 0
 EXIT_FAILED_VERDICT = 1
 EXIT_PARSE = 2
@@ -64,7 +70,7 @@ def _csv_lines(header: list[str], rows) -> list[str]:
     return buf.getvalue().splitlines()
 
 
-def _emit(args: argparse.Namespace, records, header: list[str], rows, human) -> None:
+def _emit(args: SimpleNamespace, records, header: list[str], rows, human) -> None:
     """Render one command's output in args.format and write it.
 
     records, rows and human are callables returning the JSON records, the
@@ -124,7 +130,7 @@ def _report_lines(reports) -> list[str]:
     return lines
 
 
-def _cmd_growth(args: argparse.Namespace) -> int:
+def _cmd_growth(args: SimpleNamespace) -> int:
     group = parse_group(args.group)
     if args.phi is not None:
         v = args.phi
@@ -148,7 +154,7 @@ def _cmd_growth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _drawn_sets(group, args: argparse.Namespace):
+def _drawn_sets(group, args: SimpleNamespace):
     """The sets of --set, drawn --trials times (once by default) for a random:
     descriptor; --trials with a set that is not drawn exits 2."""
     desc = parse_set_descriptor(args.set)
@@ -160,7 +166,7 @@ def _drawn_sets(group, args: argparse.Namespace):
     return generate_sets(group, desc, trials, ball_cap=args.ball_cap)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     check = args.check
     if check == "lemma31" and args.d is None:
         raise ParseError("verify lemma31 needs --d")
@@ -201,7 +207,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.verdict for r in reports) else EXIT_FAILED_VERDICT
 
 
-def _cmd_profile(args: argparse.Namespace) -> int:
+def _cmd_profile(args: SimpleNamespace) -> int:
     group = parse_group(args.group)
     lo, hi = parse_size_range(args.sizes)
     rows = exhaustive_profile(group, range(lo, hi + 1))
@@ -221,7 +227,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_sharpness(args: argparse.Namespace) -> int:
+def _cmd_sharpness(args: SimpleNamespace) -> int:
     group = parse_group(args.group)
     summary = sharpness_of_subsets(group, _drawn_sets(group, args), ball_cap=args.ball_cap)
     entries = summary.entries
@@ -238,7 +244,7 @@ def _cmd_sharpness(args: argparse.Namespace) -> int:
     return EXIT_OK if all(r.verdict for r in summary.reports) else EXIT_FAILED_VERDICT
 
 
-def _cmd_accept(args: argparse.Namespace) -> int:
+def _cmd_accept(args: SimpleNamespace) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     outcome = run_acceptance(seed, bool(args.quick))
     results = outcome.results
@@ -269,8 +275,8 @@ def _cmd_accept(args: argparse.Namespace) -> int:
 _CONFIG_MINIMUM = {"d": 0, "trials": 1, "max_radius": 0, "phi": 0, "ball_cap": 1}
 
 
-def _check_values(args: argparse.Namespace) -> None:
-    """The usage errors argparse cannot declare: an integer flag below its
+def _check_values(args: SimpleNamespace) -> None:
+    """The usage errors the flag table cannot declare: an integer flag below its
     least value, and an --out path in no directory."""
     for key, least in _CONFIG_MINIMUM.items():
         value = getattr(args, key, None)
@@ -280,77 +286,123 @@ def _check_values(args: argparse.Namespace) -> None:
         raise ParseError(f"cannot write --out {args.out}: no such directory")
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--format", choices=["jsonl", "csv", "human"], default="human")
-    sp.add_argument("--out")
+_FORMATS = ("jsonl", "csv", "human")
+_CHECKS = ("lemma31", "halfmass", "transport", "theorem", "csc", "boundary-cmp")
 
-
-def _add_ball_cap(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--ball-cap", type=int, default=DEFAULT_BALL_CAP)
-
-
-def _add_growth(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--group", required=True)
-    mode = sp.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--max-radius", type=int)
-    mode.add_argument("--phi", type=int,
-                      help="emit the least r with gamma(r) > v instead of a table")
-    _add_common(sp)
-    _add_ball_cap(sp)
-
-
-def _add_verify(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("check", choices=[
-        "lemma31", "halfmass", "transport", "theorem", "csc", "boundary-cmp",
-    ])
-    sp.add_argument("--group", required=True)
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--d", type=int)
-    sp.add_argument("--gamma0")
-    sp.add_argument("--trials", type=int)
-    _add_common(sp)
-    _add_ball_cap(sp)
-
-
+# A flag maps to (type, choices, default, required).  The type is int or
+# str, or None for a switch, which stores True when given; verify's check,
+# the one name without dashes, is a positional argument.
+_STR = (str, None, None, False)
+_INT = (int, None, None, False)
+_REQUIRED = (str, None, None, True)
+_COMMON = {"--format": (str, _FORMATS, "human", False), "--out": _STR}
+_BALL_CAP = {"--ball-cap": (int, None, DEFAULT_BALL_CAP, False)}
 # accept runs fixed instances and profile groups of at most 24 elements,
 # so a cap could only abort them: they take no --ball-cap, and their echo
 # records the default cap
-def _add_profile(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--group", required=True)
-    sp.add_argument("--sizes", required=True)
-    _add_common(sp)
-    sp.set_defaults(ball_cap=DEFAULT_BALL_CAP)
+_DEFAULT_CAP = {"ball_cap": DEFAULT_BALL_CAP}
+_HELP = {"--phi": "emit the least r with gamma(r) > v instead of a table"}
 
-
-def _add_sharpness(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--group", required=True)
-    sp.add_argument("--set", required=True)
-    sp.add_argument("--trials", type=int)
-    _add_common(sp)
-    _add_ball_cap(sp)
-
-
-def _add_accept(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--quick", action="store_true", default=None)
-    sp.add_argument("--seed", type=int)
-    _add_common(sp)
-    sp.set_defaults(ball_cap=DEFAULT_BALL_CAP)  # no --ball-cap: see _add_profile
-
-
-# each command: its help line and the function that adds its arguments
+# each command: its help line, its flags in usage order, the flags of which
+# it needs exactly one, and the settings it fixes without a flag
 _COMMANDS = {
-    "growth": ("growth table or inverse growth value", _add_growth),
-    "verify": ("run one verifier over generated sets", _add_verify),
-    "profile": ("exhaustive isoperimetric profile", _add_profile),
-    "sharpness": ("sharpness factors of the strict bound", _add_sharpness),
-    "accept": ("run the acceptance suite and print a scorecard", _add_accept),
+    "growth": (
+        "growth table or inverse growth value",
+        {"--group": _REQUIRED, "--max-radius": _INT, "--phi": _INT, **_COMMON, **_BALL_CAP},
+        ("--max-radius", "--phi"),
+        {},
+    ),
+    "verify": (
+        "run one verifier over generated sets",
+        {"check": (str, _CHECKS, None, True), "--group": _REQUIRED, "--set": _REQUIRED,
+         "--d": _INT, "--gamma0": _STR, "--trials": _INT, **_COMMON, **_BALL_CAP},
+        (),
+        {},
+    ),
+    "profile": (
+        "exhaustive isoperimetric profile",
+        {"--group": _REQUIRED, "--sizes": _REQUIRED, **_COMMON},
+        (),
+        _DEFAULT_CAP,
+    ),
+    "sharpness": (
+        "sharpness factors of the strict bound",
+        {"--group": _REQUIRED, "--set": _REQUIRED, "--trials": _INT, **_COMMON, **_BALL_CAP},
+        (),
+        {},
+    ),
+    "accept": (
+        "run the acceptance suite and print a scorecard",
+        {"--quick": (None, None, None, False), "--seed": _INT, **_COMMON},
+        (),
+        _DEFAULT_CAP,
+    ),
 }
 
 
+def _parse_well_formed(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace build_parser() gives argv, read from the flag table, or
+    None for a line this loop does not fully understand.
+
+    It understands `COMMAND [CHECK] (--flag VALUE | --flag=VALUE | --switch)...`
+    with each flag at most once, no value starting with "-", every int and
+    choice valid, every required flag given, and exactly one of a command's
+    one-of flags.  argparse parses every other line, so help, usage errors
+    and their exit codes stay its own.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, flags, one_of, fixed = _COMMANDS[argv[0]]
+    rest = argv[1:]
+    given = {}
+    if "check" in flags:
+        if not rest:
+            return None
+        given["check"], rest = rest[0], rest[1:]
+    tokens = iter(rest)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if not name.startswith("--") or name not in flags or name in given:
+            return None
+        if flags[name][0] is None:
+            if eq:
+                return None
+            given[name] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                return None
+        given[name] = value
+    if one_of and sum(name in given for name in one_of) != 1:
+        return None
+    args = {"command": argv[0], **fixed}
+    for name, (kind, choices, default, required) in flags.items():
+        value = given.get(name, default)
+        if name not in given:
+            if required:
+                return None
+        elif kind is not None:
+            if value.startswith("-"):
+                return None
+            if kind is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            if choices is not None and value not in choices:
+                return None
+        args[name.lstrip("-").replace("-", "_")] = value
+    return SimpleNamespace(**args)
+
+
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of `command` alone.  The one-command
-    parser names every command in its usage line, as the full one does.
-    Flags are spelled in full: a prefix is an unrecognized argument."""
+    """The argparse parser of every command, or of `command` alone, built
+    from the flag table.  The one-command parser names every command in its
+    usage line, as the full one does.  Flags are spelled in full: a prefix
+    is an unrecognized argument."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="isoplab",
         allow_abbrev=False,
@@ -361,20 +413,37 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in _COMMANDS if command is None else [command]:
-        help_text, add_arguments = _COMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_text, allow_abbrev=False))
+        help_text, flags, one_of, fixed = _COMMANDS[name]
+        sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        mode = sp.add_mutually_exclusive_group(required=True) if one_of else None
+        for flag, (kind, choices, default, required) in flags.items():
+            if kind is None:
+                sp.add_argument(flag, action="store_true", default=None)
+                continue
+            options = {"choices": choices, "default": default, "help": _HELP.get(flag)}
+            if kind is int:
+                options["type"] = int
+            if flag in one_of:
+                mode.add_argument(flag, **options)
+            elif flag.startswith("--"):
+                sp.add_argument(flag, required=required, **options)
+            else:
+                sp.add_argument(flag, **options)
+        sp.set_defaults(**fixed)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # a run builds only its command's parser; --help, no command and an
-    # unknown command get the full one
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else EXIT_OK
+    args = _parse_well_formed(argv)
+    if args is None:
+        # argparse builds only the command's parser; --help, no command and
+        # an unknown command get the full one
+        parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+        try:
+            args = SimpleNamespace(**vars(parser.parse_args(argv)))
+        except SystemExit as exc:
+            return int(exc.code) if exc.code else EXIT_OK
     try:
         _check_values(args)
         if args.command == "growth":

@@ -382,8 +382,15 @@ def test_a_run_builds_only_its_command_parser(monkeypatch, capsys):
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    # a well-formed line is read from the flag table and builds no parser
     code, _, _ = run(capsys, "profile", "--group", "cyclic:8", "--sizes", "1..3")
-    assert code == 0 and built == ["profile"]
+    assert code == 0 and built == []
+    # a line argparse must report builds its command's parser alone
+    for command, table in BAD_ARGUMENTS.items():
+        for rest in table[:3]:
+            built.clear()
+            code, _, _ = run(capsys, command, *rest)
+            assert code == 2 and built == [command], (command, rest)
 
 
 @pytest.mark.parametrize("argv, needle", [

@@ -52,6 +52,11 @@ CLOSED_GROWTH = {
     **{f"free:{k}": [1 + k * ((2 * k - 1) ** r - 1) // (k - 1) for r in range(7)]
        for k in range(2, 5)},
     **{f"cyclic:{n}": [min(2 * r + 1, n) for r in range(n // 2 + 1)] for n in range(2, 13)},
+    # the Cayley graph of {r, R, s} is the prism C_n x K_2: the rotations
+    # reach min(2r+1, n) points by radius r, the reflections min(2r-1, n)
+    **{f"dihedral:{n}": [1] + [min(2 * r + 1, n) + min(2 * r - 1, n)
+                               for r in range(1, (n + 4) // 2)]
+       for n in range(3, 31)},
     **{f"symmetric:{n}": _mahonian_growth(n) for n in range(3, 6)},
 }
 

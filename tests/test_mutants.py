@@ -8,9 +8,11 @@ open item that closes its gap, so the change that closes it must flip the
 mark.
 """
 
+import inspect
+
 import pytest
 
-from isoplab import isoperimetry, metric, search
+from isoplab import acceptance, isoperimetry, metric, search
 from isoplab.acceptance import _run_criteria
 
 
@@ -23,6 +25,15 @@ def _outer_boundary_right(group, D):
 def _displacement_right(group, x, D):
     """Card(Dx \\ D): the translate with x on the wrong side."""
     return sum(1 for d in D.elements if group.mul(d, x) not in D.member_set)
+
+
+def _edited(module, name, old, new):
+    """module.name recompiled from its source with the one `old` made `new`."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), namespace)
+    return namespace[name]
 
 
 def _phi_not_strict(group, v, *, ball_cap=metric.DEFAULT_BALL_CAP):
@@ -50,6 +61,18 @@ DEFECTS = {
     ),
     "translate on the wrong side": (
         [(isoperimetry, "displacement", _displacement_right)], {1},
+    ),
+    "half-mass scan counting the points that leave D": (
+        [(acceptance, "half_mass_witness", _edited(
+            isoperimetry, "half_mass_witness", "mul(x, y) in members", "mul(x, y) not in members"
+        ))],
+        {2},
+    ),
+    "half-mass scan on the right translate": (
+        [(acceptance, "half_mass_witness", _edited(
+            isoperimetry, "half_mass_witness", "mul(x, y) in members", "mul(y, x) in members"
+        ))],
+        {2},
     ),
 }
 

@@ -2,7 +2,8 @@
 
 The library keeps that import to what it uses: no `dataclasses` (which
 pulls in `inspect`, `ast`, `dis` and `tokenize`), no `statistics` for one
-median, and no `hashlib` at all.  The benchmark's instrumentation, on the other hand, looks up
+median, no `hashlib` at all, and no `argparse` (whose first message lookup
+imports `gettext` and `locale`), which only help and usage errors need.  The benchmark's instrumentation, on the other hand, looks up
 `sys.modules["isoplab.<layer>"]` right after that import, so every module it
 wraps must be loaded by it, not deferred.
 
@@ -29,7 +30,7 @@ wrapped = sorted({{module for module, _ in layers.LAYER_FUNCTIONS.values()}})
 print(json.dumps({{"loaded": loaded, "wrapped": wrapped}}))
 """
 
-NOT_AT_STARTUP = ("dataclasses", "inspect", "hashlib", "statistics")
+NOT_AT_STARTUP = ("dataclasses", "inspect", "hashlib", "statistics", "argparse", "gettext")
 
 
 def import_cli_fresh():
