@@ -54,6 +54,10 @@ class Group:
 
     name: str  # the spec string parse_group reads back
     _brackets = "()"  # of the integer-tuple literal
+    # True when some homomorphism G -> Z/2 sends every generator to 1: then
+    # each generator step changes word length parity, so no step joins two
+    # elements of one ball layer (the Cayley graph is bipartite).
+    bipartite = False
 
     def identity(self) -> Element:
         raise NotImplementedError
@@ -164,6 +168,8 @@ class ZGroup(Group):
     still sees every call.
     """
 
+    bipartite = True  # coordinate sum mod 2
+
     def __new__(cls, rank: int = 0):
         # rank has a default because copy and pickle call __new__ without it
         if cls is ZGroup:
@@ -238,6 +244,7 @@ class CyclicGroup(Group):
         if n < 2:
             raise ParseError(f"cyclic order must be >= 2, got {n}")
         self.n = n
+        self.bipartite = n % 2 == 0  # the residue mod 2
         self.name = f"cyclic:{n}"
 
     def identity(self):
@@ -283,6 +290,7 @@ class DihedralGroup(Group):
         if n < 3:
             raise ParseError(f"dihedral parameter must be >= 3, got {n}")
         self.n = n
+        self.bipartite = n % 2 == 0  # i + j mod 2 for r^i s^j
         self.name = f"dihedral:{n}"
 
     def identity(self):
@@ -332,6 +340,8 @@ class FreeGroup(Group):
     FREE_LETTERS (a..z without e), uppercase for its inverse; "e" is
     reserved for the identity.  The letter grammar bounds the rank at 25.
     """
+
+    bipartite = True  # word length mod 2
 
     def __init__(self, rank: int):
         if rank < 1:
@@ -426,6 +436,7 @@ class HeisenbergGroup(Group):
             raise ParseError(f"heisenberg modulus must be >= 2, got {modulus}")
         self.modulus = modulus
         self.name = "heisenberg" if modulus is None else f"heisenberg:{modulus}"
+        self.bipartite = modulus is None or modulus % 2 == 0  # a + b mod 2
 
     def identity(self):
         return (0, 0, 0)
@@ -474,6 +485,7 @@ class SymmetricGroup(Group):
     """
 
     _brackets = "[]"
+    bipartite = True  # the sign of the permutation
 
     def __init__(self, n: int):
         if n < 3:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import InternalContradiction, PreconditionViolated
@@ -35,10 +34,12 @@ class FiniteSubset:
 
     The constructor trusts that `elements` is a tuple of valid, distinct
     elements in `group.sort_key` order; `from_iterable` validates, dedups
-    and sorts input from outside."""
+    and sorts input from outside.  `member_set` is built with the set: a
+    cached_property would take its lock on each subset's first read."""
 
     def __init__(self, group: Group, elements: tuple[Element, ...], provenance: str):
         self.group, self.elements, self.provenance = group, elements, provenance
+        self.member_set = frozenset(elements)
 
     @classmethod
     def from_iterable(cls, group: Group, elems: Iterable[Element], provenance: str) -> "FiniteSubset":
@@ -46,10 +47,6 @@ class FiniteSubset:
         for e in unique:
             group.validate(e)
         return cls(group, tuple(unique), provenance)
-
-    @cached_property
-    def member_set(self) -> frozenset:
-        return frozenset(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -102,7 +99,7 @@ class VerificationReport:
         if self.gamma0 is not None:
             out["gamma0"] = self.gamma0
         if self.extra:
-            out["extra"] = dict(sorted(self.extra.items()))
+            out["extra"] = dict(self.extra)  # canonical_json sorts its keys
         return out
 
 

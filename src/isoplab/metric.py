@@ -10,7 +10,11 @@ A table is its sorted layers alone: one flat list of the elements in layer
 order, and the end of each layer in that list.  BFS needs no record of the
 whole ball: S is symmetric, so s*g with g in layer k lies in layer k-1, k
 or k+1, and a new layer is the products of the last one minus the last two
-layers.  The element -> layer index behind `in`, layer_of and parent is
+layers.  In a bipartite Cayley graph (Group.bipartite: free groups, Z^k,
+symmetric groups, the integer and even-modulus Heisenberg groups, cyclic
+and dihedral groups of even n) a parity map G -> Z/2 sends every generator
+to 1, so s*g never lies in layer k and the layer behind alone is enough.
+The element -> layer index behind `in`, layer_of and parent is
 built the first time a membership query needs it, and brought up to date
 with the layers added since when a later query needs those.
 
@@ -33,7 +37,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from itertools import groupby, islice, repeat
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Callable, Iterator
 
 from .errors import BudgetExceeded, InternalContradiction, Unattainable
@@ -95,8 +99,11 @@ def _grow(group: Group, done: Done, elements: list, ends: list, *, ball_cap: int
 
     A layer is built generator-major: each generator s in turn multiplies
     the whole previous layer, s*g for g in layer order, keeping the
-    products outside a set of the last two layers.  The candidates are then
-    sorted once and adjacent repeats dropped.  Left multiplication by one
+    products outside a set of the last two layers, or of the layer behind
+    the previous one alone when the group is bipartite (no generator step
+    stays inside a layer there).  The candidates are then sorted once and
+    adjacent repeats dropped, in a second pass only if the sort put some
+    next to each other.  Left multiplication by one
     generator keeps the canonical order in the free, lattice and Heisenberg
     families, so the sort meets a few sorted runs.  The cap is checked after
     each generator's batch, on the candidates without repeats once their
@@ -112,12 +119,13 @@ def _grow(group: Group, done: Done, elements: list, ends: list, *, ball_cap: int
         ends.append(1)
     gens = group.generating_set
     mul = group.mul
+    bipartite = group.bipartite
     while True:
         level = len(ends)
         start, end = ends[-2] if level > 1 else 0, ends[-1]
         if done(level - 1, elements, start, end):
             return ends, False, elements
-        near = set(elements[ends[-3] if level > 2 else 0 : end])
+        near = set(elements[ends[-3] if level > 2 else 0 : start if bipartite else end])
         last = elements[start:end]
         room = ball_cap - end
         frontier: list = []
@@ -131,7 +139,10 @@ def _grow(group: Group, done: Done, elements: list, ends: list, *, ball_cap: int
         if not frontier:
             return ends, True, elements
         frontier.sort()  # one word length: the canonical order (see groups)
-        elements.extend(map(itemgetter(0), groupby(frontier)))
+        if any(map(eq, frontier, islice(frontier, 1, None))):
+            elements.extend(map(itemgetter(0), groupby(frontier)))
+        else:
+            elements += frontier
         ends.append(len(elements))
 
 

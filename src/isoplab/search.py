@@ -51,7 +51,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import BudgetExceeded, ParseError, PreconditionViolated
+from .errors import BudgetExceeded, InternalContradiction, ParseError, PreconditionViolated
 from .groups import Element, Group, ZGroup
 from .isoperimetry import FiniteSubset, VerificationReport, admissible, verify_theorem
 from .metric import DEFAULT_BALL_CAP, ball, enumerate_group, minimal_d, phi
@@ -152,6 +152,8 @@ def _sample_uniform_in_ball(group: Group, desc: SetDescriptor, *, ball_cap: int)
         raise PreconditionViolated(
             f"random size {desc.size} exceeds ball size {len(pool)} at radius {radius}"
         )
+    if len(set(pool)) < len(pool):  # the draws below would never end
+        raise InternalContradiction(f"{group.name}: the ball of radius {radius} repeats an element")
     chosen: set = set()
     while len(chosen) < desc.size:
         chosen.add(pool[rng.below(len(pool))])

@@ -25,6 +25,7 @@ from isoplab import (
     enumerate_group,
     geodesic_word,
     growth,
+    isoperimetry,
     metric,
     minimal_d,
     parse_group,
@@ -415,3 +416,34 @@ def test_growth_peak_bytes_per_ball_element(spec, radius, bound):
         if started:
             tracemalloc.stop()
     assert peak / size < bound, (size, peak)
+
+
+# spec -> radius of the compared ball for the infinite groups; a finite
+# group is compared whole
+WORD_LEVEL_GROUPS = {
+    "z": 12, "zd:2": 8, "zd:3": 5, "free:1": 10, "free:2": 6, "free:3": 5, "heisenberg": 5,
+    **{f"heisenberg:{m}": None for m in range(2, 6)},
+    **{f"cyclic:{n}": None for n in range(2, 25)},
+    **{f"dihedral:{n}": None for n in range(3, 16)},
+    **{f"symmetric:{n}": None for n in range(3, 6)},
+}
+
+
+@pytest.mark.parametrize("spec", sorted(WORD_LEVEL_GROUPS))
+def test_layers_match_word_levels_and_bipartite_flag(spec):
+    """A table grown from nothing has the word levels of plain
+    multiplication as its layers, whether _grow filters against one layer
+    (bipartite groups) or two; and Group.bipartite holds exactly when no
+    generator step joins two elements of one layer."""
+    group = parse_group(spec)
+    radius = WORD_LEVEL_GROUPS[spec]
+    if radius is None:
+        radius = group.order()  # past saturation
+    levels = isoperimetry._word_levels(group, radius)
+    forget(group)
+    table = ball(group, radius)
+    expected = tuple(tuple(sorted(level, key=group.sort_key)) for level in levels)
+    assert table.layers == expected + ((),) * (radius + 1 - len(levels))
+    mul, gens = group.mul, group.generating_set
+    inside = any(mul(s, x) in level for level in levels for x in level for s in gens)
+    assert group.bipartite is not inside

@@ -1,8 +1,11 @@
 """Seeded defects and the acceptance criteria that must catch them.
 
 Each case installs one plausible wrong edit by monkeypatching and runs one
-quick pass of the seven criteria for seed 7.  A caught defect must fail
-every criterion listed for it.  A defect that no criterion catches is a
+quick pass of the seven criteria for seed 7, from an empty ball-table
+cache so that an edit of the BFS builds every table it is asked for.  A
+caught defect must fail every criterion listed for it, or stop the pass
+with the error listed for it (`accept` then exits 1, a falsified
+construction).  A defect that no criterion catches is a
 finding, not a case to drop: it is marked `xfail(strict=True)` with the
 open item that closes its gap, so the change that closes it must flip the
 mark.
@@ -12,7 +15,7 @@ import inspect
 
 import pytest
 
-from isoplab import acceptance, isoperimetry, metric, search
+from isoplab import InternalContradiction, acceptance, isoperimetry, metric, search
 from isoplab.acceptance import _run_criteria
 
 
@@ -74,6 +77,16 @@ DEFECTS = {
         ))],
         {2},
     ),
+    # Layer k-1 reappears in layer k+1, so a ball lists elements twice: the
+    # first uniform sample of z meets its repeat check, before any criterion.
+    "bipartite layer checked against the layer it grows from": (
+        [(metric, "_grow", _edited(
+            metric, "_grow",
+            "ends[-3] if level > 2 else 0 : start if bipartite else end",
+            "start if bipartite else ends[-3] if level > 2 else 0 : end",
+        ))],
+        InternalContradiction,
+    ),
 }
 
 # ROADMAP open items that own the gaps no criterion covers yet
@@ -91,8 +104,13 @@ UNCAUGHT = {
 ])
 def test_seeded_defect_fails_its_criteria(monkeypatch, name):
     patches, must_fail = DEFECTS[name]
+    monkeypatch.setattr(metric, "_tables", {})
     for module, attr, wrong in patches:
         monkeypatch.setattr(module, attr, wrong)
+    if isinstance(must_fail, type):
+        with pytest.raises(must_fail):
+            _run_criteria(7, True)
+        return
     results, _ = _run_criteria(7, True)
     failed = {res.index for res in results if not res.passed}
     assert failed, f"no criterion catches: {name}"
