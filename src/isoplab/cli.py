@@ -396,11 +396,9 @@ def _parse_well_formed(argv: list[str]) -> Optional[SimpleNamespace]:
     return SimpleNamespace(**args)
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The argparse parser of every command, or of `command` alone, built
-    from the flag table.  The one-command parser names every command in its
-    usage line, as the full one does.  Flags are spelled in full: a prefix
-    is an unrecognized argument."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every command, built from the flag table.
+    Flags are spelled in full: a prefix is an unrecognized argument."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -409,11 +407,8 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         description="Exact word metrics, boundaries, and isoperimetric verification "
                     "on Cayley graphs of concrete finitely generated groups.",
     )
-    # a metavar on the full parser would rename the command in its errors
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else [command]:
-        help_text, flags, one_of, fixed = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags, one_of, fixed) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text, allow_abbrev=False)
         mode = sp.add_mutually_exclusive_group(required=True) if one_of else None
         for flag, (kind, choices, default, required) in flags.items():
@@ -437,11 +432,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _parse_well_formed(argv)
     if args is None:
-        # argparse builds only the command's parser; --help, no command and
-        # an unknown command get the full one
-        parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
         try:
-            args = SimpleNamespace(**vars(parser.parse_args(argv)))
+            args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
         except SystemExit as exc:
             return int(exc.code) if exc.code else EXIT_OK
     try:

@@ -69,12 +69,15 @@ class _Table:
         self.index, self.indexed = {}, 0
 
     def depth(self, layers: int) -> dict:
-        """The index, extended first to cover at least `layers` layers."""
+        """The index, extended first to cover at least `layers` layers;
+        InternalContradiction if two layers share an element."""
         if self.indexed < layers:
             with _tables_lock:
                 elements, ends, index = self.elements, self.ends, self.index
                 for k in range(self.indexed, len(ends)):
                     index.update(zip(elements[ends[k - 1] if k else 0 : ends[k]], repeat(k)))
+                if len(index) != ends[-1]:
+                    raise InternalContradiction("BFS layers list an element twice")
                 self.indexed = len(ends)
         return self.index
 

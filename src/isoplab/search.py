@@ -48,7 +48,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import BudgetExceeded, InternalContradiction, ParseError, PreconditionViolated
@@ -166,6 +165,16 @@ def _sample_connected(group: Group, desc: SetDescriptor, *, ball_cap: int) -> Fi
         raise BudgetExceeded(
             f"{group.name}: connected sample outgrew cap {ball_cap}", size=1, cap=ball_cap
         )
+    # every draw reaches min(size, order) members, so the running check
+    # below would trip on a larger need after some pick
+    order = group.order()
+    need = desc.size if order is None else min(desc.size, order)
+    if need > ball_cap:
+        raise BudgetExceeded(
+            f"{group.name}: {desc.text} needs {need} elements, above cap {ball_cap}",
+            size=need,
+            cap=ball_cap,
+        )
     mul = group.mul
     sort_key = group.sort_key
     gens = group.generating_set
@@ -217,7 +226,8 @@ def generate_sets(
     range of an exhaustive descriptor, every interval of z in that of an
     interval descriptor, a single set for the others.  An interval range
     whose largest set holds more than ball_cap elements is refused before
-    its first set.
+    its first set, and a connected random set that must hold more before
+    its first pick.
 
     A random descriptor with trials > 1 runs that many independent draws,
     trial t seeded with child t of the descriptor seed; otherwise it draws
@@ -480,25 +490,18 @@ def exhaustive_profile(group: Group, sizes: Iterable[int]) -> list[ProfileRow]:
 
 
 class SharpnessSummary:
-    """Per-set sharpness factors (lhs/rhs of the strict bound) and their
-    minimum and median, all exact."""
+    """Per-set sharpness factors (lhs/rhs of the strict bound) of at least
+    one report, and their minimum and median, all exact."""
 
     def __init__(self, reports: tuple[VerificationReport, ...]):
         self.reports = reports
-
-    @cached_property
-    def entries(self) -> tuple[tuple[str, Fraction], ...]:
-        return tuple((r.set_descriptor, r.sharpness) for r in self.reports)
-
-    @property
-    def min_factor(self) -> Fraction:
-        return min(f for _, f in self.entries)
-
-    @property
-    def median_factor(self) -> Fraction:
+        self.entries = tuple((r.set_descriptor, r.sharpness) for r in reports)
         factors = sorted(f for _, f in self.entries)
         mid = len(factors) // 2
-        return factors[mid] if len(factors) % 2 else (factors[mid - 1] + factors[mid]) / 2
+        self.min_factor = factors[0]
+        self.median_factor = (
+            factors[mid] if len(factors) % 2 else (factors[mid - 1] + factors[mid]) / 2
+        )
 
     def to_json_dict(self) -> dict:
         mn, md = self.min_factor, self.median_factor

@@ -133,10 +133,19 @@ def unitriangular_matmul(p, q):
 
 def sample_connected_by_resort(group, desc, *, ball_cap):
     """The connected random set of a `random:<size>:<seed>` descriptor,
-    re-sorting the whole frontier after every pick."""
+    re-sorting the whole frontier after every pick; a set that must hold
+    more than ball_cap elements is refused before the first pick."""
     mul = group.mul
     gens = group.generating_set
     rng = SplitMix64(desc.seed)
+    order = group.order()
+    need = desc.size if order is None else min(desc.size, order)
+    if need > ball_cap:
+        raise BudgetExceeded(
+            f"{group.name}: {desc.text} needs {need} elements, above cap {ball_cap}",
+            size=need,
+            cap=ball_cap,
+        )
     members = {group.identity()}
     frontier = sorted(
         {mul(s, group.identity()) for s in gens} - members, key=group.sort_key

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -365,6 +366,29 @@ def test_free_mul_cancellation_examples():
 INVALID_FREE2_WORDS = [
     (3,), (3, 1), b"\x00", b"\x05", b"\x03\x00", bytes((3, 2)), bytes((1, 4)), bytes((4, 3, 2, 1)),
 ]
+
+
+# one tuple per family that breaks a rule of its validate: as text for
+# Group.parse, as the tuple itself, and the words of validate's message
+INVALID_TUPLES = [
+    ("dihedral:5", "(5,0)", (5, 0), "need (i, j)"),
+    ("dihedral:5", "(0,2)", (0, 2), "need (i, j)"),
+    ("heisenberg:3", "(0,0,3)", (0, 0, 3), "coordinates must lie in 0..2"),
+    ("heisenberg", "(1,2)", (1, 2), "need an integer 3-tuple"),
+    ("zd:2", "(1,x)", (1, "x"), "need an integer 2-tuple"),
+    ("symmetric:3", "[2,2,1]", (2, 2, 1), "is not a permutation"),
+]
+
+
+@pytest.mark.parametrize("spec, text, element, words", INVALID_TUPLES, ids=[
+    f"{spec} {text}" for spec, text, _, _ in INVALID_TUPLES
+])
+def test_validate_rejects_bad_tuples(spec, text, element, words):
+    group = parse_group(spec)
+    with pytest.raises(ParseError):
+        group.parse(text)
+    with pytest.raises(ParseError, match=re.escape(words)):
+        group.validate(element)
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ import inspect
 
 import pytest
 
-from isoplab import InternalContradiction, acceptance, isoperimetry, metric, search
+from isoplab import InternalContradiction, acceptance, isoperimetry, metric, parse_group, search
 from isoplab.acceptance import _run_criteria
 
 
@@ -115,3 +115,15 @@ def test_seeded_defect_fails_its_criteria(monkeypatch, name):
     failed = {res.index for res in results if not res.passed}
     assert failed, f"no criterion catches: {name}"
     assert must_fail is None or must_fail <= failed, (name, failed)
+
+
+def test_a_table_listing_an_element_twice_is_refused(monkeypatch):
+    # the bipartite-layer defect lists layer 2 of z again in layer 4, so the
+    # element -> layer index is shorter than the table; without that check
+    # layer_of((0,)) read the later layer, 4
+    monkeypatch.setattr(metric, "_tables", {})
+    for module, attr, wrong in DEFECTS["bipartite layer checked against the layer it grows from"][0]:
+        monkeypatch.setattr(module, attr, wrong)
+    table = metric.ball(parse_group("z"), 4)
+    with pytest.raises(InternalContradiction, match="BFS layers list an element twice"):
+        table.layer_of((0,))

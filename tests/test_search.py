@@ -269,15 +269,24 @@ def test_connected_sampler_past_the_group_order_matches_oracle(spec, seed, exces
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sampled_from(SAMPLER_FAMILIES), SEEDS, st.integers(1, 30), st.integers(1, 30))
-def test_connected_sampler_budget_matches_oracle(spec, seed, cap, excess):
+@given(st.sampled_from(SAMPLER_FAMILIES), SEEDS, st.integers(1, 30), st.integers(1, 60))
+@example("free:2", 1, 6, 5)  # the running check stops a draw the cap could hold
+@example("cyclic:5", 1, 7, 10)  # past the order but within the cap: exit 4
+@example("cyclic:5", 1, 3, 10)  # past the order and the cap: refused at once
+def test_connected_sampler_budget_matches_oracle(spec, seed, cap, size):
+    # sizes on both sides of the cap: a draw that must hold more than cap
+    # elements is refused before its first pick, and the running check on
+    # members and frontier stops others
     group = parse_group(spec)
-    size = min(cap + excess, group.order() or cap + excess)
     desc = parse_set_descriptor(f"random:{size}:{seed}")
     got = _sampled(_sample_connected, group, desc, cap)
     assert got == _sampled(sample_connected_by_resort, group, desc, cap)
-    if size > cap:
-        assert got[0] is BudgetExceeded and got[3] == cap and got[2] > cap
+    need = min(size, group.order() or size)
+    if need > cap:
+        message = f"{spec}: {desc.text} needs {need} elements, above cap {cap}"
+        assert got == (BudgetExceeded, message, need, cap)
+    elif got[0] is BudgetExceeded:
+        assert got[3] == cap and got[2] > cap
 
 
 TRUSTED_FAMILIES = [
