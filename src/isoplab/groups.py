@@ -1,12 +1,11 @@
 """Concrete finitely generated groups with exact, canonical element arithmetic.
 
-Every family fixes a canonical encoding for its elements (plain ints, int
-tuples, and byte strings for free words), so group equality is encoding
-equality and elements can live in sets and dicts.  A free word of rank k
-is a `bytes` string of letter codes: letter i in 1..k is code k + i and
-its inverse is code k + 1 - i; FreeGroup says why.  All arithmetic is
-exact; Python integers never wrap.  The symmetric
-generating set of each family is fixed at construction:
+Every family fixes a canonical encoding for its elements (plain ints and
+int tuples; a free word is one int of letter digits under a marker bit,
+FreeGroup says how and why), so group equality is encoding equality and
+elements can live in sets and dicts.  All arithmetic is exact; Python
+integers never wrap.  The symmetric generating set of each family is fixed
+at construction:
 
     z, zd:<k>        standard basis vectors and their inverses (2k elements)
     cyclic:<n>       +1 and -1 (a single element when n = 2)
@@ -17,10 +16,9 @@ generating set of each family is fixed at construction:
 
 No generating set contains the identity; involutions appear once, and
 Card(S) counts distinct elements.  The canonical order, the tie-breaker
-wherever determinism matters, is the elements' natural order, except that
-free words go by length first (shortlex); `Group.sort_key` is its key.  A
-free word's length is its word length, so elements of equal word length
-are in canonical order when sorted plainly, without a key.
+wherever determinism matters, is the elements' natural order in every
+family; for free words that order is shortlex.  `Group.sort_key` is its
+key, the element itself.
 
 A group's `name` is its spec string, which `parse_group` reads back; it is
 also `Group.key`, by which groups compare and hash.  Elements are written
@@ -41,7 +39,7 @@ from typing import Optional, Union
 
 from .errors import ParseError
 
-Element = Union[int, tuple, bytes]
+Element = Union[int, tuple]
 
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
@@ -77,7 +75,7 @@ class Group:
         raise NotImplementedError
 
     def sort_key(self, e: Element):
-        """Key of the canonical order: the element itself, outside free groups."""
+        """Key of the canonical order: the element itself, in every family."""
         return e
 
     def parse(self, text: str) -> Element:
@@ -329,16 +327,20 @@ class DihedralGroup(Group):
 class FreeGroup(Group):
     """Free group of given rank; elements are reduced words.
 
-    A word is a `bytes` string of letter codes with no adjacent inverse
-    pair: letter i in 1..rank is code rank + i and its inverse ~i is code
-    rank + 1 - i.  So a code and its inverse sum to 2*rank + 1, and the
-    codes keep the letter order ~rank < ... < ~1 < 1 < ... < rank.  A word
-    is bytes, not a tuple of ints, because a ball holds millions of them:
-    bytes take about a third less memory (41 bytes against 104 at length 8),
-    cache their hash, compare with memcmp and are not tracked by the
-    garbage collector.  Letter i prints as the i-th character of
-    FREE_LETTERS (a..z without e), uppercase for its inverse; "e" is
-    reserved for the identity.  The letter grammar bounds the rank at 25.
+    A word c1 ... cn is one int: a marker bit, then one b-bit digit per
+    letter with the first letter in the highest digit, so the identity is 1
+    and appending a letter of digit d to w gives (w << b) | d.  With k the
+    rank and b = (2k - 1).bit_length(), letter i in 1..k is digit k - 1 + i
+    and its inverse ~i is digit k - i.  So a digit and its inverse's sum to
+    2k - 1, and the digits keep the letter order ~k < ... < ~1 < 1 < ... < k.
+    Plain int order is then shortlex: the marker puts a longer word above a
+    shorter one, and words of one length compare as their digit strings.  A
+    word is an int because a ball holds millions of them: an int below 2**60
+    takes a 32-byte block (free:3 words up to length 19), where a bytes
+    string of length 8 takes 48 and an int tuple 104.  Letter i prints as
+    the i-th character of FREE_LETTERS (a..z without e), uppercase for its
+    inverse; "e" is reserved for the identity.  The letter grammar bounds
+    the rank at 25.
     """
 
     bipartite = True  # word length mod 2
@@ -352,62 +354,73 @@ class FreeGroup(Group):
             )
         self.rank = rank
         self.name = f"free:{rank}"
-        self._pair = 2 * rank + 1  # the sum of a code and its inverse's
-        inverse = bytearray(range(256))
-        letters = bytearray(range(256))
-        for i, ch in enumerate(FREE_LETTERS[:rank], 1):
-            inverse[rank + i], inverse[rank + 1 - i] = rank + 1 - i, rank + i
-            letters[rank + i], letters[rank + 1 - i] = ord(ch), ord(ch.upper())
-        self._inverse_table = bytes(inverse)  # bytes.translate tables
-        self._letter_table = bytes(letters)
+        self._pair = pair = 2 * rank - 1  # the sum of a digit and its inverse's
+        self._bits = bits = pair.bit_length()
+        self._mask = mask = (1 << bits) - 1
+        # mul's test reads one tuple: the digit width and mask, and what a's
+        # last digit plus b's marker and first digit sum to when they cancel
+        self._seam = (bits, mask, pair + (1 << bits))
+        letters = FREE_LETTERS[:rank]
+        self._letters = letters[::-1].upper() + letters  # indexed by digit
 
     def identity(self):
-        return b""
+        return 1
 
-    def mul(self, a, b):
+    def mul(self, a, b, _bit_length=int.bit_length):
+        top = _bit_length(b) - 1  # b's marker bit
+        bits, mask, cancel = self._seam
+        if top < bits or (a & mask) + (b >> (top - bits)) != cancel:
+            return b + ((a - 1) << top)  # nothing cancels, or b is 1
+        # a's last letter cancels b's first (or a is 1): strip inverse pairs
         pair = self._pair
-        if not a or not b or a[-1] + b[0] != pair:
-            return a + b  # nothing cancels
-        i = len(a)
-        j = 0
-        while i > 0 and j < len(b) and a[i - 1] + b[j] == pair:
-            i -= 1
-            j += 1
-        return a[:i] + b[j:]
+        while top and a > 1 and (a & mask) + ((b >> (top - bits)) & mask) == pair:
+            a >>= bits
+            top -= bits
+        return (b & ((1 << top) - 1)) + (a << top)
 
     def inv(self, a):
-        return a[::-1].translate(self._inverse_table)
+        bits, pair, mask = self._bits, self._pair, self._mask
+        out = 1
+        while a > 1:
+            out = (out << bits) | (pair - (a & mask))
+            a >>= bits
+        return out
 
-    def sort_key(self, e):
-        """Shortlex: by length, then naturally."""
-        return (len(e), e)
+    def _digits(self, e):
+        """The digits of word e, last letter first."""
+        bits, mask = self._bits, self._mask
+        out = []
+        while e > 1:
+            out.append(e & mask)
+            e >>= bits
+        return out
 
     def order(self):
         return None
 
     def validate(self, e):
-        if not isinstance(e, bytes):
-            raise ParseError(f"{self.name}: need a word of letter codes (bytes), got {e!r}")
-        if e and not (0 < min(e) and max(e) < self._pair):
-            raise ParseError(f"{self.name}: word {e!r} has a code outside 1..{self._pair - 1}")
-        for x, y in zip(e, e[1:]):
-            if x + y == self._pair:
-                raise ParseError(f"{self.name}: word {self.format(e)!r} is not reduced")
+        if type(e) is not int:  # a bool too: True == 1 would pass as the identity
+            raise ParseError(f"{self.name}: need a word as an int, got {e!r}")
+        if e < 1 or (e.bit_length() - 1) % self._bits:
+            raise ParseError(
+                f"{self.name}: {e!r} is not a marker bit above whole {self._bits}-bit digits"
+            )
+        digits = self._digits(e)
+        if digits and max(digits) > self._pair:
+            raise ParseError(f"{self.name}: {e!r} has a digit outside 0..{self._pair}")
+        if any(x + y == self._pair for x, y in zip(digits, digits[1:])):
+            raise ParseError(f"{self.name}: word {self.format(e)!r} is not reduced")
 
     def generator_tokens(self):
-        rank = self.rank
-        letters = FREE_LETTERS[:rank]
-        return {
-            "e": b"",
-            **{ch: bytes((rank + i,)) for i, ch in enumerate(letters, 1)},
-            **{ch.upper(): bytes((rank + 1 - i,)) for i, ch in enumerate(letters, 1)},
-        }
+        marker, letters = 1 << self._bits, FREE_LETTERS[: self.rank]
+        return {"e": 1, **{ch: marker | self._letters.index(ch) for ch in letters + letters.upper()}}
 
     def parse(self, text):
         return self.parse_word(text)  # reduced as it is read
 
     def format(self, e):
-        return e.translate(self._letter_table).decode() if e else "e"
+        letters = self._letters
+        return "".join([letters[d] for d in reversed(self._digits(e))]) or "e"
 
 
 class HeisenbergGroup(Group):

@@ -43,10 +43,10 @@ class FiniteSubset:
 
     @classmethod
     def from_iterable(cls, group: Group, elems: Iterable[Element], provenance: str) -> "FiniteSubset":
-        unique = sorted(set(elems), key=group.sort_key)
+        unique = dict.fromkeys(elems)  # validated before sorting: other types may not compare
         for e in unique:
             group.validate(e)
-        return cls(group, tuple(unique), provenance)
+        return cls(group, tuple(sorted(unique, key=group.sort_key)), provenance)
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -176,23 +176,19 @@ def _sample_connected(group: Group, desc: SetDescriptor, *, ball_cap: int) -> Fi
             cap=ball_cap,
         )
     mul = group.mul
-    sort_key = group.sort_key
     gens = group.generating_set
     members = {group.identity()}
-    # frontier: every s*m outside members, in the canonical order; keys[i]
-    # is sort_key(frontier[i]).  Distinct elements have distinct keys, so one
-    # bisect both places a new element and finds one already there.
+    # frontier: every s*m outside members, in the canonical order, which is
+    # the elements' natural order in every family; so one bisect both places
+    # a new element and finds one already there.
     frontier: list[Element] = []
-    keys: list = []
 
     def grow(g: Element) -> None:
         for s in gens:
             h = mul(s, g)
             if h not in members:
-                k = sort_key(h)
-                j = bisect_left(keys, k)
-                if j == len(keys) or keys[j] != k:
-                    keys.insert(j, k)
+                j = bisect_left(frontier, h)
+                if j == len(frontier) or frontier[j] != h:
                     frontier.insert(j, h)
 
     grow(group.identity())
@@ -203,7 +199,6 @@ def _sample_connected(group: Group, desc: SetDescriptor, *, ball_cap: int) -> Fi
             )
         i = rng.below(len(frontier))
         pick = frontier.pop(i)
-        del keys[i]
         members.add(pick)
         grow(pick)
         if len(members) + len(frontier) > ball_cap:
@@ -212,7 +207,7 @@ def _sample_connected(group: Group, desc: SetDescriptor, *, ball_cap: int) -> Fi
                 size=len(members) + len(frontier),
                 cap=ball_cap,
             )
-    return FiniteSubset(group, tuple(sorted(members, key=sort_key)), desc.text)
+    return FiniteSubset(group, tuple(sorted(members)), desc.text)
 
 
 def generate_sets(

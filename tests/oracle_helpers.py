@@ -19,8 +19,12 @@ fresh BFS for every query and walk stored parent links, as the library did
 before it kept one growth table per group; they sort each layer by
 `encoding_order_key`, the canonical order's key as it was first defined.
 The free group's product oracle is the seam-cancelling loop without the
-no-cancellation fast path.  The lemma 3.1 oracle computes route A with one
-`Fraction` per point, as the library did before it summed integer counts.
+no-cancellation fast path, on words of letter codes; `BytesFreeGroup`
+keeps the whole free group as it was when words were those codes as
+`bytes`, with a shortlex `sort_key`, and `free_word_codes` and
+`free_word_int` map its words to FreeGroup's ints and back.  The lemma
+3.1 oracle computes route A with one `Fraction` per point, as the library
+did before it summed integer counts.
 """
 
 from fractions import Fraction
@@ -30,7 +34,10 @@ from isoplab import (
     BudgetExceeded,
     CyclicGroup,
     FiniteSubset,
+    FreeGroup,
+    Group,
     InternalContradiction,
+    ParseError,
     PreconditionViolated,
     ProfileRow,
     SplitMix64,
@@ -43,13 +50,23 @@ from isoplab import (
     phi,
     word_length,
 )
+from isoplab.groups import FREE_LETTERS
 
 
 def encoding_order_key(group):
     """Key function of the canonical order as first defined: (len(enc), enc),
-    where enc is the element's tuple encoding, (e,) for a residue."""
+    where enc is the element's tuple encoding, (e,) for a residue, and a free
+    word's tuple of letter codes, decoded from its digits."""
     if isinstance(group, CyclicGroup):
         return lambda e: (1, (e,))
+    if isinstance(group, FreeGroup):
+        rank = group.rank
+
+        def key(e):
+            codes = tuple(free_word_codes(rank, e))
+            return (len(codes), codes)
+
+        return key
     return lambda e: (len(e), e)
 
 
@@ -97,6 +114,110 @@ def free_mul_by_loop(a, b, rank):
     return a[:i] + b[j:]
 
 
+def free_word_codes(rank, e):
+    """The letter codes c1 ... cn of the free:rank word e, first letter
+    first, read from e's digits: code c is digit c - 1 (BytesFreeGroup's
+    encoding of the same word is bytes of these codes)."""
+    bits = (2 * rank - 1).bit_length()
+    n, extra = divmod(e.bit_length() - 1, bits)
+    assert e >= 1 and extra == 0, e
+    return bytes((e >> (bits * (n - 1 - i)) & ((1 << bits) - 1)) + 1 for i in range(n))
+
+
+def free_word_int(rank, codes):
+    """The int of the free:rank word with letter codes c1 ... cn: a marker
+    bit, then the digit c - 1 of each letter, first letter highest."""
+    bits = (2 * rank - 1).bit_length()
+    return sum((c - 1) << (bits * (len(codes) - 1 - i)) for i, c in enumerate(codes)) | (
+        1 << (bits * len(codes))
+    )
+
+
+class BytesFreeGroup(Group):
+    """Free group of given rank; elements are reduced words.
+
+    The reference encoding that FreeGroup's ints replaced, kept verbatim:
+    a word is a `bytes` string of letter codes with no adjacent inverse
+    pair: letter i in 1..rank is code rank + i and its inverse ~i is code
+    rank + 1 - i.  So a code and its inverse sum to 2*rank + 1, and the
+    codes keep the letter order ~rank < ... < ~1 < 1 < ... < rank.  Its
+    canonical order is shortlex, through its own `sort_key`.
+    """
+
+    bipartite = True  # word length mod 2
+
+    def __init__(self, rank: int):
+        if rank < 1:
+            raise ParseError(f"free rank must be >= 1, got {rank}")
+        if rank > len(FREE_LETTERS):
+            raise ParseError(
+                f"free rank above {len(FREE_LETTERS)} is not supported by the letter grammar"
+            )
+        self.rank = rank
+        self.name = f"free:{rank}"
+        self._pair = 2 * rank + 1  # the sum of a code and its inverse's
+        inverse = bytearray(range(256))
+        letters = bytearray(range(256))
+        for i, ch in enumerate(FREE_LETTERS[:rank], 1):
+            inverse[rank + i], inverse[rank + 1 - i] = rank + 1 - i, rank + i
+            letters[rank + i], letters[rank + 1 - i] = ord(ch), ord(ch.upper())
+        self._inverse_table = bytes(inverse)  # bytes.translate tables
+        self._letter_table = bytes(letters)
+
+    def identity(self):
+        return b""
+
+    def mul(self, a, b):
+        pair = self._pair
+        if not a or not b or a[-1] + b[0] != pair:
+            return a + b  # nothing cancels
+        i = len(a)
+        j = 0
+        while i > 0 and j < len(b) and a[i - 1] + b[j] == pair:
+            i -= 1
+            j += 1
+        return a[:i] + b[j:]
+
+    def inv(self, a):
+        return a[::-1].translate(self._inverse_table)
+
+    def sort_key(self, e):
+        """Shortlex: by length, then naturally."""
+        return (len(e), e)
+
+    def order(self):
+        return None
+
+    def validate(self, e):
+        if not isinstance(e, bytes):
+            raise ParseError(f"{self.name}: need a word of letter codes (bytes), got {e!r}")
+        if e and not (0 < min(e) and max(e) < self._pair):
+            raise ParseError(f"{self.name}: word {e!r} has a code outside 1..{self._pair - 1}")
+        for x, y in zip(e, e[1:]):
+            if x + y == self._pair:
+                raise ParseError(f"{self.name}: word {self.format(e)!r} is not reduced")
+
+    def generator_tokens(self):
+        rank = self.rank
+        letters = FREE_LETTERS[:rank]
+        return {
+            "e": b"",
+            **{ch: bytes((rank + i,)) for i, ch in enumerate(letters, 1)},
+            **{ch.upper(): bytes((rank + 1 - i,)) for i, ch in enumerate(letters, 1)},
+        }
+
+    def parse(self, text):
+        return self.parse_word(text)  # reduced as it is read
+
+    def format(self, e):
+        return e.translate(self._letter_table).decode() if e else "e"
+
+    @property
+    def key(self):
+        """Not FreeGroup's key: the metric caches one table per key."""
+        return "bytes-" + self.name
+
+
 def naive_outer_boundary(group, members):
     """(S*D) \\ D computed from scratch on a plain set."""
     out = set()
@@ -133,8 +254,9 @@ def unitriangular_matmul(p, q):
 
 def sample_connected_by_resort(group, desc, *, ball_cap):
     """The connected random set of a `random:<size>:<seed>` descriptor,
-    re-sorting the whole frontier after every pick; a set that must hold
-    more than ball_cap elements is refused before the first pick."""
+    re-sorting the whole frontier by `encoding_order_key` after every pick;
+    a set that must hold more than ball_cap elements is refused before the
+    first pick."""
     mul = group.mul
     gens = group.generating_set
     rng = SplitMix64(desc.seed)
@@ -147,9 +269,8 @@ def sample_connected_by_resort(group, desc, *, ball_cap):
             cap=ball_cap,
         )
     members = {group.identity()}
-    frontier = sorted(
-        {mul(s, group.identity()) for s in gens} - members, key=group.sort_key
-    )
+    key = encoding_order_key(group)
+    frontier = sorted({mul(s, group.identity()) for s in gens} - members, key=key)
     while len(members) < desc.size:
         if not frontier:
             raise PreconditionViolated(
@@ -158,9 +279,7 @@ def sample_connected_by_resort(group, desc, *, ball_cap):
         pick = frontier[rng.below(len(frontier))]
         members.add(pick)
         grown = {mul(s, pick) for s in gens}
-        frontier = sorted(
-            (set(frontier) | grown) - members, key=group.sort_key
-        )
+        frontier = sorted((set(frontier) | grown) - members, key=key)
         if len(members) + len(frontier) > ball_cap:
             raise BudgetExceeded(
                 f"{group.name}: connected sample outgrew cap {ball_cap}",

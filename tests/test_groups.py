@@ -17,7 +17,7 @@ from isoplab import (
     parse_group,
 )
 from isoplab.groups import FREE_LETTERS
-from oracle_helpers import free_mul_by_loop, unitriangular_matmul
+from oracle_helpers import BytesFreeGroup, free_mul_by_loop, free_word_int, unitriangular_matmul
 
 ALL_SPECS = [
     "z", "zd:2", "zd:3", "cyclic:2", "cyclic:12", "dihedral:3", "dihedral:6",
@@ -34,15 +34,13 @@ def elements_strategy(group):
     if isinstance(group, DihedralGroup):
         return st.tuples(st.integers(0, group.n - 1), st.integers(0, 1))
     if isinstance(group, FreeGroup):
-        letters = list(range(1, 2 * group.rank + 1))  # codes of letters and inverses
-
         def reduce(raw):
-            word = b""
+            word = group.identity()
             for x in raw:
-                word = group.mul(word, bytes((x,)))
+                word = group.mul(word, x)
             return word
 
-        return st.lists(st.sampled_from(letters), max_size=6).map(reduce)
+        return st.lists(st.sampled_from(group.generating_set), max_size=6).map(reduce)
     if isinstance(group, HeisenbergGroup):
         hi = group.modulus - 1 if group.modulus else 6
         lo = 0 if group.modulus else -6
@@ -133,7 +131,7 @@ def test_generating_set_sizes():
 
 def test_identity_examples():
     assert parse_group("zd:2").identity() == (0, 0)
-    assert parse_group("free:2").identity() == b""
+    assert parse_group("free:2").identity() == 1  # the marker bit alone
     assert parse_group("dihedral:5").identity() == (0, 0)
 
 
@@ -211,9 +209,9 @@ def test_parse_examples():
     z2 = parse_group("zd:2")
     assert z2.parse("(1,-2)") == (1, -2)
     f2 = parse_group("free:2")
-    assert f2.parse("aBa") == bytes((3, 1, 3))  # a = 2 + 1, B = ~2 = 2 + 1 - 2
-    assert f2.parse("e") == b""
-    assert f2.parse("aA") == b""  # reduced on input
+    assert f2.parse("aBa") == 0b1_10_00_10  # marker, a = 2 - 1 + 1, B = ~2 = 2 - 2, a
+    assert f2.parse("e") == 1
+    assert f2.parse("aA") == 1  # reduced on input
     s3 = parse_group("symmetric:3")
     assert s3.parse("[2,1,3]") == (2, 1, 3)
 
@@ -241,6 +239,7 @@ def test_canonical_order_is_length_then_lexicographic():
     ordered = sorted(words, key=f2.sort_key)
     # identity (length 0) first, then length-1 words by signed letter value
     assert [f2.format(w) for w in ordered] == ["e", "A", "a", "b", "aa", "ab"]
+    assert sorted(words) == ordered  # the natural int order is shortlex
 
 
 def test_modular_heisenberg_wraps():
@@ -308,14 +307,14 @@ def test_free_format_round_trips_and_is_injective(rank):
 def test_free_letter_e_is_reserved_for_the_identity():
     from isoplab import generate_set, parse_set_descriptor
 
-    f5 = FreeGroup(5)
-    assert f5.format(b"") == "e"
-    assert f5.format(bytes((10,))) == "f" and f5.format(bytes((1,))) == "F"
-    assert f5.parse("f") == bytes((10,))
-    assert f5.parse_word("fF") == b""
-    assert generate_set(f5, parse_set_descriptor("explicit:e,f")).elements == (b"", bytes((10,)))
-    # ranks 1-4 print as before
-    assert FreeGroup(4).format(bytes((5, 3, 7, 1))) == "aBcD"
+    f5 = FreeGroup(5)  # 4-bit digits: f = 5 - 1 + 5, F = 5 - 5
+    assert f5.format(1) == "e"
+    assert f5.format(0b1_1001) == "f" and f5.format(0b1_0000) == "F"
+    assert f5.parse("f") == 0b1_1001
+    assert f5.parse_word("fF") == 1
+    assert generate_set(f5, parse_set_descriptor("explicit:e,f")).elements == (1, 0b1_1001)
+    # ranks 1-4 print as before: free:4 digits a..d = 4..7, A..D = 3..0
+    assert FreeGroup(4).format(0b1_100_010_110_000) == "aBcD"
     with pytest.raises(ParseError):
         FreeGroup(26)
     with pytest.raises(ParseError):
@@ -347,24 +346,44 @@ def test_free_mul_matches_the_reduction_loop(case):
     rank, a, c, k = case
     group = FreeGroup(rank)
     # b starts by undoing up to k letters of a, so cancellation is common
-    b = free_mul_by_loop(group.inv(a)[:k], c, rank)
-    for x, y in ((a, b), (b, a), (a, c), (a, group.inv(a)), (b"", a), (a, b"")):
-        assert group.mul(x, y) == free_mul_by_loop(x, y, rank)
-    assert group.mul(a, group.inv(a)) == b""
+    b = free_mul_by_loop(BytesFreeGroup(rank).inv(a)[:k], c, rank)
+    for x, y in ((a, b), (b, a), (a, c), (b"", a), (a, b"")):
+        product = group.mul(free_word_int(rank, x), free_word_int(rank, y))
+        assert product == free_word_int(rank, free_mul_by_loop(x, y, rank))
+    w = free_word_int(rank, a)
+    assert group.mul(w, group.inv(w)) == 1
 
 
 def test_free_mul_cancellation_examples():
     f2 = FreeGroup(2)
     w = f2.parse
-    assert f2.mul(b"", b"") == b""
-    assert f2.mul(w("ab"), b"") == w("ab") and f2.mul(b"", w("ab")) == w("ab")
-    assert f2.mul(w("ab"), w("a")) == b"\x03\x04\x03"  # no cancellation
+    assert f2.mul(1, 1) == 1
+    assert f2.mul(w("ab"), 1) == w("ab") and f2.mul(1, w("ab")) == w("ab")
+    assert f2.mul(w("ab"), w("a")) == 0b1_10_11_10  # no cancellation
     assert f2.mul(w("ab"), w("Ba")) == w("aa")  # partial
-    assert f2.mul(w("aBa"), w("AbA")) == b""  # full
+    assert f2.mul(w("aBa"), w("AbA")) == 1  # full
+    assert f2.mul(w("B"), w("b")) == 1  # B's digit 0 meets b's first digit
+    assert f2.mul(1, w("b")) == w("b")  # the identity's low bit is no letter
 
 
-INVALID_FREE2_WORDS = [
-    (3,), (3, 1), b"\x00", b"\x05", b"\x03\x00", bytes((3, 2)), bytes((1, 4)), bytes((4, 3, 2, 1)),
+# (spec, element, words of validate's message): free:2 digits are 2 bits,
+# 0..3 (B = 0, A = 1, a = 2, b = 3); free:3 digits are 3 bits, and 6 and 7
+# name no letter
+INVALID_FREE_WORDS = [
+    ("free:2", (3,), "need a word as an int"),
+    ("free:2", b"\x03", "need a word as an int"),
+    ("free:2", True, "need a word as an int"),  # True == 1, the identity
+    ("free:2", False, "need a word as an int"),
+    ("free:2", 0, "is not a marker bit above whole 2-bit digits"),
+    ("free:2", -6, "is not a marker bit above whole 2-bit digits"),
+    ("free:2", 0b10, "is not a marker bit above whole 2-bit digits"),
+    ("free:2", 0b1_10_1, "is not a marker bit above whole 2-bit digits"),
+    ("free:3", 0b1_110, "has a digit outside 0..5"),
+    ("free:3", 0b1_010_111, "has a digit outside 0..5"),
+    ("free:2", 0b1_10_01, "word 'aA' is not reduced"),
+    ("free:2", 0b1_11_00, "word 'bB' is not reduced"),
+    ("free:2", 0b1_11_10_01_00, "word 'baAB' is not reduced"),
+    ("free:1", 0b1_0_1, "word 'Aa' is not reduced"),
 ]
 
 
@@ -391,23 +410,28 @@ def test_validate_rejects_bad_tuples(spec, text, element, words):
         group.validate(element)
 
 
-@pytest.mark.parametrize(
-    "word", INVALID_FREE2_WORDS, ids=[f"word{i}" for i in range(len(INVALID_FREE2_WORDS))]
-)
-def test_free_validate_rejects_letters_outside_the_encoding(word):
-    # free:2 words are bytes of codes 1..4 (a = 3, b = 4, A = 2, B = 1);
-    # an int tuple, code 0 and code 5 = 2*2 + 1 encode nothing, and codes
-    # summing to 5 are an inverse pair, so the word is not reduced
-    with pytest.raises(ParseError):
-        FreeGroup(2).validate(word)
+@pytest.mark.parametrize("spec, word, words", INVALID_FREE_WORDS, ids=[
+    f"{spec} {word!r}" for spec, word, _ in INVALID_FREE_WORDS
+])
+def test_free_validate_rejects_letters_outside_the_encoding(spec, word, words):
+    from isoplab import FiniteSubset
+
+    group = parse_group(spec)
+    with pytest.raises(ParseError, match=re.escape(words)):
+        group.validate(word)
+    with pytest.raises(ParseError, match=re.escape(words)):
+        FiniteSubset.from_iterable(group, [word], "D")
 
 
 @pytest.mark.parametrize("rank, radius", [(1, 10), (2, 6), (3, 4)])
-def test_free_ball_elements_are_bytes(rank, radius):
+def test_free_ball_elements_are_small_ints(rank, radius):
     from isoplab import ball
 
+    # an int below 2**60 takes one 32-byte block
     words = list(ball(FreeGroup(rank), radius).elements())
-    assert all(type(w) is bytes for w in words)
+    assert all(type(w) is int and w < 2**60 for w in words)
+    # the bound holds up to length 19 in free:3: 1 + 3 * 19 = 58 bits
+    assert FreeGroup(3).parse("c" * 19) < 2**60 <= FreeGroup(3).parse("c" * 20)
 
 
 @pytest.mark.parametrize("rank, radius", [(1, 6), (2, 4), (3, 3)])

@@ -148,9 +148,11 @@ def test_from_iterable_validates_every_element():
     with pytest.raises(ParseError):
         FiniteSubset.from_iterable(Z, [(0,), (1, 2)], "D")
     with pytest.raises(ParseError):
-        FiniteSubset.from_iterable(F2, [bytes((3, 2))], "D")  # aA, not reduced
+        FiniteSubset.from_iterable(F2, [0b1_10_01], "D")  # aA, not reduced
     with pytest.raises(ParseError):
-        FiniteSubset.from_iterable(F2, [(3,)], "D")  # a tuple, not bytes
+        FiniteSubset.from_iterable(F2, [(3,)], "D")  # a tuple, not an int
+    with pytest.raises(ParseError):
+        FiniteSubset.from_iterable(F2, [F2.identity(), (3,)], "D")  # refused before sorting
     with pytest.raises(ParseError):
         FiniteSubset.from_iterable(C12, [12], "D")
 

@@ -137,7 +137,7 @@ ORDER_POOLS = {spec: ball(parse_group(spec), r) for spec, r in ORDER_RADII.items
 
 
 @settings(max_examples=200, deadline=None)
-@example("free:2", [0, 1, 5, 17, 2, 53])  # e, B, BB, BBB, A, BBBB: not in natural order
+@example("free:2", [0, 1, 5, 17, 2, 53])  # e, B, BB, BBB, A, BBBB: lexicographic order puts A last
 @given(st.sampled_from(sorted(ORDER_RADII)), st.lists(st.integers(0, 10**6), max_size=40))
 def test_canonical_order_is_the_encoding_order(spec, picks):
     # every BFS layer is sorted without a key; sort_key orders mixed lengths
@@ -177,7 +177,7 @@ def test_word_length_examples():
     d6 = parse_group("dihedral:6")
     assert word_length_by_enumeration(d6, (3, 1), 6) == 4
     assert word_length(d6, (3, 1)) == 4
-    assert word_length(f2, b"") == 0
+    assert word_length(f2, f2.identity()) == 0
 
 
 def test_geodesic_word_examples():

@@ -7,10 +7,12 @@ table for its group, so the order of the queries decides which of them grow
 the table and which answer from a cached prefix.
 """
 
+import subprocess
 import sys
 import threading
 import tracemalloc
 from itertools import accumulate
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -400,7 +402,7 @@ def test_grow_counts_the_whole_table_when_extending_a_cached_prefix(monkeypatch)
 @pytest.mark.parametrize("spec,radius,bound", [("free:3", 6, 90), ("zd:2", 150, 130)])
 def test_growth_peak_bytes_per_ball_element(spec, radius, bound):
     """A table is its layers: BFS keeps no whole-ball dict.  The traced peak
-    of growth() is about 55 B per element on free:3 and 97 B on zd:2; a BFS
+    of growth() is about 46 B per element on free:3 and 97 B on zd:2; a BFS
     that kept one read 125 B and 177 B."""
     group = parse_group(spec)
     forget(group)
@@ -416,6 +418,29 @@ def test_growth_peak_bytes_per_ball_element(spec, radius, bound):
         if started:
             tracemalloc.stop()
     assert peak / size < bound, (size, peak)
+
+
+FREE_WORD_PEAK_SCRIPT = """
+import sys
+import tracemalloc
+sys.path.insert(0, {src!r})
+from isoplab import growth, parse_group
+tracemalloc.start()
+size = growth(parse_group("free:3"), 7)[-1]
+print(size, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_free_word_table_peak_bytes_per_element():
+    """A free word is one int below 2**60 (a 32-byte block), so growing
+    free:3 to radius 7 from an empty cache in a fresh interpreter peaks
+    near 46 B per element; with words as bytes it read 54 B."""
+    script = FREE_WORD_PEAK_SCRIPT.format(src=str(Path(metric.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    size, peak = map(int, proc.stdout.split())
+    assert size == 117187
+    assert peak / size < 50, (size, peak)
 
 
 # spec -> radius of the compared ball for the infinite groups; a finite

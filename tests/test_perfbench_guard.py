@@ -14,8 +14,9 @@ connected-sample job pins that count, and it counts the steps of
 as `step[1]`.  The `exhaustive:` stream walks only the masks in its size
 range, one step each, so an exhaustive-descriptor job pins that count.
 It counts `sort_key` calls by patching the method on each group class that
-defines it, so a free-group connected-sample job pins that count: a key
-bound on the instance instead would hide those calls.
+defines it (only `Group` does), so a free-group job with an `explicit:`
+set, which `FiniteSubset.from_iterable` sorts by `group.sort_key`, pins
+that count: a key bound on the instance instead would hide those calls.
 """
 
 import json
@@ -75,7 +76,10 @@ def test_counter_reads_gray_walk_steps():
 
 
 def test_counter_reads_free_group_sort_keys():
-    argv = ["verify", "theorem", "--group", "free:2", "--set", "random:60:3", "--format", "jsonl"]
+    argv = [
+        "verify", "theorem", "--group", "free:2", "--set", "explicit:e,a,b,ab,aB,bA",
+        "--format", "jsonl",
+    ]
     lines, counts = run_recorded("Counter()", argv)
-    assert json.loads(lines[-1])["extra"]["set_size"] == 60
-    assert counts["sort_key_calls"] == 241  # the connected sampler's shortlex keys
+    assert json.loads(lines[-1])["extra"]["set_size"] == 6
+    assert counts["sort_key_calls"] == 6  # from_iterable's sort of the explicit set
