@@ -3,7 +3,10 @@
 Each criterion is a deterministic function of the master seed.  Randomized
 criteria derive per-instance sub-seeds through the documented SplitMix64
 split rule, so the whole run (including every report line) is reproducible
-byte for byte.  Quick mode reduces instance counts but keeps every
+byte for byte.  Criterion 8 checks that: it runs criteria 1-7 twice and
+compares the sha256 digests of the two canonical report streams, each
+hashed line by line as its reports are made, so neither pass holds its
+encoded stream.  Quick mode reduces instance counts but keeps every
 criterion and every tolerance identical; tolerances are all zero, since
 every comparison is exact.
 """
@@ -17,7 +20,6 @@ from .errors import InternalContradiction
 from .groups import Element, Group, parse_group
 from .isoperimetry import (
     FiniteSubset,
-    VerificationReport,
     _word_levels,
     admissible,
     boundary_comparison,
@@ -355,8 +357,38 @@ def _criterion_oracles(seed, quick) -> CriterionResult:
     return CriterionResult(7, "independent oracle agreement", enough and not failures, detail)
 
 
-def _run_criteria(seed, quick):
-    reports: list[VerificationReport] = []
+class _ReportStream:
+    """Where a pass appends its reports.  Each report's dict is made once and
+    its canonical line is fed at once to a running sha256; the reported pass
+    keeps the dicts as well (`dicts`), the reference pass keeps nothing."""
+
+    def __init__(self, keep: bool):
+        from hashlib import sha256
+
+        self._hash = sha256()
+        self.dicts: Optional[list[dict]] = [] if keep else None
+        self.digest: Optional[str] = None
+
+    def append(self, report) -> None:
+        record = report.to_json_dict()
+        self._hash.update(serialize_run(record))
+        if self.dicts is not None:
+            self.dicts.append(record)
+
+    def close(self, results) -> None:
+        """End the stream with the criterion results, and set `digest` to the
+        hex sha256 of the whole stream."""
+        for res in results:
+            self._hash.update(serialize_run(res.to_json_dict()))
+        self.digest = self._hash.hexdigest()
+
+
+def _run_criteria(seed, quick, reports: Optional[_ReportStream] = None):
+    """Criteria 1-7 in one pass, their reports and then their results
+    streamed into `reports` (by default a new stream that keeps the report
+    dicts); returns the results and the dicts kept."""
+    if reports is None:
+        reports = _ReportStream(keep=True)
     instances = acceptance_instances(seed, quick)
     results = [
         _criterion_lemma31(instances, reports, quick),
@@ -367,24 +399,26 @@ def _run_criteria(seed, quick):
         _criterion_csc_boundary(instances, reports),
         _criterion_oracles(seed, quick),
     ]
-    return results, [rep.to_json_dict() for rep in reports]  # each report encoded once
+    reports.close(results)
+    return results, reports.dicts
 
 
-def serialize_run(results, report_dicts) -> bytes:
-    """Canonical machine serialization of a run from its criterion results
-    and its reports' JSON dicts, used for the determinism criterion."""
-    lines = [canonical_json(d) for d in report_dicts]
-    for res in results:
-        lines.append(canonical_json(res.to_json_dict()))
-    lines.append("")  # the final newline, without a second copy of the joined stream
-    return "\n".join(lines).encode()
+def serialize_run(record: dict) -> bytes:
+    """One line of a run's canonical stream, newline included: a report's or
+    a criterion result's JSON dict.  The stream is every report line in the
+    order made, then the results of criteria 1-7."""
+    return (canonical_json(record) + "\n").encode()
 
 
 def run_acceptance(seed: int = DEFAULT_SEED, quick: bool = False) -> AcceptanceOutcome:
-    # The reference pass runs first, so only its bytes are alive during the reported pass.
-    reference = serialize_run(*_run_criteria(seed, quick))
-    results, report_dicts = _run_criteria(seed, quick)
-    identical = serialize_run(results, report_dicts) == reference
+    """Run criteria 1-7 twice with the same seed.  Criterion 8 compares the
+    sha256 digests of the two passes' canonical streams, each hashed line by
+    line as its reports are made; only the second pass keeps its reports."""
+    reference = _ReportStream(keep=False)
+    _run_criteria(seed, quick, reference)
+    reported = _ReportStream(keep=True)
+    results, report_dicts = _run_criteria(seed, quick, reported)
+    identical = reported.digest == reference.digest
     detail = (
         "re-running the pipeline with the same seed reproduced the machine "
         "report stream byte for byte"

@@ -14,9 +14,9 @@ defaults included.
 from __future__ import annotations
 
 import csv as _csv
-import io
 import os
 import sys
+from itertools import chain
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -62,16 +62,24 @@ EXIT_PRECONDITION = 4
 _NOT_SETTINGS = {"check"}
 
 
-def _csv_lines(header: list[str], rows) -> list[str]:
-    buf = io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue().splitlines()
+class _Echo:
+    """A file for csv.writer whose write returns the line it is given, so
+    that writerow returns the CSV line it renders."""
+
+    @staticmethod
+    def write(line: str) -> str:
+        return line
+
+
+def _csv_lines(header: list[str], rows):
+    """The CSV lines of header and rows, each with its newline, rendered as
+    they are read."""
+    return map(_csv.writer(_Echo, lineterminator="\n").writerow, chain([header], rows))
 
 
 def _emit(args: SimpleNamespace, records, header: list[str], rows, human) -> None:
-    """Render one command's output in args.format and write it.
+    """Render one command's output in args.format and write each line as it
+    is rendered.
 
     records, rows and human are callables returning the JSON records, the
     CSV rows under header, and the human lines; only the one the format
@@ -83,20 +91,19 @@ def _emit(args: SimpleNamespace, records, header: list[str], rows, human) -> Non
         if value is not None and key not in _NOT_SETTINGS
     }
     if args.format == "jsonl":
-        lines = [canonical_json({**rec, "run_config": run_config}) for rec in records()]
+        lines = (canonical_json({**rec, "run_config": run_config}) + "\n" for rec in records())
     else:
         echo = canonical_json(run_config)
         if args.format == "csv":
-            lines = [f"# config: {echo}", *_csv_lines(header, rows())]
+            lines = chain([f"# config: {echo}\n"], _csv_lines(header, rows()))
         else:
-            lines = [f"config: {echo}", *human()]
-    text = "\n".join(lines) + ("\n" if lines else "")
+            lines = chain([f"config: {echo}\n"], (line + "\n" for line in human()))
     if not args.out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
         return
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     except OSError as exc:
         raise ParseError(f"cannot write --out {args.out}: {exc}") from None
 

@@ -21,7 +21,8 @@ family; for free words that order is shortlex.  `Group.sort_key` is its
 key, the element itself.
 
 A group's `name` is its spec string, which `parse_group` reads back; it is
-also `Group.key`, by which groups compare and hash.  Elements are written
+also `Group.key`.  Groups compare and hash by their class and key, since
+two classes may encode one spec's elements differently.  Elements are written
 in one of two grammars.  `Group.parse`/`Group.format` read and print the
 integer-tuple literal, `(1,-2)` or `[2,1,3]` for permutations, with bare
 ints for `z` and cyclic groups.  `Group.parse_word` reads a word in the
@@ -143,14 +144,14 @@ class Group:
 
     @property
     def key(self) -> str:
-        """The spec string, which names exactly one group."""
+        """The spec string, which names exactly one group of the class."""
         return self.name
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Group) and self.key == other.key
+        return type(other) is type(self) and self.key == other.key
 
     def __hash__(self) -> int:
-        return hash(self.key)
+        return hash((type(self), self.key))
 
     def __repr__(self) -> str:
         return f"<group {self.name}>"

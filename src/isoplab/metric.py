@@ -18,10 +18,10 @@ The element -> layer index behind `in`, layer_of and parent is
 built the first time a membership query needs it, and brought up to date
 with the layers added since when a later query needs those.
 
-Each group (by Group.key) has one table of completed layers in a module
-cache, grown one layer at a time as queries need more of it.  A query
-answers from the smallest layer prefix that meets its stop condition, and
-the BallTable it returns is a read-only view of that prefix.  One lock
+Each group (by its class and Group.key) has one table of completed layers
+in a module cache, grown one layer at a time as queries need more of it.  A
+query answers from the smallest layer prefix that meets its stop condition,
+and the BallTable it returns is a read-only view of that prefix.  One lock
 guards the cache and every extension of a table or of its index.  A table
 that outgrows RETAINED_TABLE_MAX elements serves the query that grew it and
 is then dropped from the cache, so a large ball does not stay alive for the
@@ -48,7 +48,8 @@ DEFAULT_BALL_CAP = 5_000_000
 # would otherwise stay alive, unused, for the rest of the run.
 RETAINED_TABLE_MAX = 4096
 
-# Group.key -> _Table of the completed layers so far.
+# (group class, Group.key) -> _Table of the completed layers so far.  The
+# class is part of the key because it fixes how the elements are encoded.
 _tables: dict = {}
 _tables_lock = threading.Lock()
 
@@ -157,7 +158,7 @@ def _prefix(group: Group, done: Done, ball_cap: int) -> BallTable:
     elements[start:end] the layer of that radius: it sees the bounds of the
     newest layer, not a copy of it.
     """
-    key = group.key
+    key = (type(group), group.key)
     with _tables_lock:
         table = _tables.get(key) or _Table()
         elements, ends = table.elements, table.ends

@@ -24,7 +24,8 @@ keeps the whole free group as it was when words were those codes as
 `bytes`, with a shortlex `sort_key`, and `free_word_codes` and
 `free_word_int` map its words to FreeGroup's ints and back.  The lemma
 3.1 oracle computes route A with one `Fraction` per point, as the library
-did before it summed integer counts.
+did before it summed integer counts.  `serialize_run` is the determinism
+criterion's stream as it was when it was built as one `bytes` object.
 """
 
 from fractions import Fraction
@@ -51,6 +52,7 @@ from isoplab import (
     word_length,
 )
 from isoplab.groups import FREE_LETTERS
+from isoplab.isoperimetry import canonical_json
 
 
 def encoding_order_key(group):
@@ -211,11 +213,6 @@ class BytesFreeGroup(Group):
 
     def format(self, e):
         return e.translate(self._letter_table).decode() if e else "e"
-
-    @property
-    def key(self):
-        """Not FreeGroup's key: the metric caches one table per key."""
-        return "bytes-" + self.name
 
 
 def naive_outer_boundary(group, members):
@@ -525,3 +522,13 @@ def lemma31_route_a_by_fractions(group, D, d):
          for y in D.elements),
         start=Fraction(0),
     ) * len(elements)
+
+
+def serialize_run(results, report_dicts) -> bytes:
+    """Canonical machine serialization of a run from its criterion results
+    and its reports' JSON dicts, used for the determinism criterion."""
+    lines = [canonical_json(d) for d in report_dicts]
+    for res in results:
+        lines.append(canonical_json(res.to_json_dict()))
+    lines.append("")  # the final newline, without a second copy of the joined stream
+    return "\n".join(lines).encode()

@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import json
 
 import pytest
@@ -113,6 +115,17 @@ def test_profile_csv(capsys):
     assert lines[4] == "3,2,1,2,{0;1;2}"
 
 
+def test_csv_row_keeps_a_descriptor_with_a_form_feed(capsys):
+    # csv.writer does not quote a form feed, so splitting the rendered rows
+    # at line boundaries would break this row in two
+    desc = "explicit:1,\f2"
+    code, out, _ = run(
+        capsys, "verify", "theorem", "--group", "z", "--set", desc, "--format", "csv",
+    )
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert code == 0 and len(rows) == 3 and rows[2][2] == desc
+
+
 def test_sharpness_intervals(capsys):
     code, out, _ = run(
         capsys, "sharpness", "--group", "z", "--set", "interval:1..50", "--format", "jsonl",
@@ -205,6 +218,14 @@ def test_parsed_elements_are_validated(capsys, argv):
 def test_out_to_directory_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "growth", "--group", "z", "--max-radius", "2", "--out", str(tmp_path))
     assert code == 2 and "cannot write" in err
+
+
+def test_accept_out_to_directory_exits_2_with_nothing_written(tmp_path, capsys):
+    # the lines are rendered as they are written, so the open fails first
+    code, out, err = run(capsys, "accept", "--quick", "--seed", "7", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert "cannot write" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_seed_is_read_by_accept_alone(capsys):

@@ -5,15 +5,18 @@ a `bytes` string of letter codes, and `free_word_int`/`free_word_codes` map
 its words to FreeGroup's ints and back.  Under that map the two groups must
 agree on products, inverses, the letter grammar in both directions, which
 inputs `validate` accepts, the canonical (shortlex) order, and the BFS
-layers of a ball, element for element and in the same order.
+layers of a ball, element for element and in the same order.  Sharing the
+spec string `free:k`, the two still compare unequal and keep one BFS table
+each.
 """
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isoplab import FreeGroup, ParseError, ball
+from isoplab import FiniteSubset, FreeGroup, ParseError, PreconditionViolated, ball, metric
 from isoplab.groups import FREE_LETTERS
+from isoplab.isoperimetry import verify_theorem
 from oracle_helpers import BytesFreeGroup, free_word_codes, free_word_int
 
 RANKS = (1, 2, 3, 5, 25)
@@ -120,3 +123,23 @@ def test_ball_layers_agree(rank, radius):
         tuple(free_word_int(rank, w) for w in layer) for layer in ball(old, radius).layers
     )
     assert ball(new, radius).layers == expected
+
+
+@pytest.mark.parametrize("first", ["int", "bytes"])
+def test_one_spec_in_two_encodings_keeps_two_tables(monkeypatch, first):
+    monkeypatch.setattr(metric, "_tables", {})
+    new, old = FreeGroup(2), BytesFreeGroup(2)
+    assert new.key == old.key == "free:2"
+    assert new != old and old != new and len({new, old}) == 2
+    assert new == FreeGroup(2) and hash(new) == hash(FreeGroup(2))
+    queries = [(new, int), (old, bytes)]
+    for group, kind in queries if first == "int" else queries[::-1]:
+        layers = ball(group, 2).layers
+        assert {type(g) for layer in layers for g in layer} == {kind}
+    assert len(metric._tables) == 2
+    assert ball(new, 2).layers == tuple(
+        tuple(free_word_int(2, w) for w in layer) for layer in ball(old, 2).layers
+    )
+    D = FiniteSubset(old, (old.identity(),), "e")
+    with pytest.raises(PreconditionViolated, match="D is a subset of"):
+        verify_theorem(new, D)

@@ -331,10 +331,6 @@ class CountingGroup(Group):
         self.name = inner.name
         self.mul_calls = 0
 
-    @property
-    def key(self):
-        return self.inner.key
-
     def mul(self, a, b):
         self.mul_calls += 1
         return self.inner.mul(a, b)
@@ -359,18 +355,20 @@ class CountingGroup(Group):
 
 
 def scan_mul_calls(scan, group, D):
-    """Run scan(group, D) through a CountingGroup; return its result and the
+    """Run scan over D through a CountingGroup; return its result and the
     mul calls it made beyond building the ball B(e, d).
 
-    The first query fills the growth cache, so that `bfs` and the scan
-    either both find B(e, d) there or, for a table too large to keep, both
-    build it.
+    CountingGroups share one growth table, their own.  `bfs` asks for B(e,
+    d) twice: the second query costs what the scan's own query does, nothing
+    when the first filled the cache, the whole BFS for a table too large to
+    keep.
     """
-    minimal_d(group, 2 * len(D))
     bfs = CountingGroup(group)
     minimal_d(bfs, 2 * len(D))
+    bfs.mul_calls = 0
+    minimal_d(bfs, 2 * len(D))
     counted = CountingGroup(group)
-    result = scan(counted, D)
+    result = scan(counted, FiniteSubset(counted, D.elements, D.provenance))
     return result, counted.mul_calls - bfs.mul_calls
 
 

@@ -53,9 +53,14 @@ FAMILIES = {
 CAPS = [DEFAULT_BALL_CAP, 0, -5, 1, 6, 30, 100, 400]
 
 
+def table_key(group):
+    """The group's key in the metric's table cache."""
+    return (type(group), group.key)
+
+
 def forget(group):
     with metric._tables_lock:
-        metric._tables.pop(group.key, None)
+        metric._tables.pop(table_key(group), None)
 
 
 def outcome(query):
@@ -153,7 +158,7 @@ def cached_layers(entry):
 def assert_cached_table_is_a_bfs_prefix(group):
     """The cached table, if any, is the oracle's ball of its radius, and
     its index covers its first `indexed` layers with the oracle's depths."""
-    entry = metric._tables.get(group.key)
+    entry = metric._tables.get(table_key(group))
     if entry is None:
         return
     radius = len(entry.ends) - 1
@@ -227,11 +232,11 @@ def test_evicted_table_is_rebuilt_identically():
     forget(group)
     large = ball(group, 8)
     assert large.size == 13_121 > metric.RETAINED_TABLE_MAX
-    assert group.key not in metric._tables
+    assert table_key(group) not in metric._tables
     layers, _, depth = oracle_ball(group, 8, ball_cap=DEFAULT_BALL_CAP)
     assert table_answer(large) == (8, layers, depth)
     small = ball(group, 3)
-    assert group.key in metric._tables
+    assert table_key(group) in metric._tables
     assert table_answer(small) == (3, layers[:4], {g: k for g, k in depth.items() if k <= 3})
     assert table_answer(ball(group, 8)) == (8, layers, depth)
     # the dropped table still serves the view that was handed out
@@ -356,7 +361,7 @@ def test_layered_table_matches_naive_bfs(spec):
 
     forget(group)
     table = ball(group, radius)
-    entry = metric._tables[group.key]
+    entry = metric._tables[table_key(group)]
     assert (entry.indexed, entry.index) == (0, {})  # no membership query yet
     assert table.layers == tuple(layers) + ((),) * (radius + 1 - len(layers))
     assert table.layer_of(group.identity()) == 0
